@@ -140,7 +140,7 @@ def _cmd_build_oracle_net(args) -> str:
 
 def _cmd_run(args) -> str:
     net = formats.load_network(args.net)
-    result = run(net, args.word, args.budget)
+    result = run(net, args.word, args.budget, record_trace=False)
     if result.verdict == Verdict.TIMEOUT:
         raise RunTimeout(f"no verdict within {args.budget} ticks")
     if result.flagged:

@@ -26,7 +26,6 @@ from .exact import CANTOR4, ExactScalar, ScalarKind, saturated_sigma, signal
 from .langcodec import Alphabet, index_of_string
 from .microcode import (
     Guard,
-    InputFrontend,
     MicroProgram,
     MicroRule,
     NetBuilder,
@@ -34,9 +33,9 @@ from .microcode import (
     RING_LEN,
     StackOp,
     StackSpec,
-    buffer_stack_spec,
+    buffer_class,
     compile_program,
-    reversal_rules,
+    input_clock,
 )
 from .network import Network, RunResult, Verdict, run
 
@@ -132,16 +131,7 @@ def dfa_to_net(dfa: Dfa) -> Network:
     k = len(syms)
     b = NetBuilder()
     v_col = k
-
-    started = b.neuron("started")
-    b.w(started, started, 1)
-    b.win(started, v_col, 1)
-    over = b.neuron("over", bias=1)
-    b.w(over, over, 1)
-    b.win(over, v_col, -1)
-    fresh = b.neuron("fresh", bias=1)
-    b.win(fresh, v_col, -1)
-    b.w(fresh, over, -1)
+    started, fresh = input_clock(b, v_col, edge=False)
 
     pair: dict[tuple[str, str], int] = {}
     for q in dfa.states:
@@ -322,6 +312,45 @@ class TwoStackMachine:
         return verdict
 
 
+def _word_net(
+    alphabet: Alphabet,
+    stacks: tuple[StackSpec, ...],
+    rules: list[MicroRule],
+    first_state: str,
+    output: OutputSpec,
+    oracle: Optional[tuple[str, ExactScalar]] = None,
+) -> Network:
+    """Compile a program that reads a word over ``alphabet``.
+
+    The frozen buffer holds the last symbol on top, so state ``REV`` drains
+    it onto stack ``in``, dropping fillers, to put the first symbol on top;
+    then control passes to ``first_state``.
+    """
+    k = len(alphabet)
+    drain = [
+        MicroRule(
+            "REV",
+            (Guard("wb", "top", buffer_class(s)),),
+            (StackOp("wb", "pop"), StackOp("in", "push", s)),
+            "REV",
+        )
+        for s in range(k)
+    ]
+    drain.append(
+        MicroRule("REV", (Guard("wb", "top", 0),), (StackOp("wb", "pop"),), "REV")
+    )
+    drain.append(MicroRule("REV", (Guard("wb", "empty"),), (), first_state))
+    prog = MicroProgram(
+        stacks=(StackSpec("in", 4 * k, tuple(2 * s + 1 for s in range(k))),) + stacks,
+        rules=tuple(drain + rules),
+        start_state="REV",
+        symbols=alphabet.symbols,
+        output=output,
+        oracle=oracle,
+    )
+    return compile_program(prog)
+
+
 def _stack_op(stack: str, pop: Optional[int], push: Optional[int]) -> Optional[StackOp]:
     if pop is not None and push is not None:
         return StackOp(stack, "poppush", digit_class=push)
@@ -338,15 +367,7 @@ def two_stack_to_net(machine: TwoStackMachine) -> Network:
     The input is buffered while it arrives, reversed onto an internal input
     stack, and then consumed by the rule program at one rule per ring cycle.
     """
-    k = len(machine.alphabet)
-    wb = buffer_stack_spec("wb", k)
-    stacks = (
-        wb,
-        StackSpec("in", 4 * k, tuple(2 * s + 1 for s in range(k))),
-        StackSpec("s1", 4, (1, 3)),
-        StackSpec("s2", 4, (1, 3)),
-    )
-    rules = reversal_rules("wb", "in", k, "REV", f"m.{machine.start}")
+    rules: list[MicroRule] = []
     for rule in machine.rules:
         guards: list[Guard] = []
         ops: list[StackOp] = []
@@ -369,25 +390,16 @@ def two_stack_to_net(machine: TwoStackMachine) -> Network:
                 f"m.{rule.next_state}",
             )
         )
-    prog = MicroProgram(
-        stacks=stacks,
-        rules=tuple(rules),
-        start_state="REV",
-        frontend=InputFrontend(
-            n_lines=k,
-            n_classes=k,
-            mode="onehot",
-            fresh_mode="immediate",
-            buffer_stack="wb",
-            input_symbols=machine.alphabet.symbols,
-        ),
-        output=OutputSpec(
-            mode="verdict",
+    return _word_net(
+        machine.alphabet,
+        (StackSpec("s1", 4, (1, 3)), StackSpec("s2", 4, (1, 3))),
+        rules,
+        f"m.{machine.start}",
+        OutputSpec(
             accept_states=frozenset(f"m.{q}" for q in machine.accepting),
             require_empty=("in",),
         ),
     )
-    return compile_program(prog)
 
 
 def two_stack_budget(word_length: int, machine_steps: int) -> int:
@@ -500,43 +512,25 @@ def _extract_rules() -> list[MicroRule]:
     ]
 
 
+_ORACLE_OUTPUT = OutputSpec(
+    accept_states=frozenset({"ACC"}), flag_states=frozenset({"HZN"})
+)
+
+
 def oracle_net(spec: OracleNetSpec) -> Network:
     """Monolithic oracle-consulting net (index builder and extractor fused).
 
     The verdict is the consulted digit; if the index runs past the oracle's
     truncation the net rejects with the flag line raised.
     """
-    k = len(spec.alphabet)
-    stacks = (
-        buffer_stack_spec("wb", k),
-        StackSpec("in", 4 * k, tuple(2 * s + 1 for s in range(k))),
-        StackSpec("c1", 4, (1,)),
-        StackSpec("c2", 4, (1,)),
-        StackSpec("x", 4, (1, 3)),
-    )
-    rules = reversal_rules("wb", "in", k, "REV", "IDX")
-    rules += _index_rules(k, "EX1")
-    rules += _extract_rules()
-    prog = MicroProgram(
-        stacks=stacks,
-        rules=tuple(rules),
-        start_state="REV",
-        frontend=InputFrontend(
-            n_lines=k,
-            n_classes=k,
-            mode="onehot",
-            fresh_mode="immediate",
-            buffer_stack="wb",
-            input_symbols=spec.alphabet.symbols,
-        ),
-        output=OutputSpec(
-            mode="verdict",
-            accept_states=frozenset({"ACC"}),
-            flag_states=frozenset({"HZN"}),
-        ),
+    return _word_net(
+        spec.alphabet,
+        (StackSpec("c1", 4, (1,)), StackSpec("c2", 4, (1,)), StackSpec("x", 4, (1, 3))),
+        _index_rules(len(spec.alphabet), "EX1") + _extract_rules(),
+        "IDX",
+        _ORACLE_OUTPUT,
         oracle=("x", spec.oracle_real),
     )
-    return compile_program(prog)
 
 
 def oracle_net_parts(spec: OracleNetSpec) -> tuple[Network, Network, dict[int, str]]:
@@ -547,72 +541,45 @@ def oracle_net_parts(spec: OracleNetSpec) -> tuple[Network, Network, dict[int, s
     and extracts that digit of the oracle.  Compose with
     ``compose_nets(first, second, handoff)``.
     """
-    k = len(spec.alphabet)
-    n_stacks = (
-        buffer_stack_spec("wb", k),
-        StackSpec("in", 4 * k, tuple(2 * s + 1 for s in range(k))),
-        StackSpec("c1", 4, (1,)),
-        StackSpec("c2", 4, (1,)),
-    )
-    n_rules = reversal_rules("wb", "in", k, "REV", "IDX")
-    n_rules += _index_rules(k, "EMIT")
+    n_rules = _index_rules(len(spec.alphabet), "EMIT")
     n_rules.append(
         MicroRule(
             "EMIT", (Guard("c1", "nonempty"),), (StackOp("c1", "pop"),), "EMIT", emit=True
         )
     )
     n_rules.append(MicroRule("EMIT", (Guard("c1", "empty"),), (), "DONE"))
-    n_prog = MicroProgram(
-        stacks=n_stacks,
-        rules=tuple(n_rules),
-        start_state="REV",
-        frontend=InputFrontend(
-            n_lines=k,
-            n_classes=k,
-            mode="onehot",
-            fresh_mode="immediate",
-            buffer_stack="wb",
-            input_symbols=spec.alphabet.symbols,
-        ),
-        output=OutputSpec(mode="emission", emit_states=frozenset({"EMIT"})),
+    n_net = _word_net(
+        spec.alphabet,
+        (StackSpec("c1", 4, (1,)), StackSpec("c2", 4, (1,))),
+        n_rules,
+        "IDX",
+        OutputSpec(emit_states=frozenset({"EMIT"})),
     )
 
-    o_stacks = (
-        StackSpec("wb", 16, (0, 9, 11)),
-        StackSpec("c1", 4, (1,)),
-        StackSpec("x", 4, (1, 3)),
-    )
+    # The extractor counts the class-1 ticks (data pulses) in its buffer.
     o_rules = [
         MicroRule(
             "CNT",
-            (Guard("wb", "top", 2),),
+            (Guard("wb", "top", buffer_class(1)),),
             (StackOp("wb", "pop"), StackOp("c1", "push", 0)),
             "CNT",
         ),
-        MicroRule("CNT", (Guard("wb", "top", 1),), (StackOp("wb", "pop"),), "CNT"),
+        MicroRule(
+            "CNT", (Guard("wb", "top", buffer_class(0)),), (StackOp("wb", "pop"),), "CNT"
+        ),
         MicroRule("CNT", (Guard("wb", "top", 0),), (StackOp("wb", "pop"),), "CNT"),
         MicroRule("CNT", (Guard("wb", "empty"),), (), "EX1"),
     ]
     o_rules += _extract_rules()
     o_prog = MicroProgram(
-        stacks=o_stacks,
+        stacks=(StackSpec("c1", 4, (1,)), StackSpec("x", 4, (1, 3))),
         rules=tuple(o_rules),
         start_state="CNT",
-        frontend=InputFrontend(
-            n_lines=1,
-            n_classes=2,
-            mode="binary",
-            fresh_mode="edge",
-            buffer_stack="wb",
-        ),
-        output=OutputSpec(
-            mode="verdict",
-            accept_states=frozenset({"ACC"}),
-            flag_states=frozenset({"HZN"}),
-        ),
+        symbols=None,
+        output=_ORACLE_OUTPUT,
         oracle=("x", spec.oracle_real),
     )
-    return compile_program(n_prog), compile_program(o_prog), {0: "data"}
+    return n_net, compile_program(o_prog), {0: "data"}
 
 
 def oracle_budget(word: str, alphabet: Alphabet) -> int:
@@ -698,8 +665,12 @@ def compose_nets(
                 raise ShapeError(f"first net has no {name!r} output to hand off")
         key = (i + offset, src)
         if key in state_weights:
-            merged = state_weights[key].exact_fraction() + scalar.exact_fraction()
-            state_weights[key] = ExactScalar.from_fraction(merged)
+            prior, added = state_weights[key].exact_fraction(), scalar.exact_fraction()
+            if prior is None or added is None:
+                raise ConstructionError(
+                    f"handoff weight {key} collides with a weight that is not exact"
+                )
+            state_weights[key] = ExactScalar.from_fraction(prior + added)
         else:
             state_weights[key] = scalar
     names = None

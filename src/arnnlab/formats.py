@@ -163,6 +163,30 @@ def save_oracle_table(table: OracleTable, path: str) -> None:
 # Automata
 
 
+def _state_line(
+    parts: list[str],
+    where: str,
+    states: list[str],
+    accepting: set[str],
+    start: Optional[str],
+) -> Optional[str]:
+    """Record a ``state NAME [start] [accept]`` line; returns the start state."""
+    if len(parts) < 2:
+        raise FormatError(f"{where}: state line needs a name")
+    name = parts[1]
+    states.append(name)
+    for flag in parts[2:]:
+        if flag == "accept":
+            accepting.add(name)
+        elif flag == "start":
+            if start is not None:
+                raise FormatError(f"{where}: second start state")
+            start = name
+        else:
+            raise FormatError(f"{where}: unknown flag {flag!r}")
+    return start
+
+
 def load_dfa(path: str) -> Dfa:
     states: list[str] = []
     accepting: set[str] = set()
@@ -172,17 +196,7 @@ def load_dfa(path: str) -> Dfa:
     for lineno, line in _lines(_read(path)):
         parts = line.split()
         if parts[0] == "state":
-            name = parts[1]
-            states.append(name)
-            for flag in parts[2:]:
-                if flag == "accept":
-                    accepting.add(name)
-                elif flag == "start":
-                    if start is not None:
-                        raise FormatError(f"{path}:{lineno}: second start state")
-                    start = name
-                else:
-                    raise FormatError(f"{path}:{lineno}: unknown flag {flag!r}")
+            start = _state_line(parts, f"{path}:{lineno}", states, accepting, start)
         elif parts[0] == "trans" and len(parts) == 4:
             _, src, sym, dst = parts
             transitions[(src, sym)] = dst
@@ -221,17 +235,7 @@ def load_two_stack(path: str) -> TwoStackMachine:
         if line.startswith("alphabet:"):
             alphabet = Alphabet.of(line[len("alphabet:") :].strip())
         elif parts[0] == "state":
-            name = parts[1]
-            states.append(name)
-            for flag in parts[2:]:
-                if flag == "accept":
-                    accepting.add(name)
-                elif flag == "start":
-                    if start is not None:
-                        raise FormatError(f"{where}: second start state")
-                    start = name
-                else:
-                    raise FormatError(f"{where}: unknown flag {flag!r}")
+            start = _state_line(parts, where, states, accepting, start)
         elif parts[0] == "rule":
             if len(parts) != 9 or parts[5] != "->":
                 raise FormatError(
@@ -317,26 +321,42 @@ def load_network(path: str) -> Network:
     biases: dict[int, ExactScalar] = {}
     acts: dict[int, str] = {}
     outs: dict[str, int] = {}
+    seen: set[tuple] = set()
+
+    def once(key: tuple, where: str) -> None:
+        # a repeated record would silently replace the earlier one
+        if key in seen:
+            raise FormatError(f"{where}: repeats an earlier {key[0]!r} record")
+        seen.add(key)
+
     for lineno, line in _lines(_read(path)):
         where = f"{path}:{lineno}"
         parts = line.split()
         if parts[0] == "neurons":
             if len(parts) != 4 or parts[2] != "inputs":
                 raise FormatError(f"{where}: header is 'neurons N inputs M'")
+            once(("neurons",), where)
             n_neurons, n_inputs = _int(parts[1], where), _int(parts[3], where)
         elif parts[0] == "symbols" and len(parts) == 2:
+            once(("symbols",), where)
             symbols = parts[1]
         elif parts[0] in ("a", "b") and len(parts) == 4:
             i, j = _int(parts[1], where), _int(parts[2], where)
+            once((parts[0], i, j), where)
             scalar = _parse_scalar(parts[3], base_dir, where)
             (state_weights if parts[0] == "a" else input_weights)[(i, j)] = scalar
         elif parts[0] == "c" and len(parts) == 3:
-            biases[_int(parts[1], where)] = _parse_scalar(parts[2], base_dir, where)
+            i = _int(parts[1], where)
+            once(("c", i), where)
+            biases[i] = _parse_scalar(parts[2], base_dir, where)
         elif parts[0] == "activation" and len(parts) == 3:
             if parts[2] not in (SAT, SIG):
                 raise FormatError(f"{where}: activation must be sat or sig")
-            acts[_int(parts[1], where)] = parts[2]
+            i = _int(parts[1], where)
+            once(("activation", i), where)
+            acts[i] = parts[2]
         elif parts[0] in ("out_data", "out_valid", "out_flag") and len(parts) == 2:
+            once((parts[0],), where)
             outs[parts[0]] = _int(parts[1], where)
         else:
             raise FormatError(f"{where}: unrecognised line {line!r}")

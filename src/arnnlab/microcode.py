@@ -27,7 +27,6 @@ from .network import SAT, SIG, Network
 
 __all__ = [
     "Guard",
-    "InputFrontend",
     "MicroProgram",
     "MicroRule",
     "NetBuilder",
@@ -35,7 +34,7 @@ __all__ = [
     "StackOp",
     "StackSpec",
     "compile_program",
-    "reversal_rules",
+    "input_clock",
 ]
 
 RING_LEN = 7
@@ -176,29 +175,13 @@ class MicroRule:
 
 
 @dataclass(frozen=True)
-class InputFrontend:
-    """How line input is folded into the buffer register.
+class OutputSpec:
+    """Emission while control is in ``emit_states``, if any; else a verdict.
 
-    Every tick appends one base-(8K) digit to the buffer: 0 when the
-    validation line is low, else 4K + 2*rank + 1 where the rank comes from
-    the one-hot data lines (mode "onehot") or from the single line's binary
-    value (mode "binary").  ``fresh_mode`` selects when the buffer freeze
-    fires: "immediate" treats the first low-validation tick as end of input
-    (the outer word protocol, where input starts at tick 0), "edge" waits
-    for validation to rise and then fall (composed nets fed by another net).
+    A verdict accepts on halting in an accept state with every
+    ``require_empty`` stack empty; emission pulses data per ``emit`` rule.
     """
 
-    n_lines: int
-    n_classes: int
-    mode: str = "onehot"  # "onehot" | "binary"
-    fresh_mode: str = "immediate"  # "immediate" | "edge"
-    buffer_stack: str = "wb"
-    input_symbols: Optional[tuple[str, ...]] = None
-
-
-@dataclass(frozen=True)
-class OutputSpec:
-    mode: str  # "verdict" | "emission"
     accept_states: frozenset = frozenset()
     require_empty: tuple[str, ...] = ()
     flag_states: frozenset = frozenset()
@@ -207,93 +190,42 @@ class OutputSpec:
 
 @dataclass(frozen=True)
 class MicroProgram:
+    """A rule program over ``stacks`` plus the input buffer ``wb``.
+
+    Given ``symbols`` the net reads a word one-hot from tick 0; None means
+    it reads pulses on one line once validation rises (a net fed by a net).
+    """
+
     stacks: tuple[StackSpec, ...]
     rules: tuple[MicroRule, ...]
     start_state: str
-    frontend: InputFrontend
+    symbols: Optional[tuple[str, ...]]
     output: OutputSpec
     oracle: Optional[tuple[str, ExactScalar]] = None  # (stack name, weight)
 
 
 def buffer_stack_spec(name: str, n_classes: int) -> StackSpec:
-    """Digit set the input frontend produces: 0 plus 4K+2s+1 per class s."""
+    """Buffer digits: 0 for a tick with validation low, else 4K+2s+1 for class s."""
     k = n_classes
     return StackSpec(name, 8 * k, (0,) + tuple(4 * k + 2 * s + 1 for s in range(k)))
 
 
 def buffer_class(digit_class: int) -> int:
-    """Index of frontend symbol class ``s`` within the buffer digit list."""
+    """Index of input symbol class ``s`` within the buffer digit list."""
     return digit_class + 1  # class 0 of the digit list is the filler
-
-
-def reversal_rules(
-    wb: str, target: str, n_classes: int, state: str, next_state: str
-) -> list[MicroRule]:
-    """Drain the frozen buffer onto ``target``, dropping fillers.
-
-    The buffer holds the most recent tick on top, so draining it restores
-    the original symbol order on the target stack.
-    """
-    rules = [
-        MicroRule(
-            state,
-            (Guard(wb, "top", buffer_class(s)),),
-            (StackOp(wb, "pop"), StackOp(target, "push", s)),
-            state,
-        )
-        for s in range(n_classes)
-    ]
-    rules.append(
-        MicroRule(state, (Guard(wb, "top", 0),), (StackOp(wb, "pop"),), state)
-    )
-    rules.append(MicroRule(state, (Guard(wb, "empty"),), (), next_state))
-    return rules
 
 
 # ---------------------------------------------------------------------------
 # Compilation
 
 
-def compile_program(prog: MicroProgram) -> Network:
-    fe = prog.frontend
-    stacks = {s.name: s for s in prog.stacks}
-    if fe.buffer_stack not in stacks:
-        raise ConstructionError(f"frontend buffer {fe.buffer_stack!r} undeclared")
-    states: list[str] = []
-    for rule in prog.rules:
-        for st in (rule.state, rule.next_state):
-            if st not in states:
-                states.append(st)
-    if prog.start_state not in states:
-        states.insert(0, prog.start_state)
+def input_clock(b: NetBuilder, v_col: int, edge: bool) -> tuple[int, int]:
+    """End-of-input clock on validation column ``v_col``: (started, fresh).
 
-    b = NetBuilder()
-    v_col = fe.n_lines  # validation column
-
-    # Ring of phases.
-    phi = [b.neuron(f"phi{j}") for j in range(RING_LEN)]
-    for j in range(1, RING_LEN):
-        b.w(phi[j], phi[j - 1], 1)
-
-    # Input frontend: buffer accumulation and freeze detection.
-    wb_spec = stacks[fe.buffer_stack]
-    base_b = wb_spec.base
-    k = fe.n_classes
-    buf = b.neuron("buf", act=SAT)
-    b.w(buf, buf, Fraction(1, base_b))
-    if fe.mode == "onehot":
-        if fe.n_lines != k:
-            raise ConstructionError("onehot frontend needs one line per class")
-        for line in range(fe.n_lines):
-            b.win(buf, line, Fraction(2 * line, base_b))
-    elif fe.mode == "binary":
-        if fe.n_lines != 1 or k != 2:
-            raise ConstructionError("binary frontend is one line, two classes")
-        b.win(buf, 0, Fraction(2, base_b))
-    else:
-        raise ConstructionError(f"unknown frontend mode {fe.mode!r}")
-    b.win(buf, v_col, Fraction(4 * k + 1, base_b))
-
+    ``started`` latches once validation is high; ``fresh`` is high on the
+    tick the input ends.  Without ``edge`` input starts at tick 0, so the
+    first low tick ends it; with ``edge`` validation must rise and then fall.
+    """
     started = b.neuron("started")
     b.w(started, started, 1)
     b.win(started, v_col, 1)
@@ -303,14 +235,51 @@ def compile_program(prog: MicroProgram) -> Network:
     fresh = b.neuron("fresh")
     b.win(fresh, v_col, -1)
     b.w(fresh, over, -1)
-    if fe.fresh_mode == "immediate":
-        b.add_bias(over, 1)
-        b.add_bias(fresh, 1)
-    elif fe.fresh_mode == "edge":
+    if edge:
         b.w(over, started, 1)
         b.w(fresh, started, 1)
     else:
-        raise ConstructionError(f"unknown fresh mode {fe.fresh_mode!r}")
+        b.add_bias(over, 1)
+        b.add_bias(fresh, 1)
+    return started, fresh
+
+
+def compile_program(prog: MicroProgram) -> Network:
+    # A word arrives one-hot on k lines; a pulse's class is its line value.
+    k = 2 if prog.symbols is None else len(prog.symbols)
+    n_lines = 1 if prog.symbols is None else k
+    wb_spec = buffer_stack_spec("wb", k)
+    all_stacks = (wb_spec,) + prog.stacks
+    stacks = {s.name: s for s in all_stacks}
+    if len(stacks) != len(all_stacks):
+        raise ConstructionError("stack names must be distinct and not 'wb'")
+    states: list[str] = []
+    for rule in prog.rules:
+        for st in (rule.state, rule.next_state):
+            if st not in states:
+                states.append(st)
+    if prog.start_state not in states:
+        states.insert(0, prog.start_state)
+
+    b = NetBuilder()
+    v_col = n_lines  # validation column
+
+    # Ring of phases.
+    phi = [b.neuron(f"phi{j}") for j in range(RING_LEN)]
+    for j in range(1, RING_LEN):
+        b.w(phi[j], phi[j - 1], 1)
+
+    # Input buffer: one digit per tick (see buffer_stack_spec) until frozen.
+    base_b = wb_spec.base
+    buf = b.neuron("buf", act=SAT)
+    b.w(buf, buf, Fraction(1, base_b))
+    if prog.symbols is None:
+        b.win(buf, 0, Fraction(2, base_b))
+    else:
+        for line in range(k):
+            b.win(buf, line, Fraction(2 * line, base_b))
+    b.win(buf, v_col, Fraction(4 * k + 1, base_b))
+    _, fresh = input_clock(b, v_col, edge=prog.symbols is None)
     grab = b.neuron("grab", act=SAT, bias=-1)
     b.w(grab, buf, 1)
     b.w(grab, fresh, 1)
@@ -329,7 +298,7 @@ def compile_program(prog: MicroProgram) -> Network:
     ne: dict[str, int] = {}
     thermo: dict[str, dict[int, int]] = {}  # stack -> digit class -> neuron
     rem: dict[str, int] = {}
-    for spec in prog.stacks:
+    for spec in all_stacks:
         s_idx = b.neuron(f"{spec.name}.val", act=SAT)
         b.w(s_idx, s_idx, 1)
         reg[spec.name] = s_idx
@@ -353,7 +322,7 @@ def compile_program(prog: MicroProgram) -> Network:
             b.w(r_idx, thermo[spec.name][ci], -(d - prev))
             prev = d
         rem[spec.name] = r_idx
-    b.w(reg[fe.buffer_stack], grab, 1)
+    b.w(reg["wb"], grab, 1)
 
     # Control states.
     q: dict[str, int] = {}
@@ -532,17 +501,8 @@ def compile_program(prog: MicroProgram) -> Network:
         flag_idx = b.neuron("out.flag")
         for st in out.flag_states:
             b.w(flag_idx, q[st], 1)
-    if out.mode == "verdict":
-        out_valid = b.neuron("out.valid")
-        b.w(out_valid, halt_pulse, 1)
-        out_data = b.neuron("out.data", bias=-1)
-        b.w(out_data, halt_pulse, 1)
-        for st in out.accept_states:
-            b.w(out_data, q[st], 1)
-        for stack_name in out.require_empty:
-            b.w(out_data, ne[stack_name], -1)
-    elif out.mode == "emission":
-        out_valid = b.neuron("out.valid")
+    out_valid = b.neuron("out.valid")
+    if out.emit_states:
         for st in out.emit_states:
             b.w(out_valid, q[st], 1)
         out_data = b.neuron("out.data")
@@ -550,12 +510,18 @@ def compile_program(prog: MicroProgram) -> Network:
             if rule.emit:
                 b.w(out_data, md[r_i], 1)
     else:
-        raise ConstructionError(f"unknown output mode {out.mode!r}")
+        b.w(out_valid, halt_pulse, 1)
+        out_data = b.neuron("out.data", bias=-1)
+        b.w(out_data, halt_pulse, 1)
+        for st in out.accept_states:
+            b.w(out_data, q[st], 1)
+        for stack_name in out.require_empty:
+            b.w(out_data, ne[stack_name], -1)
 
     return b.build(
-        fe.n_lines,
+        n_lines,
         out_data=out_data,
         out_valid=out_valid,
         out_flag=flag_idx,
-        input_symbols=fe.input_symbols,
+        input_symbols=prog.symbols,
     )

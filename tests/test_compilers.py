@@ -378,6 +378,26 @@ def test_oracle_net_accepts_finite_stream():
     assert bit == 1
 
 
+def test_oracle_net_interval_path_matches_exact_oracle():
+    # a strict-horizon stream weight is not exact, so the net steps through
+    # the lazy interval path; it must give the exact oracle net's bits in the
+    # same number of ticks
+    table = OracleTable.from_language(abstar_language(), 2)
+    lazy = ExactScalar.from_stream(table.digit_view(CANTOR4))
+    assert not lazy.is_exact
+    nets = [
+        oracle_net(OracleNetSpec(lazy, AB)),
+        oracle_net(OracleNetSpec(ExactScalar.oracle(table, CANTOR4, "0'"), AB)),
+    ]
+    for word, bit, ticks in (("", 0, 52), ("a", 1, 123)):
+        for net in nets:
+            got, result = oracle_consult(net, word, oracle_budget(word, AB))
+            assert (got, result.ticks) == (bit, ticks), word
+    for net in nets:
+        with pytest.raises(HorizonExceeded):
+            oracle_consult(net, "b", oracle_budget("b", AB))
+
+
 def test_oracle_net_rejects_infinite_stream():
     stream = UnitReal.from_function(lambda n: 1, base=4)
     with pytest.raises(ConstructionError):
@@ -457,6 +477,22 @@ def test_compose_mismatched_lines_is_shape_error():
         compose_nets(identity_pass_net(), wide)
     with pytest.raises(ShapeError):
         compose_nets(identity_pass_net(), wide, {0: "data"})
+
+
+def test_compose_rejects_inexact_colliding_handoff_weight():
+    # the second net reads both its data line and its validation line from
+    # the first net's valid output, so the two weights land on one key and
+    # must be merged; a lazy stream weight has no exact sum
+    lazy = ExactScalar.from_stream(UnitReal.from_function(lambda n: n % 2))
+    second = Network(
+        1,
+        1,
+        input_weights={(0, 0): lazy, (0, 1): ExactScalar.integer(1)},
+        out_data=0,
+        out_valid=0,
+    )
+    with pytest.raises(ConstructionError):
+        compose_nets(identity_pass_net(), second, {0: "valid"})
 
 
 def test_composed_parts_match_monolithic_oracle():

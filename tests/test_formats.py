@@ -109,6 +109,28 @@ def test_dfa_file_requires_start(tmp_path):
         load_dfa(str(path))
 
 
+@pytest.mark.parametrize(
+    "loader, head",
+    [(load_dfa, ""), (load_two_stack, "alphabet: a\n")],
+    ids=["dfa", "two-stack"],
+)
+@pytest.mark.parametrize(
+    "states, message",
+    [
+        ("state q start\nstate r start\n", "second start state"),
+        ("state q start bogus\n", "unknown flag 'bogus'"),
+        ("state\n", "state line needs a name"),
+    ],
+    ids=["second-start", "unknown-flag", "no-name"],
+)
+def test_state_line_errors(tmp_path, loader, head, states, message):
+    # both machine formats share one parser for state lines
+    path = tmp_path / "machine.txt"
+    path.write_text(head + states, encoding="utf-8")
+    with pytest.raises(FormatError, match=message):
+        loader(str(path))
+
+
 ANBN_FILE = """\
 alphabet: ab
 state S start accept
@@ -196,6 +218,35 @@ def test_network_omitted_weights_are_zero(tmp_path):
     assert net.state_weights[(0, 1)].value == 2
     assert (1, 0) not in net.state_weights
     assert net.activations == ("sig", "sat")
+
+
+TINY_NET = (
+    "neurons 2 inputs 1\nsymbols a\na 0 1 int:2\nb 0 1 int:1\nc 1 rat:1/2\n"
+    "activation 0 sig\nout_data 0\nout_valid 1\nout_flag 1\n"
+)
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        "neurons 2 inputs 1",
+        "symbols a",
+        "a 0 1 int:3",
+        "b 0 1 int:1",
+        "c 1 int:0",
+        "activation 0 sat",
+        "out_data 1",
+        "out_valid 0",
+        "out_flag 0",
+    ],
+)
+def test_network_repeated_record_is_format_error(tmp_path, record):
+    path = tmp_path / "dup.net"
+    path.write_text(TINY_NET, encoding="utf-8")
+    assert load_network(str(path)).n_neurons == 2
+    path.write_text(TINY_NET + record + "\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="repeats an earlier"):
+        load_network(str(path))
 
 
 def test_network_scalar_parse_errors(tmp_path):
