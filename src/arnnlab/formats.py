@@ -93,6 +93,13 @@ def _read(path: str) -> str:
         return fh.read()
 
 
+def _once(seen: set[tuple], key: tuple, where: str) -> None:
+    """Reject a record that would silently replace an earlier one."""
+    if key in seen:
+        raise FormatError(f"{where}: repeats an earlier {key[0]!r} record")
+    seen.add(key)
+
+
 def _int(token: str, where: str) -> int:
     try:
         return int(token)
@@ -108,12 +115,15 @@ def load_language(path: str) -> Language:
     alphabet: Optional[Alphabet] = None
     members: list[str] = []
     rule: Optional[tuple[str, ...]] = None
+    seen: set[tuple] = set()
     for lineno, line in _lines(_read(path)):
         if line.startswith("alphabet:"):
+            _once(seen, ("alphabet",), f"{path}:{lineno}")
             alphabet = Alphabet.of(line[len("alphabet:") :].strip())
         elif line.startswith("member:"):
             members.append(line[len("member:") :].strip())
         elif line.startswith("rule:"):
+            _once(seen, ("rule",), f"{path}:{lineno}")
             rule = tuple(line[len("rule:") :].split())
         else:
             raise FormatError(f"{path}:{lineno}: unrecognised line {line!r}")
@@ -133,13 +143,17 @@ def load_language(path: str) -> Language:
 def load_oracle_table(path: str) -> OracleTable:
     horizon: Optional[int] = None
     entries: dict[int, int] = {}
+    seen: set[tuple] = set()
     for lineno, line in _lines(_read(path)):
         parts = line.split()
         where = f"{path}:{lineno}"
         if parts[0] == "horizon" and len(parts) == 2:
+            _once(seen, ("horizon",), where)
             horizon = _int(parts[1], where)
         elif parts[0] == "index" and len(parts) == 3:
-            entries[_int(parts[1], where)] = _int(parts[2], where)
+            i = _int(parts[1], where)
+            _once(seen, ("index", i), where)
+            entries[i] = _int(parts[2], where)
         else:
             raise FormatError(f"{path}:{lineno}: unrecognised line {line!r}")
     if horizon is None:
@@ -193,12 +207,14 @@ def load_dfa(path: str) -> Dfa:
     start: Optional[str] = None
     transitions: dict[tuple[str, str], str] = {}
     symbols: list[str] = []
+    seen: set[tuple] = set()
     for lineno, line in _lines(_read(path)):
         parts = line.split()
         if parts[0] == "state":
             start = _state_line(parts, f"{path}:{lineno}", states, accepting, start)
         elif parts[0] == "trans" and len(parts) == 4:
             _, src, sym, dst = parts
+            _once(seen, ("trans", src, sym), f"{path}:{lineno}")
             transitions[(src, sym)] = dst
             if sym not in symbols:
                 symbols.append(sym)
@@ -229,10 +245,12 @@ def load_two_stack(path: str) -> TwoStackMachine:
     accepting: set[str] = set()
     start: Optional[str] = None
     rules: list[Rule] = []
+    seen: set[tuple] = set()
     for lineno, line in _lines(_read(path)):
         where = f"{path}:{lineno}"
         parts = line.split()
         if line.startswith("alphabet:"):
+            _once(seen, ("alphabet",), where)
             alphabet = Alphabet.of(line[len("alphabet:") :].strip())
         elif parts[0] == "state":
             start = _state_line(parts, where, states, accepting, start)
@@ -322,41 +340,34 @@ def load_network(path: str) -> Network:
     acts: dict[int, str] = {}
     outs: dict[str, int] = {}
     seen: set[tuple] = set()
-
-    def once(key: tuple, where: str) -> None:
-        # a repeated record would silently replace the earlier one
-        if key in seen:
-            raise FormatError(f"{where}: repeats an earlier {key[0]!r} record")
-        seen.add(key)
-
     for lineno, line in _lines(_read(path)):
         where = f"{path}:{lineno}"
         parts = line.split()
         if parts[0] == "neurons":
             if len(parts) != 4 or parts[2] != "inputs":
                 raise FormatError(f"{where}: header is 'neurons N inputs M'")
-            once(("neurons",), where)
+            _once(seen, ("neurons",), where)
             n_neurons, n_inputs = _int(parts[1], where), _int(parts[3], where)
         elif parts[0] == "symbols" and len(parts) == 2:
-            once(("symbols",), where)
+            _once(seen, ("symbols",), where)
             symbols = parts[1]
         elif parts[0] in ("a", "b") and len(parts) == 4:
             i, j = _int(parts[1], where), _int(parts[2], where)
-            once((parts[0], i, j), where)
+            _once(seen, (parts[0], i, j), where)
             scalar = _parse_scalar(parts[3], base_dir, where)
             (state_weights if parts[0] == "a" else input_weights)[(i, j)] = scalar
         elif parts[0] == "c" and len(parts) == 3:
             i = _int(parts[1], where)
-            once(("c", i), where)
+            _once(seen, ("c", i), where)
             biases[i] = _parse_scalar(parts[2], base_dir, where)
         elif parts[0] == "activation" and len(parts) == 3:
             if parts[2] not in (SAT, SIG):
                 raise FormatError(f"{where}: activation must be sat or sig")
             i = _int(parts[1], where)
-            once(("activation", i), where)
+            _once(seen, ("activation", i), where)
             acts[i] = parts[2]
         elif parts[0] in ("out_data", "out_valid", "out_flag") and len(parts) == 2:
-            once((parts[0],), where)
+            _once(seen, (parts[0],), where)
             outs[parts[0]] = _int(parts[1], where)
         else:
             raise FormatError(f"{where}: unrecognised line {line!r}")
@@ -447,13 +458,16 @@ def parse_schedule(text: str, where: str = "<schedule>") -> SpikeSchedule:
     window: Optional[int] = None
     ticks: list[int] = []
     label: Optional[str] = None
+    seen: set[tuple] = set()
     for lineno, line in _lines(text):
         parts = line.split()
         if parts[0] == "window" and len(parts) == 2:
+            _once(seen, ("window",), f"{where}:{lineno}")
             window = _int(parts[1], f"{where}:{lineno}")
         elif parts[0] == "spike" and len(parts) == 2:
             ticks.append(_int(parts[1], f"{where}:{lineno}"))
         elif parts[0] == "label" and len(parts) == 2:
+            _once(seen, ("label",), f"{where}:{lineno}")
             label = parts[1]
         else:
             raise FormatError(f"{where}:{lineno}: unrecognised line {line!r}")

@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Optional, Sequence, Union
+from types import MappingProxyType
+from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ConfigError, ShapeError, UnknownSign
 from .exact import (
@@ -61,6 +62,12 @@ class Network:
     run 0..M where column M is the validation line.  ``input_symbols``, when
     given, names the symbol carried one-hot by each data line so that words
     can be run directly.
+
+    A network is read-only once built, weight and bias maps included, so
+    the sparse adjacency that exact and lazy nets alike step over, and the
+    answer of :meth:`is_exact`, are built once per net and cannot go stale.
+    To change a weight, build a new ``Network`` or use
+    :meth:`replace_state_weight`.
     """
 
     def __init__(
@@ -84,9 +91,9 @@ class Network:
             raise ShapeError("n_inputs must be nonnegative")
         self.n_neurons = n_neurons
         self.n_inputs = n_inputs
-        self.state_weights = dict(state_weights or {})
-        self.input_weights = dict(input_weights or {})
-        self.biases = dict(biases or {})
+        self.state_weights = MappingProxyType(dict(state_weights or {}))
+        self.input_weights = MappingProxyType(dict(input_weights or {}))
+        self.biases = MappingProxyType(dict(biases or {}))
         if activations is None:
             activations = (SAT,) * n_neurons
         self.activations = tuple(activations)
@@ -118,6 +125,12 @@ class Network:
             raise ShapeError("one name per neuron required")
         self._compiled = None
 
+    def __setattr__(self, name: str, value: object) -> None:
+        # set once in __init__: the caches kept on the net cannot go stale
+        if "_compiled" in self.__dict__:
+            raise AttributeError(f"a Network is read-only; cannot set {name!r}")
+        object.__setattr__(self, name, value)
+
     def scalars(self) -> Iterable[ExactScalar]:
         yield from self.state_weights.values()
         yield from self.input_weights.values()
@@ -125,7 +138,7 @@ class Network:
 
     def is_exact(self) -> bool:
         """True when every scalar denotes a single known rational."""
-        return all(s.is_exact for s in self.scalars())
+        return _compiled(self).exact
 
     def replace_state_weight(self, i: int, j: int, scalar: ExactScalar) -> "Network":
         """Copy of the network with one state weight substituted."""
@@ -184,71 +197,108 @@ def step(
         raise ShapeError(f"state has {len(state)} components, expected {net.n_neurons}")
     if len(inputs) != net.n_inputs:
         raise ShapeError(f"{len(inputs)} inputs given, expected {net.n_inputs}")
-    u = tuple(int(b) for b in inputs) + (int(validation),)
-    new_state: list[Value] = []
-    for i in range(net.n_neurons):
-        weights, sources = [], []
-        for j in range(net.n_neurons):
-            w = net.state_weights.get((i, j))
-            if w is not None:
-                weights.append(w)
-                sources.append(state[j])
-        in_weights, in_bits = [], []
-        for j in range(net.n_inputs + 1):
-            w = net.input_weights.get((i, j))
-            if w is not None:
-                in_weights.append(w)
-                in_bits.append(u[j])
-        bias = net.biases.get(i, 0)
-        acc = affine_combine(weights, sources, in_weights, in_bits, bias, budget=budget)
+    cn = _compiled(net)
+    # Push each live source and line along its out-edges, so that only the
+    # neurons they or a live bias reach are evaluated; every other neuron is
+    # 0.  A source counts as zero only when affine_combine drops it too (an
+    # int or Fraction 0), so each evaluated neuron gets the same lazy terms,
+    # and so the same precision share per term, as in a dense sweep.
+    terms: dict[int, tuple[list, list]] = {i: ([], []) for i in cn.live_biases}
+
+    def push(edges, value) -> None:
+        for i, w in edges:
+            pair = terms.get(i)
+            if pair is None:
+                pair = terms[i] = ([], [])
+            pair[0].append(w)
+            pair[1].append(value)
+
+    for j, x in enumerate(state):
+        if not (isinstance(x, (int, Fraction)) and x == 0):
+            push(cn.state_edges[j], x)
+    for j, uj in enumerate([*map(int, inputs), int(validation)]):
+        if uj:
+            push(cn.input_edges[j], uj)
+    new_state: list[Value] = [0] * net.n_neurons
+    for i in sorted(terms):
+        weights, values = terms[i]
+        acc = affine_combine(weights, values, bias=cn.bias_scalars[i], budget=budget)
         try:
             if net.activations[i] == SIG:
-                new_state.append(signal(acc, budget))
+                new_state[i] = signal(acc, budget)
             else:
-                new_state.append(saturated_sigma(acc, budget))
+                new_state[i] = saturated_sigma(acc, budget)
         except UnknownSign as exc:
             raise UnknownSign(f"neuron {i}: {exc}") from exc
     return tuple(new_state)
 
 
 # ---------------------------------------------------------------------------
-# Exact integer kernel (push-based sparse propagation)
+# Compiled adjacency and the exact integer kernel (push-based sparse propagation)
 
 
 class _CompiledNet:
-    """Per-network precomputation for the exact integer kernel.
+    """Per-network sparse adjacency, built once and kept on the frozen net.
 
-    Every weight and bias is scaled to an integer numerator over ``d``, the
-    lcm of their denominators, so that one tick is integer arithmetic only.
+    ``state_edges[j]`` and ``input_edges[j]`` list the ``(i, scalar)`` edges
+    out of neuron j and input line j; ``step`` walks them on any net.  For
+    exact nets the same pass scales every weight and bias to an integer
+    numerator over ``d``, the lcm of their denominators, so that one tick of
+    the exact kernel (``out_state``, ``out_input``, ``biases``) is integer
+    arithmetic only.
     """
 
     def __init__(self, net: Network) -> None:
-        def ratios(scalars: dict) -> list:
-            out = []
-            for key, scalar in scalars.items():
-                frac = scalar.exact_fraction()
-                if frac is None:
-                    raise ValueError("network contains a lazily-known scalar")
-                num, den = frac.as_integer_ratio()
-                if num:
-                    out.append((key, num, den))
-            return out
-
-        state_w = ratios(net.state_weights)
-        input_w = ratios(net.input_weights)
-        bias_w = ratios(net.biases)
-        d = lcm(*{den for part in (state_w, input_w, bias_w) for _, _, den in part})
-
         n = net.n_neurons
         self.n = n
+        exact = True
+
+        def scan(weights: Mapping, n_sources: int) -> tuple[list, list]:
+            """Out-edges of each source, and (i, j, num, den) of each nonzero
+            exact weight."""
+            nonlocal exact
+            edges: list[list[tuple[int, ExactScalar]]] = [[] for _ in range(n_sources)]
+            ratios = []
+            for (i, j), scalar in weights.items():
+                edges[j].append((i, scalar))
+                frac = scalar.exact_fraction()
+                if frac is None:
+                    exact = False
+                elif frac:
+                    ratios.append((i, j, *frac.as_integer_ratio()))
+            return edges, ratios
+
+        self.state_edges, state_w = scan(net.state_weights, n)
+        self.input_edges, input_w = scan(net.input_weights, net.n_inputs + 1)
+        self.bias_scalars: list[Union[int, ExactScalar]] = [0] * n
+        # A neuron whose only term is an exact bias <= 0 stays at 0 under
+        # either activation, so only positive and lazy biases are live.
+        self.live_biases: list[int] = []
+        bias_w = []
+        for i, scalar in net.biases.items():
+            self.bias_scalars[i] = scalar
+            frac = scalar.exact_fraction()
+            if frac is None:
+                exact = False
+                self.live_biases.append(i)
+            elif frac:
+                num, den = frac.as_integer_ratio()
+                bias_w.append((i, num, den))
+                if num > 0:
+                    self.live_biases.append(i)
+        self.exact = exact
+        if not exact:
+            return
+
+        d = lcm(*{den for part in (state_w, input_w, bias_w) for *_, den in part})
         self.d = d
         self.out_state: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for (i, j), num, den in state_w:
+        for i, j, num, den in state_w:
             self.out_state[j].append((i, num * (d // den)))
         self.out_input: list[list[tuple[int, int]]] = [
             [] for _ in range(net.n_inputs + 1)
         ]
-        for (i, j), num, den in input_w:
+        for i, j, num, den in input_w:
             self.out_input[j].append((i, num * (d // den)))
         self.biases = [0] * n
         for i, num, den in bias_w:
@@ -262,7 +312,7 @@ class _CompiledNet:
 
 def _compiled(net: Network) -> _CompiledNet:
     if net._compiled is None:
-        net._compiled = _CompiledNet(net)
+        object.__setattr__(net, "_compiled", _CompiledNet(net))
     return net._compiled
 
 
@@ -317,6 +367,8 @@ def _fast_step(
     divided out afterwards.  Only nonzero sources are visited, and sources
     at 1 only add small integers.
     """
+    if not cn.exact:
+        raise ValueError("network contains a lazily-known scalar")
     if not isinstance(state, _IntState):
         state = _IntState.of(state)
     den = state.den
@@ -410,9 +462,8 @@ def run(
         )
     lines = [net.line_for_symbol(ch) for ch in word] if word else []
 
-    exact = net.is_exact()
-    if exact:
-        cn = _compiled(net)
+    cn = _compiled(net)
+    if cn.exact:
         state: Sequence[Value] = _IntState(net.n_neurons, {}, 1)
     else:
         if budget_precision is None:
@@ -428,7 +479,7 @@ def run(
         else:
             inputs = zeros
             validation = 0
-        if exact:
+        if cn.exact:
             state = _fast_step(cn, state, inputs, validation)
         else:
             state = step(net, state, inputs, validation, budget=budget_precision)

@@ -29,6 +29,7 @@ from arnnlab.formats import (
     load_oracle_table,
     load_schedule,
     load_two_stack,
+    parse_schedule,
     save_network,
     save_oracle_table,
     save_schedule,
@@ -100,6 +101,55 @@ def test_dfa_file(tmp_path):
     )
     dfa = load_dfa(str(path))
     assert dfa.accepts("bb") and not dfa.accepts("b")
+
+
+def test_dfa_repeated_transition_is_format_error(tmp_path):
+    path = tmp_path / "dup.dfa"
+    path.write_text(
+        "state q start accept\nstate r\ntrans q a q\ntrans q a r\n", encoding="utf-8"
+    )
+    with pytest.raises(FormatError, match="repeats an earlier 'trans' record"):
+        load_dfa(str(path))
+
+
+@pytest.mark.parametrize(
+    "records, kind",
+    [("horizon 4\nhorizon 2\n", "horizon"), ("horizon 4\nindex 1 1\nindex 1 0\n", "index")],
+)
+def test_oracle_table_repeated_record_is_format_error(tmp_path, records, kind):
+    path = tmp_path / "dup.tbl"
+    path.write_text(records, encoding="utf-8")
+    with pytest.raises(FormatError, match=f"repeats an earlier '{kind}' record"):
+        load_oracle_table(str(path))
+
+
+@pytest.mark.parametrize(
+    "records, kind",
+    [
+        ("alphabet: ab\nalphabet: a\nmember: a\n", "alphabet"),
+        ("alphabet: ab\nrule: parity b\nrule: parity a\n", "rule"),
+    ],
+)
+def test_language_repeated_record_is_format_error(tmp_path, records, kind):
+    path = tmp_path / "dup.lang"
+    path.write_text(records, encoding="utf-8")
+    with pytest.raises(FormatError, match=f"repeats an earlier '{kind}' record"):
+        load_language(str(path))
+
+
+def test_two_stack_repeated_alphabet_is_format_error(tmp_path):
+    path = tmp_path / "dup.tsm"
+    path.write_text("alphabet: ab\nalphabet: a\nstate S start accept\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="repeats an earlier 'alphabet' record"):
+        load_two_stack(str(path))
+
+
+@pytest.mark.parametrize("record, kind", [("window 9", "window"), ("label y", "label")])
+def test_schedule_repeated_record_is_format_error(record, kind):
+    text = "window 4\nspike 2\nlabel x\n"
+    assert parse_schedule(text).window == 4
+    with pytest.raises(FormatError, match=f"repeats an earlier '{kind}' record"):
+        parse_schedule(text + record + "\n")
 
 
 def test_dfa_file_requires_start(tmp_path):

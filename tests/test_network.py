@@ -8,6 +8,7 @@ import pytest
 from arnnlab import (
     ConfigError,
     ExactScalar,
+    Interval,
     Network,
     PrecisionBudget,
     ShapeError,
@@ -21,6 +22,7 @@ from arnnlab import (
     step,
     zero_state,
 )
+from arnnlab.exact import affine_combine, saturated_sigma, signal
 from arnnlab.network import _compiled, _fast_step
 
 from conftest import parity_dfa, words_up_to
@@ -124,6 +126,95 @@ def test_fast_step_matches_step_on_random_nets():
             assert [Fraction(x) for x in fast] == [Fraction(x) for x in slow]
 
 
+def dense_step(net, state, inputs, validation, budget):
+    """The update as a sweep over every (i, j), calling affine_combine for
+    every neuron: the reference that the sparse ``step`` must match."""
+    u = list(inputs) + [validation]
+    out = []
+    for i in range(net.n_neurons):
+        weights, sources, in_weights, in_bits = [], [], [], []
+        for j in range(net.n_neurons):
+            w = net.state_weights.get((i, j))
+            if w is not None:
+                weights.append(w)
+                sources.append(state[j])
+        for j in range(net.n_inputs + 1):
+            w = net.input_weights.get((i, j))
+            if w is not None:
+                in_weights.append(w)
+                in_bits.append(u[j])
+        bias = net.biases.get(i, 0)
+        acc = affine_combine(weights, sources, in_weights, in_bits, bias, budget=budget)
+        try:
+            if net.activations[i] == "sig":
+                out.append(signal(acc, budget))
+            else:
+                out.append(saturated_sigma(acc, budget))
+        except UnknownSign as exc:
+            raise UnknownSign(f"neuron {i}: {exc}") from exc
+    return tuple(out)
+
+
+def random_stream(rng):
+    """A lazy scalar known to a strict horizon of 1-12 digits, as in the
+    stream-weight oracle nets.  (Against an interval source wider than the
+    precision target, affine_combine never stops refining a stream that has
+    no horizon.)"""
+    horizon = rng.randint(1, 12)
+    digits = [rng.randint(0, 1) for _ in range(horizon)]
+    return ExactScalar.from_stream(UnitReal(digits, horizon=horizon, strict_horizon=True))
+
+
+def test_lazy_step_matches_dense_sweep_on_random_nets():
+    rng = random.Random(20060605)
+    intervals = unknown_signs = 0
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        m = rng.randint(0, 2)
+        sw = {
+            (i, j): ExactScalar.rational(rng.randint(-4, 4), rng.choice([1, 2, 4]))
+            for i in range(n)
+            for j in range(n)
+            if rng.random() < 0.4
+        }
+        for _ in range(rng.randint(1, 2)):
+            sw[(rng.randrange(n), rng.randrange(n))] = random_stream(rng)
+        iw = {
+            (i, j): ExactScalar.integer(rng.randint(-2, 2))
+            for i in range(n)
+            for j in range(m + 1)
+            if rng.random() < 0.3
+        }
+        bias = {
+            i: ExactScalar.rational(rng.randint(-4, 4), rng.choice([1, 2, 4]))
+            for i in range(n)
+            if rng.random() < 0.5
+        }
+        if rng.random() < 0.3:
+            bias[rng.randrange(n)] = random_stream(rng)
+        acts = tuple(rng.choice(["sat", "sat", "sig"]) for _ in range(n))
+        net = Network(n, m, state_weights=sw, input_weights=iw, biases=bias, activations=acts)
+        budget = PrecisionBudget(max_digits=rng.choice([8, 16]))
+        # [0, 0] is not a zero source: affine_combine keeps it as a lazy term
+        values = [0, 1, Fraction(rng.randint(1, 3), 4), Interval(0, 0), Interval(0, Fraction(1, 2))]
+        state = tuple(rng.choice(values) for _ in range(n))
+        for _ in range(12):
+            bits = tuple(rng.randint(0, 1) for _ in range(m))
+            v = rng.randint(0, 1)
+            try:
+                want = dense_step(net, state, bits, v, budget)
+            except UnknownSign as exc:
+                with pytest.raises(UnknownSign) as err:
+                    step(net, state, bits, v, budget=budget)
+                assert str(err.value) == str(exc)
+                unknown_signs += 1
+                break
+            state = step(net, state, bits, v, budget=budget)
+            assert state == want
+            intervals += sum(isinstance(x, Interval) for x in state)
+    assert intervals and unknown_signs
+
+
 def test_synchrony_evaluation_order_irrelevant():
     rng = random.Random(99)
     n = 6
@@ -155,6 +246,44 @@ def test_synchrony_evaluation_order_irrelevant():
 
 
 # -- run protocol -----------------------------------------------------------------
+
+
+def test_weight_maps_are_read_only_and_caches_are_per_net():
+    dfa = parity_dfa()
+    net = dfa_to_net(dfa)
+    sample = [(w, 1 if dfa.accepts(w) else 0) for w in words_up_to(3)]
+    assert recognizes(net, sample, lambda w: dfa_budget(len(w))).all_agree
+    key = next(iter(net.state_weights))
+    for weights, k in ((net.state_weights, key), (net.input_weights, (0, 0)), (net.biases, 0)):
+        with pytest.raises(TypeError):
+            weights[k] = ExactScalar.integer(0)
+    with pytest.raises(AttributeError):
+        net.state_weights = {}
+
+    zero = ExactScalar.integer(0)
+    zeroed = Network(
+        net.n_neurons,
+        net.n_inputs,
+        state_weights={k: zero for k in net.state_weights},
+        input_weights={k: zero for k in net.input_weights},
+        biases={i: zero for i in net.biases},
+        activations=net.activations,
+        out_data=net.out_data,
+        out_valid=net.out_valid,
+        input_symbols=net.input_symbols,
+    )
+    assert run(zeroed, "ab", dfa_budget(2)).verdict == Verdict.TIMEOUT
+    assert recognizes(net, sample, lambda w: dfa_budget(len(w))).all_agree
+
+    lazy = random_stream(random.Random(1))
+    copy = net.replace_state_weight(*key, lazy)
+    assert net.is_exact() and not copy.is_exact()
+    assert copy._compiled is not net._compiled
+    assert (key[0], lazy) in copy._compiled.state_edges[key[1]]
+    assert (key[0], lazy) not in net._compiled.state_edges[key[1]]
+    assert recognizes(net, sample, lambda w: dfa_budget(len(w))).all_agree
+
+
 
 
 def test_run_parity_examples():
