@@ -483,7 +483,8 @@ def affine_combine(
     All-exact operands give an exact ``Fraction``.  With lazy operands a
     budget is required and the result is a closed interval certainly
     containing the true value; stream operands are refined until the width
-    reaches 2**-max_digits (interval operands contribute their own width,
+    reaches 2**-max_digits, or comes within that of the narrowest width
+    refinement can reach (interval operands contribute their own width,
     which no amount of refinement can shrink).
     """
     if len(weights) != len(states):
@@ -530,10 +531,20 @@ def affine_combine(
         corners = [a.lo * b_.lo, a.lo * b_.hi, a.hi * b_.lo, a.hi * b_.hi]
         return Interval(min(corners), max(corners))
 
+    def floor(left, right, n: int) -> Fraction:
+        """A lower bound on the term's width however far streams refine."""
+        for a, b_ in ((left, right), (right, left)):
+            if isinstance(a, UnitReal) and isinstance(b_, Interval):
+                # the stream tends to a value >= its lower bound (>= 0), and
+                # that value times the fixed interval is at least this wide
+                return a.bounds(n)[0] * b_.width
+        return ZERO
+
     result = Interval(exact_total, exact_total)
     for left, right in lazy_terms:
-        # Refine stream operands until the term enclosure is narrow enough;
-        # fixed interval operands bound how far the width can shrink.
+        # Refine stream operands until the term enclosure is narrow enough,
+        # or until more digits cannot narrow it by more than the share: a
+        # fixed interval operand bounds how far the width can shrink.
         n = 1
         while True:
             term = product(enclose(left, n), enclose(right, n))
@@ -542,7 +553,7 @@ def affine_combine(
                 and (v.horizon is None or n < v.horizon)
                 for v in (left, right)
             )
-            if term.width <= share or not refinable:
+            if not refinable or term.width - floor(left, right, n) <= share:
                 break
             n *= 2
         result = result.add(term)

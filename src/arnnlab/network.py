@@ -246,6 +246,14 @@ class _CompiledNet:
     numerator over ``d``, the lcm of their denominators, so that one tick of
     the exact kernel (``out_state``, ``out_input``, ``biases``) is integer
     arithmetic only.
+
+    ``unit_memo`` caches the half of an exact tick that does not depend on
+    the shared denominator.  Its key is the tuple of sources at exactly 1,
+    in the state's iteration order, with the input bits and the validation
+    bit; its value maps each neuron those sources, the active lines or a
+    positive bias reach to its bias plus their weights, over ``d``.  The
+    net is read-only, so an entry never goes stale; the memo is emptied
+    whole when it reaches ``_UNIT_MEMO_CAP`` entries.
     """
 
     def __init__(self, net: Network) -> None:
@@ -303,11 +311,17 @@ class _CompiledNet:
         self.biases = [0] * n
         for i, num, den in bias_w:
             self.biases[i] = num * (d // den)
-        # neurons that are positive with no input at all
-        self.raised = {i: 0 for i, c in enumerate(self.biases) if c > 0}
+        # neurons that are positive with no input at all, with their bias
+        self.raised = {i: c for i, c in enumerate(self.biases) if c > 0}
         self.sat_mask = [act == SAT for act in net.activations]
         # the smallest integer sum (over d) that sets a neuron to 1
         self.ceil = [d if act == SAT else 1 for act in net.activations]
+        self.unit_memo: dict[tuple, dict[int, int]] = {}
+
+
+#: Entries at which a net's unit memo is emptied whole; in one cycle of the
+#: benchmark's workloads, no net meets more than 545 distinct keys.
+_UNIT_MEMO_CAP = 4096
 
 
 def _compiled(net: Network) -> _CompiledNet:
@@ -320,8 +334,8 @@ class _IntState:
     """An exact state as integer numerators over one shared denominator.
 
     ``nz`` maps each nonzero neuron j to its numerator, so neuron j holds
-    ``nz.get(j, 0) / den``.  Indexing and iteration give the values
-    themselves (0, 1 or a ``Fraction``).
+    ``nz.get(j, 0) / den``; ``_fast_step`` keeps only positive numerators.
+    Iteration gives the values themselves (0, 1 or a ``Fraction``).
     """
 
     __slots__ = ("n", "nz", "den")
@@ -348,9 +362,6 @@ class _IntState:
     def __len__(self) -> int:
         return self.n
 
-    def __getitem__(self, j: int) -> Union[int, Fraction]:
-        return self._value(self.nz.get(range(self.n)[j], 0))
-
     def __iter__(self):
         nz = self.nz
         return (self._value(nz.get(j, 0)) for j in range(self.n))
@@ -364,40 +375,55 @@ def _fast_step(
     With the state at ``X_j / den`` and weights ``W / d``, neuron i's sum is
     ``(sum_j W_ij X_j + (C_i + inputs_i) * den) / (d * den)``; the clamp
     compares it with the new denominator ``d * den``, and their gcd is
-    divided out afterwards.  Only nonzero sources are visited, and sources
-    at 1 only add small integers.
+    divided out afterwards.  Only nonzero sources are visited.  Sources at
+    1, the input lines and the biases add integers that do not depend on
+    ``den``; their sums are looked up in ``cn.unit_memo`` by which sources
+    are at 1, and computed only on a miss.  Fractional sources add ``W·X``.
     """
     if not cn.exact:
         raise ValueError("network contains a lazily-known scalar")
     if not isinstance(state, _IntState):
         state = _IntState.of(state)
     den = state.den
-    unit = cn.raised.copy()  # numerators over d from unit sources and inputs
-    frac = {}  # numerators over d * den from fractional sources
+    units = []
+    fracs = []
     for j, x in state.nz.items():
         if x == den:
-            for i, w in cn.out_state[j]:
-                unit[i] = unit.get(i, 0) + w
+            units.append(j)
         else:
-            for i, w in cn.out_state[j]:
-                frac[i] = frac.get(i, 0) + w * x
-    for j, uj in enumerate(inputs):
-        if uj:
-            for i, w in cn.out_input[j]:
-                unit[i] = unit.get(i, 0) + w
-    if validation:
-        for i, w in cn.out_input[-1]:
-            unit[i] = unit.get(i, 0) + w
-    bias, ceil, sat = cn.biases, cn.ceil, cn.sat_mask
+            fracs.append((j, x))
+    key = (tuple(units), tuple(inputs), validation)
+    memo = cn.unit_memo
+    fixed = memo.get(key)  # bias plus unit sums, numerators over d
+    bias, out = cn.biases, cn.out_state
+    if fixed is None:
+        fixed = cn.raised.copy()
+        for j in units:
+            for i, w in out[j]:
+                fixed[i] = fixed.get(i, bias[i]) + w
+        for j, uj in enumerate(inputs):
+            if uj:
+                for i, w in cn.out_input[j]:
+                    fixed[i] = fixed.get(i, bias[i]) + w
+        if validation:
+            for i, w in cn.out_input[-1]:
+                fixed[i] = fixed.get(i, bias[i]) + w
+        if len(memo) >= _UNIT_MEMO_CAP:
+            memo.clear()
+        memo[key] = fixed
+    frac = {}  # numerators over d * den from fractional sources
+    for j, x in fracs:
+        for i, w in out[j]:
+            frac[i] = frac.get(i, 0) + w * x
+    ceil, sat = cn.ceil, cn.sat_mask
     top = cn.d * den
     new = {}
     for i, f in frac.items():
-        a = f + (unit.pop(i, 0) + bias[i]) * den
+        a = f + fixed.get(i, bias[i]) * den
         if a > 0:
             new[i] = top if a >= top or not sat[i] else a
-    for i, u in unit.items():
-        u += bias[i]
-        if u > 0:
+    for i, u in fixed.items():
+        if u > 0 and i not in frac:
             new[i] = top if u >= ceil[i] else u * den
     g = gcd(top, *new.values())
     if g > 1:
@@ -471,21 +497,30 @@ def run(
         state = zero_state(net)
 
     records: list[TickRecord] = []
-    zeros = (0,) * net.n_inputs
+    m = net.n_inputs
+    onehot = [tuple(1 if j == k else 0 for j in range(m)) for k in range(m)]
+    shown = [onehot[k] for k in lines]
+    zeros = (0,) * m
+    data, valid, flag = net.out_data, net.out_valid, net.out_flag
     for t in range(budget):
-        if t < len(lines):
-            inputs = tuple(1 if j == lines[t] else 0 for j in range(net.n_inputs))
+        if t < len(shown):
+            inputs = shown[t]
             validation = 1
         else:
             inputs = zeros
             validation = 0
         if cn.exact:
+            # every numerator kept in nz is positive, so a bit is membership
             state = _fast_step(cn, state, inputs, validation)
+            nz = state.nz
+            data_bit = 1 if data in nz else 0
+            valid_bit = 1 if valid in nz else 0
+            flag_bit = (1 if flag in nz else 0) if flag is not None else None
         else:
             state = step(net, state, inputs, validation, budget=budget_precision)
-        data_bit = _out_bit(state[net.out_data])
-        valid_bit = _out_bit(state[net.out_valid])
-        flag_bit = _out_bit(state[net.out_flag]) if net.out_flag is not None else None
+            data_bit = _out_bit(state[data])
+            valid_bit = _out_bit(state[valid])
+            flag_bit = _out_bit(state[flag]) if flag is not None else None
         if record_trace:
             records.append(
                 TickRecord(inputs, validation, data_bit, valid_bit, flag_bit)

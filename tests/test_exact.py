@@ -1,5 +1,7 @@
 """Exact number tower: streams, activations, affine forms, comparison."""
 
+import itertools
+import signal as signal_module
 from fractions import Fraction
 
 import pytest
@@ -188,6 +190,55 @@ def test_affine_enclosure_sound_and_tight(hidden, coef, max_digits):
     else:
         assert got.contains(true)
         assert got.width <= Fraction(1, 2**max_digits)
+
+
+def finishes(call, seconds=10):
+    """The result of ``call``, or a test failure if it runs past ``seconds``."""
+
+    def expire(signum, frame):
+        pytest.fail(f"still running after {seconds} s")
+
+    previous = signal_module.signal(signal_module.SIGALRM, expire)
+    signal_module.setitimer(signal_module.ITIMER_REAL, seconds)
+    try:
+        return call()
+    finally:
+        signal_module.setitimer(signal_module.ITIMER_REAL, 0)
+        signal_module.signal(signal_module.SIGALRM, previous)
+
+
+def test_affine_interval_times_horizonless_stream_terminates():
+    # A fixed interval operand wider than the per-term share keeps the term
+    # wide however far the stream is refined.
+    stream = ExactScalar.from_stream(UnitReal(gen=itertools.repeat(1)))
+    box = Interval(Fraction(0), Fraction(1, 2))
+    got = finishes(lambda: affine_combine([stream], [box], budget=PrecisionBudget(8)))
+    # the digits 0.111... denote 1, so the true product is [0, 1/2]
+    assert got.lo <= 0 and got.hi >= Fraction(1, 2)
+    assert got.width <= Fraction(1, 2) + Fraction(1, 2**8)
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=5),
+    st.sampled_from([2, 4]),
+    st.fractions(min_value=-2, max_value=2),
+    st.fractions(min_value=0, max_value=2),
+    st.booleans(),
+    st.integers(min_value=1, max_value=24),
+)
+@settings(max_examples=80, deadline=None)
+def test_affine_interval_times_stream_encloses_product(
+    period, base, lo, width, stream_first, max_digits
+):
+    period = [d % base for d in period]
+    stream = UnitReal(gen=itertools.cycle(period), base=base)
+    # the value of the repeating expansion 0.(period)(period)...
+    value = Fraction(int("".join(map(str, period)), base), base ** len(period) - 1)
+    box = Interval(lo, lo + width)
+    pair = ([stream], [box]) if stream_first else ([box], [stream])
+    got = finishes(lambda: affine_combine(*pair, budget=PrecisionBudget(max_digits)), seconds=2)
+    assert got.lo <= value * box.lo and got.hi >= value * box.hi
+    assert got.width <= value * box.width + Fraction(1, 2**max_digits)
 
 
 # -- compare_with_precision ----------------------------------------------------

@@ -20,12 +20,14 @@ from arnnlab import (
     recognizes,
     run,
     step,
+    two_stack_budget,
+    two_stack_to_net,
     zero_state,
 )
 from arnnlab.exact import affine_combine, saturated_sigma, signal
 from arnnlab.network import _compiled, _fast_step
 
-from conftest import parity_dfa, words_up_to
+from conftest import anbn_machine, parity_dfa, words_up_to
 
 
 def one_neuron(a=0, c=0, act="sat"):
@@ -124,6 +126,94 @@ def test_fast_step_matches_step_on_random_nets():
             fast = _fast_step(cn, fast, bits, v)
             slow = step(net, slow, bits, v)
             assert [Fraction(x) for x in fast] == [Fraction(x) for x in slow]
+
+
+def fraction_tick(net, state, inputs, validation):
+    """The update equation recomputed in plain Fractions, neuron by neuron."""
+    lines = [*inputs, validation]
+    new = []
+    for i in range(net.n_neurons):
+        total = net.biases[i].exact_fraction() if i in net.biases else Fraction(0)
+        for j in range(net.n_neurons):
+            if (i, j) in net.state_weights:
+                total += net.state_weights[(i, j)].exact_fraction() * state[j]
+        for j, u in enumerate(lines):
+            if (i, j) in net.input_weights:
+                total += net.input_weights[(i, j)].exact_fraction() * u
+        if net.activations[i] == "sig":
+            new.append(Fraction(1 if total > 0 else 0))
+        else:
+            new.append(min(max(total, Fraction(0)), Fraction(1)))
+    return new
+
+
+def test_memoised_kernel_matches_fraction_recomputation():
+    rng = random.Random(5)
+    ticks = hits = 0
+    for trial in range(150):
+        n = rng.randint(1, 10)
+        m = rng.randint(0, 2)
+
+        def scalar(lo, hi):
+            # dyadic and non-dyadic (thirds, sixths) weights alike
+            return ExactScalar.rational(rng.randint(lo, hi), rng.choice([1, 2, 4, 3, 6]))
+
+        sw = {(i, j): scalar(-4, 4) for i in range(n) for j in range(n) if rng.random() < 0.4}
+        iw = {(i, j): scalar(-2, 3) for i in range(n) for j in range(m + 1) if rng.random() < 0.4}
+        bias = {i: scalar(-3, 3) for i in range(n) if rng.random() < 0.6}
+        acts = tuple(rng.choice(["sat", "sig"]) for _ in range(n))
+        net = Network(n, m, state_weights=sw, input_weights=iw, biases=bias, activations=acts)
+        cn = _compiled(net)
+        # a short input period, repeated, so that the unit memo gets hits
+        period = [
+            (tuple(rng.randint(0, 1) for _ in range(m)), rng.randint(0, 1))
+            for _ in range(rng.randint(1, 4))
+        ]
+        schedule = period * 8
+        start = [rng.choice([0, 0, 1, Fraction(1, 2), Fraction(1, 3)]) for _ in range(n)]
+        trajectories = []
+        for _ in range(2):  # a cold memo, then the warm one it left
+            state, ref, trajectory = list(start), list(start), []
+            for bits, v in schedule:
+                state = _fast_step(cn, state, bits, v)
+                ref = fraction_tick(net, ref, bits, v)
+                got = [Fraction(x) for x in state]
+                assert got == ref, trial
+                trajectory.append(got)
+            trajectories.append(trajectory)
+            if len(trajectories) == 1:
+                ticks += len(schedule)
+                hits += len(schedule) - len(cn.unit_memo)
+        assert trajectories[0] == trajectories[1], trial
+    assert hits > ticks // 2
+
+
+def test_unit_memo_is_emptied_at_its_cap(monkeypatch):
+    import arnnlab.network as network
+
+    word = "aaabbb"
+    budget = two_stack_budget(len(word), anbn_machine().execute(word, 10_000)[1])
+
+    def trajectory(net, cap):
+        cn = _compiled(net)
+        state, out, sizes = [0] * net.n_neurons, [], []
+        for t in range(budget):
+            if t < len(word):
+                bits = tuple(int(j == net.line_for_symbol(word[t])) for j in range(net.n_inputs))
+            else:
+                bits = (0,) * net.n_inputs
+            state = _fast_step(cn, state, bits, int(t < len(word)))
+            out.append(tuple(Fraction(x) for x in state))
+            sizes.append(len(cn.unit_memo))
+            assert len(cn.unit_memo) <= cap
+        return out, sizes
+
+    reference, sizes = trajectory(two_stack_to_net(anbn_machine()), network._UNIT_MEMO_CAP)
+    assert max(sizes) > 5
+    monkeypatch.setattr(network, "_UNIT_MEMO_CAP", 5)
+    capped, sizes = trajectory(two_stack_to_net(anbn_machine()), 5)
+    assert capped == reference
+    assert max(sizes) == 5 and 1 in sizes[5:]  # it filled up and was emptied
 
 
 def dense_step(net, state, inputs, validation, budget):
