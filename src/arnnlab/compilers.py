@@ -611,7 +611,7 @@ def oracle_consult(
     Raises :class:`HorizonExceeded` when the net flags that the requested
     index lies beyond the oracle's truncation.
     """
-    result = run(net, word, budget)
+    result = run(net, word, budget, record_trace=False)
     if result.verdict == Verdict.TIMEOUT:
         raise ConstructionError(f"oracle net timed out on {word!r}")
     if result.flagged:
@@ -656,13 +656,11 @@ def compose_nets(
     for i, scalar in second.biases.items():
         biases[i + offset] = scalar
     for (i, j), scalar in second.input_weights.items():
-        if j == second.n_inputs:
-            src = first.out_valid
-        else:
-            name = handoff[j]
-            src = source_of.get(name)
-            if src is None:
-                raise ShapeError(f"first net has no {name!r} output to hand off")
+        # the second net's validation column is fed by the first's out_valid
+        name = "valid" if j == second.n_inputs else handoff[j]
+        src = source_of.get(name)
+        if src is None:
+            raise ShapeError(f"first net has no {name!r} output to hand off")
         key = (i + offset, src)
         if key in state_weights:
             prior, added = state_weights[key].exact_fraction(), scalar.exact_fraction()

@@ -221,11 +221,6 @@ class UnitReal:
         lo = self.truncated_fraction(n)
         return lo, lo + Fraction(1, self.base**n)
 
-    def enclosure(self, n: int) -> "Interval":
-        """Closed interval certainly containing the value, width <= base**-n."""
-        lo, hi = self.bounds(n)
-        return Interval(lo, hi)
-
     def snapshot(self, n: int) -> "UnitReal":
         """Frozen finite truncation of the first n digits (shareable)."""
         return UnitReal.from_digits(
@@ -255,14 +250,6 @@ class Interval:
 
     def contains(self, value: Union[Fraction, int]) -> bool:
         return self.lo <= value <= self.hi
-
-    def shift(self, delta: Fraction) -> "Interval":
-        return Interval(self.lo + delta, self.hi + delta)
-
-    def scale(self, factor: Fraction) -> "Interval":
-        if factor >= 0:
-            return Interval(self.lo * factor, self.hi * factor)
-        return Interval(self.hi * factor, self.lo * factor)
 
     def add(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)
@@ -316,10 +303,7 @@ class ExactScalar:
 
     @classmethod
     def rational(cls, numerator: int, denominator: int = 1) -> "ExactScalar":
-        frac = Fraction(numerator, denominator)
-        if frac.denominator == 1:
-            return cls.integer(frac.numerator)
-        return cls(ScalarKind.RATIONAL, value=frac, degree_label=BOTTOM_LABEL)
+        return cls.from_fraction(Fraction(numerator, denominator))
 
     @classmethod
     def from_fraction(cls, value: Union[Fraction, int]) -> "ExactScalar":

@@ -58,7 +58,7 @@ from typing import Iterable, Optional
 
 from .compilers import Dfa, Rule, TwoStackMachine
 from .degrees import DegreeOrder
-from .errors import FormatError
+from .errors import AlphabetError, FormatError
 from .exact import BINARY, CANTOR4, ExactScalar, ScalarKind
 from .langcodec import Alphabet, Language, OracleTable
 from .network import SAT, SIG, Network
@@ -115,24 +115,31 @@ def load_language(path: str) -> Language:
     alphabet: Optional[Alphabet] = None
     members: list[str] = []
     rule: Optional[tuple[str, ...]] = None
+    rule_where = ""
     seen: set[tuple] = set()
     for lineno, line in _lines(_read(path)):
+        where = f"{path}:{lineno}"
         if line.startswith("alphabet:"):
-            _once(seen, ("alphabet",), f"{path}:{lineno}")
+            _once(seen, ("alphabet",), where)
             alphabet = Alphabet.of(line[len("alphabet:") :].strip())
         elif line.startswith("member:"):
             members.append(line[len("member:") :].strip())
         elif line.startswith("rule:"):
-            _once(seen, ("rule",), f"{path}:{lineno}")
-            rule = tuple(line[len("rule:") :].split())
+            _once(seen, ("rule",), where)
+            rule, rule_where = tuple(line[len("rule:") :].split()), where
+            if not rule:
+                raise FormatError(f"{where}: rule line needs a rule name")
         else:
-            raise FormatError(f"{path}:{lineno}: unrecognised line {line!r}")
+            raise FormatError(f"{where}: unrecognised line {line!r}")
     if alphabet is None:
         raise FormatError(f"{path}: missing 'alphabet:' line")
     if rule is not None and members:
         raise FormatError(f"{path}: give either members or a rule, not both")
     if rule is not None:
-        return Language.from_rule(alphabet, rule[0], *rule[1:])
+        try:
+            return Language.from_rule(alphabet, *rule)
+        except (ValueError, AlphabetError) as exc:
+            raise FormatError(f"{rule_where}: {exc}") from exc
     return Language.from_members(alphabet, members)
 
 
@@ -150,6 +157,8 @@ def load_oracle_table(path: str) -> OracleTable:
         if parts[0] == "horizon" and len(parts) == 2:
             _once(seen, ("horizon",), where)
             horizon = _int(parts[1], where)
+            if horizon < 0:
+                raise FormatError(f"{where}: horizon must be nonnegative, got {horizon}")
         elif parts[0] == "index" and len(parts) == 3:
             i = _int(parts[1], where)
             _once(seen, ("index", i), where)
@@ -291,11 +300,12 @@ def _parse_scalar(token: str, base_dir: str, where: str) -> ExactScalar:
     parts = token.split(":")
     if parts[0] == "int" and len(parts) == 2:
         return ExactScalar.integer(_int(parts[1], where))
-    if parts[0] == "rat" and len(parts) == 2:
-        if "/" in parts[1]:
-            num, den = parts[1].split("/")
-            return ExactScalar.rational(_int(num, where), _int(den, where))
-        return ExactScalar.rational(_int(parts[1], where))
+    if parts[0] == "rat" and len(parts) == 2 and parts[1].count("/") <= 1:
+        num, slash, den = parts[1].partition("/")
+        q = _int(den, where) if slash else 1
+        if q == 0:
+            raise FormatError(f"{where}: zero denominator in scalar {token!r}")
+        return ExactScalar.rational(_int(num, where), q)
     if parts[0] == "oracle" and len(parts) in (3, 4):
         table_path = parts[1]
         if not os.path.isabs(table_path):

@@ -73,14 +73,6 @@ class Alphabet:
             if ch not in self.symbols:
                 raise AlphabetError(f"symbol {ch!r} not in alphabet {self.symbols}")
 
-    def strings_of_length(self, length: int) -> Iterable[str]:
-        if length == 0:
-            yield ""
-            return
-        for prefix in self.strings_of_length(length - 1):
-            for ch in self.symbols:
-                yield prefix + ch
-
 
 def _count_shorter(k: int, length: int) -> int:
     """Number of strings of length < ``length`` over a k-symbol alphabet."""
@@ -204,8 +196,7 @@ def make_rule(alphabet: Alphabet, name: str, *params: str) -> Predicate:
         alphabet.check(sym)
         fn = lambda s: s.count(sym) % 2 == 0
     elif name == "anbn":
-        a, b = params if params else (alphabet.symbols[0], alphabet.symbols[1])
-        alphabet.check(a + b)
+        a, b = _two_symbols(alphabet, name, params)
 
         def fn(s: str, a=a, b=b) -> bool:
             n = len(s) // 2
@@ -218,12 +209,20 @@ def make_rule(alphabet: Alphabet, name: str, *params: str) -> Predicate:
         alphabet.check(p)
         fn = lambda s, p=p: s.startswith(p)
     elif name == "abstar":
-        a, b = params if params else (alphabet.symbols[0], alphabet.symbols[1])
-        alphabet.check(a + b)
+        a, b = _two_symbols(alphabet, name, params)
         fn = lambda s, a=a, b=b: len(s) >= 1 and s[0] == a and set(s[1:]) <= {b}
     else:
         raise ValueError(f"unknown rule {name!r}")
     return Predicate(name, tuple(params), fn)
+
+
+def _two_symbols(alphabet: Alphabet, name: str, params: tuple[str, ...]) -> tuple[str, ...]:
+    """A rule's two symbol parameters; by default the alphabet's first two."""
+    pair = params or alphabet.symbols[:2]
+    if len(pair) != 2:
+        raise ValueError(f"{name} takes two symbols, or none on an alphabet of two or more")
+    alphabet.check(pair[0] + pair[1])
+    return pair
 
 
 # ---------------------------------------------------------------------------

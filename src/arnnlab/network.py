@@ -19,7 +19,7 @@ from enum import Enum
 from fractions import Fraction
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .errors import ConfigError, ShapeError, UnknownSign
 from .exact import (
@@ -189,15 +189,21 @@ def step(
 ) -> tuple[Value, ...]:
     """One synchronous update; exact for integer/rational scalars.
 
-    With lazy scalars a precision budget is required and state components
-    may become interval enclosures; an undecidable signal activation raises
+    An exact net with an all-rational state steps on the integer kernel,
+    ``_fast_step``.  With lazy scalars, or interval components in the
+    state, a precision budget is required and state components may become
+    interval enclosures; an undecidable signal activation raises
     ``UnknownSign`` naming the neuron.
     """
     if len(state) != net.n_neurons:
         raise ShapeError(f"state has {len(state)} components, expected {net.n_neurons}")
     if len(inputs) != net.n_inputs:
         raise ShapeError(f"{len(inputs)} inputs given, expected {net.n_inputs}")
+    if any(u not in (0, 1) for u in (*inputs, validation)):
+        raise ShapeError("input and validation lines carry bits, 0 or 1")
     cn = _compiled(net)
+    if cn.exact and all(isinstance(x, (int, Fraction)) for x in state):
+        return tuple(_fast_step(cn, state, inputs, validation))
     # Push each live source and line along its out-edges, so that only the
     # neurons they or a live bias reach are evaluated; every other neuron is
     # 0.  A source counts as zero only when affine_combine drops it too (an
@@ -205,12 +211,15 @@ def step(
     # and so the same precision share per term, as in a dense sweep.
     terms: dict[int, tuple[list, list]] = {i: ([], []) for i in cn.live_biases}
 
+    def scalar(w: Union[int, ExactScalar]) -> Union[Fraction, ExactScalar]:
+        return Fraction(w, cn.d) if isinstance(w, int) else w
+
     def push(edges, value) -> None:
         for i, w in edges:
             pair = terms.get(i)
             if pair is None:
                 pair = terms[i] = ([], [])
-            pair[0].append(w)
+            pair[0].append(scalar(w))
             pair[1].append(value)
 
     for j, x in enumerate(state):
@@ -222,7 +231,7 @@ def step(
     new_state: list[Value] = [0] * net.n_neurons
     for i in sorted(terms):
         weights, values = terms[i]
-        acc = affine_combine(weights, values, bias=cn.bias_scalars[i], budget=budget)
+        acc = affine_combine(weights, values, bias=scalar(cn.biases[i]), budget=budget)
         try:
             if net.activations[i] == SIG:
                 new_state[i] = signal(acc, budget)
@@ -240,12 +249,13 @@ def step(
 class _CompiledNet:
     """Per-network sparse adjacency, built once and kept on the frozen net.
 
-    ``state_edges[j]`` and ``input_edges[j]`` list the ``(i, scalar)`` edges
-    out of neuron j and input line j; ``step`` walks them on any net.  For
-    exact nets the same pass scales every weight and bias to an integer
-    numerator over ``d``, the lcm of their denominators, so that one tick of
-    the exact kernel (``out_state``, ``out_input``, ``biases``) is integer
-    arithmetic only.
+    ``state_edges[j]`` and ``input_edges[j]`` list the ``(i, w)`` edges out
+    of neuron j and input line j, and ``biases[i]`` is neuron i's bias.  An
+    exact scalar is kept as its integer numerator over ``d``, the lcm of all
+    exact denominators, and a lazy one as its ``ExactScalar``; zero weights
+    are dropped.  So on an exact net one tick of ``_fast_step`` is integer
+    arithmetic only, and ``step`` walks the same table on a lazy net,
+    passing each integer ``w`` on as ``w / d``.
 
     ``unit_memo`` caches the half of an exact tick that does not depend on
     the shared denominator.  Its key is the tuple of sources at exactly 1,
@@ -259,60 +269,41 @@ class _CompiledNet:
     def __init__(self, net: Network) -> None:
         n = net.n_neurons
         self.n = n
-        exact = True
-
-        def scan(weights: Mapping, n_sources: int) -> tuple[list, list]:
-            """Out-edges of each source, and (i, j, num, den) of each nonzero
-            exact weight."""
-            nonlocal exact
-            edges: list[list[tuple[int, ExactScalar]]] = [[] for _ in range(n_sources)]
-            ratios = []
-            for (i, j), scalar in weights.items():
-                edges[j].append((i, scalar))
+        parts = []
+        for weights in (net.state_weights, net.input_weights, net.biases):
+            part = []  # (key, scalar, (num, den) or None for a lazy scalar)
+            for key, scalar in weights.items():
                 frac = scalar.exact_fraction()
                 if frac is None:
-                    exact = False
-                elif frac:
-                    ratios.append((i, j, *frac.as_integer_ratio()))
-            return edges, ratios
+                    part.append((key, scalar, None))
+                elif frac:  # zero weights are dropped
+                    part.append((key, scalar, frac.as_integer_ratio()))
+            parts.append(part)
+        state_w, input_w, bias_w = parts
+        self.exact = all(r is not None for part in parts for *_, r in part)
+        d = lcm(*{r[1] for part in parts for *_, r in part if r is not None})
+        self.d = d
 
-        self.state_edges, state_w = scan(net.state_weights, n)
-        self.input_edges, input_w = scan(net.input_weights, net.n_inputs + 1)
-        self.bias_scalars: list[Union[int, ExactScalar]] = [0] * n
+        def table(weights: list, n_sources: int) -> list[list[tuple]]:
+            edges: list[list[tuple]] = [[] for _ in range(n_sources)]
+            for (i, j), scalar, r in weights:
+                edges[j].append((i, scalar if r is None else r[0] * (d // r[1])))
+            return edges
+
+        self.state_edges = table(state_w, n)
+        self.input_edges = table(input_w, net.n_inputs + 1)
+        self.biases: list[Union[int, ExactScalar]] = [0] * n
+        for i, scalar, r in bias_w:
+            self.biases[i] = scalar if r is None else r[0] * (d // r[1])
         # A neuron whose only term is an exact bias <= 0 stays at 0 under
         # either activation, so only positive and lazy biases are live.
-        self.live_biases: list[int] = []
-        bias_w = []
-        for i, scalar in net.biases.items():
-            self.bias_scalars[i] = scalar
-            frac = scalar.exact_fraction()
-            if frac is None:
-                exact = False
-                self.live_biases.append(i)
-            elif frac:
-                num, den = frac.as_integer_ratio()
-                bias_w.append((i, num, den))
-                if num > 0:
-                    self.live_biases.append(i)
-        self.exact = exact
-        if not exact:
-            return
-
-        d = lcm(*{den for part in (state_w, input_w, bias_w) for *_, den in part})
-        self.d = d
-        self.out_state: list[list[tuple[int, int]]] = [[] for _ in range(n)]
-        for i, j, num, den in state_w:
-            self.out_state[j].append((i, num * (d // den)))
-        self.out_input: list[list[tuple[int, int]]] = [
-            [] for _ in range(net.n_inputs + 1)
+        self.live_biases = [
+            i for i, c in enumerate(self.biases) if not isinstance(c, int) or c > 0
         ]
-        for i, j, num, den in input_w:
-            self.out_input[j].append((i, num * (d // den)))
-        self.biases = [0] * n
-        for i, num, den in bias_w:
-            self.biases[i] = num * (d // den)
         # neurons that are positive with no input at all, with their bias
-        self.raised = {i: c for i, c in enumerate(self.biases) if c > 0}
+        self.raised = {
+            i: c for i, c in enumerate(self.biases) if isinstance(c, int) and c > 0
+        }
         self.sat_mask = [act == SAT for act in net.activations]
         # the smallest integer sum (over d) that sets a neuron to 1
         self.ceil = [d if act == SAT else 1 for act in net.activations]
@@ -395,7 +386,7 @@ def _fast_step(
     key = (tuple(units), tuple(inputs), validation)
     memo = cn.unit_memo
     fixed = memo.get(key)  # bias plus unit sums, numerators over d
-    bias, out = cn.biases, cn.out_state
+    bias, out = cn.biases, cn.state_edges
     if fixed is None:
         fixed = cn.raised.copy()
         for j in units:
@@ -403,10 +394,10 @@ def _fast_step(
                 fixed[i] = fixed.get(i, bias[i]) + w
         for j, uj in enumerate(inputs):
             if uj:
-                for i, w in cn.out_input[j]:
+                for i, w in cn.input_edges[j]:
                     fixed[i] = fixed.get(i, bias[i]) + w
         if validation:
-            for i, w in cn.out_input[-1]:
+            for i, w in cn.input_edges[-1]:
                 fixed[i] = fixed.get(i, bias[i]) + w
         if len(memo) >= _UNIT_MEMO_CAP:
             memo.clear()
@@ -465,13 +456,16 @@ def _out_bit(value: Value) -> int:
     return 1 if value > 0 else 0
 
 
+#: How far ``run`` refines lazy scalars before a sign counts as undecidable.
+_LAZY_BUDGET = PrecisionBudget(max_digits=128, on_exhaustion="fail")
+
+
 def run(
     net: Network,
     word: str,
     budget: int,
     *,
     record_trace: bool = True,
-    budget_precision: Optional[PrecisionBudget] = None,
 ) -> RunResult:
     """Present a word and poll the output lines for a verdict.
 
@@ -492,8 +486,6 @@ def run(
     if cn.exact:
         state: Sequence[Value] = _IntState(net.n_neurons, {}, 1)
     else:
-        if budget_precision is None:
-            budget_precision = PrecisionBudget(max_digits=128, on_exhaustion="fail")
         state = zero_state(net)
 
     records: list[TickRecord] = []
@@ -517,7 +509,7 @@ def run(
             valid_bit = 1 if valid in nz else 0
             flag_bit = (1 if flag in nz else 0) if flag is not None else None
         else:
-            state = step(net, state, inputs, validation, budget=budget_precision)
+            state = step(net, state, inputs, validation, budget=_LAZY_BUDGET)
             data_bit = _out_bit(state[data])
             valid_bit = _out_bit(state[valid])
             flag_bit = _out_bit(state[flag]) if flag is not None else None

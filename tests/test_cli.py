@@ -188,6 +188,32 @@ def test_malformed_file_is_domain_error(capsys, tmp_path):
     assert code == 3 and "FormatError" in err
 
 
+def test_malformed_records_exit_with_format_error(capsys, tmp_path):
+    cases = []
+    for k, token in enumerate(["rat:1/0", "rat:1/2/3"]):
+        net = tmp_path / f"bad{k}.net"
+        net.write_text(
+            f"neurons 1 inputs 0\nc 0 {token}\nout_data 0\nout_valid 0\n", encoding="utf-8"
+        )
+        cases.append((f"{net}:2: ", "run", "--net", str(net), "--word", "", "--budget", "4"))
+    for k, rule in enumerate(["bogus", "parity"]):
+        lang = tmp_path / f"bad{k}.lang"
+        lang.write_text(f"alphabet: ab\nrule: {rule}\n", encoding="utf-8")
+        cases.append((f"{lang}:2: ", "encode", "--language", str(lang), "--digits", "4"))
+    table = tmp_path / "neg.tbl"
+    table.write_text("horizon -3\n", encoding="utf-8")
+    net = tmp_path / "neg.net"
+    net.write_text(
+        "neurons 1 inputs 0\nc 0 oracle:neg.tbl:cantor4\nout_data 0\nout_valid 0\n",
+        encoding="utf-8",
+    )
+    cases.append((f"{table}:1: ", "run", "--net", str(net), "--word", "", "--budget", "4"))
+    for where, *argv in cases:
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (3, ""), argv
+        assert err.startswith(f"error: FormatError: {where}"), err
+
+
 def test_missing_file_is_domain_error(capsys):
     code, out, err = invoke(capsys, "encode", "--language", "/nope.lang", "--digits", "4")
     assert code == 3 and out == ""

@@ -479,6 +479,13 @@ def test_compose_mismatched_lines_is_shape_error():
         compose_nets(identity_pass_net(), wide, {0: "data"})
 
 
+def test_compose_first_net_without_out_valid_is_shape_error():
+    # the second net's validation column has no source to hand off from
+    first = Network(1, 1, input_weights={(0, 0): ExactScalar.integer(1)}, out_data=0)
+    with pytest.raises(ShapeError, match="no 'valid' output"):
+        compose_nets(first, identity_pass_net())
+
+
 def test_compose_rejects_inexact_colliding_handoff_weight():
     # the second net reads both its data line and its validation line from
     # the first net's valid output, so the two weights land on one key and

@@ -1,5 +1,7 @@
 """Round-trips and error handling for the text file formats."""
 
+import re
+
 import pytest
 
 from arnnlab import (
@@ -75,6 +77,31 @@ def test_language_file_errors(tmp_path):
     both.write_text("alphabet: ab\nmember: a\nrule: parity b\n", encoding="utf-8")
     with pytest.raises(FormatError):
         load_language(str(both))
+
+
+@pytest.mark.parametrize(
+    "alphabet, rule",
+    [
+        ("ab", "bogus"),
+        ("ab", "parity"),
+        ("ab", "parity c"),
+        ("ab", ""),
+        ("a", "anbn"),
+        ("ab", "abstar a"),
+    ],
+)
+def test_language_bad_rule_is_format_error(tmp_path, alphabet, rule):
+    path = tmp_path / "bad.lang"
+    path.write_text(f"alphabet: {alphabet}\nrule: {rule}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:2: ")):
+        load_language(str(path))
+
+
+def test_oracle_table_negative_horizon_is_format_error(tmp_path):
+    path = tmp_path / "neg.tbl"
+    path.write_text("horizon -3\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:1: horizon must be nonnegative")):
+        load_oracle_table(str(path))
 
 
 def test_oracle_table_roundtrip(tmp_path):
@@ -303,6 +330,21 @@ def test_network_scalar_parse_errors(tmp_path):
     path = tmp_path / "bad.net"
     path.write_text("neurons 1 inputs 0\nc 0 float:0.5\n", encoding="utf-8")
     with pytest.raises(FormatError):
+        load_network(str(path))
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("rat:1/0", "zero denominator"),
+        ("rat:1/2/3", "cannot parse scalar"),
+        ("rat:1/", "expected an integer"),
+    ],
+)
+def test_network_malformed_rational_is_format_error(tmp_path, token, message):
+    path = tmp_path / "bad.net"
+    path.write_text(f"neurons 1 inputs 0\nc 0 {token}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:2: {message}")):
         load_network(str(path))
 
 

@@ -57,6 +57,11 @@ def test_step_shape_checks():
         step(net, (0, 0))
     with pytest.raises(ShapeError):
         step(net, (0,), inputs=(1,))
+    wired = Network(1, 1, input_weights={(0, 0): ExactScalar.rational(1, 4)})
+    assert step(wired, (0,), inputs=(1,)) == (Fraction(1, 4),)
+    for inputs, validation in (((2,), 0), ((1,), 2)):
+        with pytest.raises(ShapeError, match="carry bits"):
+            step(wired, (0,), inputs, validation)
 
 
 def test_step_state_confinement_under_iteration():
@@ -124,8 +129,9 @@ def test_fast_step_matches_step_on_random_nets():
             bits = tuple(rng.randint(0, 1) for _ in range(m))
             v = rng.randint(0, 1)
             fast = _fast_step(cn, fast, bits, v)
+            want = fraction_tick(net, slow, bits, v)
             slow = step(net, slow, bits, v)
-            assert [Fraction(x) for x in fast] == [Fraction(x) for x in slow]
+            assert [Fraction(x) for x in fast] == [Fraction(x) for x in slow] == want
 
 
 def fraction_tick(net, state, inputs, validation):
@@ -303,6 +309,51 @@ def test_lazy_step_matches_dense_sweep_on_random_nets():
             assert state == want
             intervals += sum(isinstance(x, Interval) for x in state)
     assert intervals and unknown_signs
+
+
+def test_exact_net_with_interval_state_takes_the_lazy_push():
+    # exact weights, but an interval in the state: step cannot use the
+    # integer kernel and must still match the dense sweep
+    rng = random.Random(31)
+    intervals = 0
+    for _ in range(100):
+        n = rng.randint(1, 6)
+        m = rng.randint(0, 2)
+        sw = {
+            (i, j): ExactScalar.rational(rng.randint(-4, 4), rng.choice([1, 2, 3, 4]))
+            for i in range(n)
+            for j in range(n)
+            if rng.random() < 0.5
+        }
+        iw = {
+            (i, j): ExactScalar.integer(rng.randint(-2, 2))
+            for i in range(n)
+            for j in range(m + 1)
+            if rng.random() < 0.3
+        }
+        bias = {
+            i: ExactScalar.rational(rng.randint(-4, 4), 2) for i in range(n) if rng.random() < 0.5
+        }
+        acts = tuple(rng.choice(["sat", "sat", "sig"]) for _ in range(n))
+        net = Network(n, m, state_weights=sw, input_weights=iw, biases=bias, activations=acts)
+        assert net.is_exact()
+        budget = PrecisionBudget(max_digits=16)
+        values = [0, 1, Fraction(1, 3), Interval(Fraction(1, 4), Fraction(1, 2))]
+        state = [rng.choice(values) for _ in range(n)]
+        state[rng.randrange(n)] = Interval(0, Fraction(1, 2))
+        bits = tuple(rng.randint(0, 1) for _ in range(m))
+        v = rng.randint(0, 1)
+        try:
+            want = dense_step(net, state, bits, v, budget)
+        except UnknownSign as exc:
+            with pytest.raises(UnknownSign) as err:
+                step(net, state, bits, v, budget=budget)
+            assert str(err.value) == str(exc)
+            continue
+        got = step(net, state, bits, v, budget=budget)
+        assert got == want
+        intervals += sum(isinstance(x, Interval) for x in got)
+    assert intervals
 
 
 def test_synchrony_evaluation_order_irrelevant():
