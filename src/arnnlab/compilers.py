@@ -210,9 +210,6 @@ class Rule:
     push1: Optional[int] = None
     push2: Optional[int] = None
 
-    def guard_key(self):
-        return (self.state, self.read, self.pop1, self.pop2)
-
 
 def _guards_overlap(a: Rule, b: Rule) -> bool:
     if a.state != b.state or a.read != b.read:

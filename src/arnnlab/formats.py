@@ -361,6 +361,8 @@ def load_network(path: str) -> Network:
         elif parts[0] == "symbols" and len(parts) == 2:
             _once(seen, ("symbols",), where)
             symbols = parts[1]
+            if len(set(symbols)) != len(symbols):
+                raise FormatError(f"{where}: symbols {symbols!r} repeat a symbol")
         elif parts[0] in ("a", "b") and len(parts) == 4:
             i, j = _int(parts[1], where), _int(parts[2], where)
             _once(seen, (parts[0], i, j), where)

@@ -29,7 +29,6 @@ __all__ = [
     "Language",
     "OracleTable",
     "Predicate",
-    "RealCode",
     "cantor_decode_step",
     "cantor_encode",
     "decode_membership",
@@ -127,14 +126,7 @@ class Predicate:
     fn: Callable[[str], bool]
 
 
-@dataclass(frozen=True)
-class RealCode:
-    """Language given by its characteristic real."""
-
-    real: UnitReal
-
-
-Backing = Union[FiniteTable, Predicate, RealCode]
+Backing = Union[FiniteTable, Predicate]
 
 
 @dataclass(frozen=True)
@@ -148,8 +140,6 @@ class Language:
         if isinstance(self.backing, FiniteTable):
             for s in self.backing.strings:
                 self.alphabet.check(s)
-        if isinstance(self.backing, RealCode) and self.backing.real.base != 2:
-            raise EncodingError("a characteristic real must be a binary expansion")
 
     @classmethod
     def from_members(cls, alphabet: Alphabet, members: Iterable[str]) -> "Language":
@@ -159,23 +149,15 @@ class Language:
     def from_rule(cls, alphabet: Alphabet, name: str, *params: str) -> "Language":
         return cls(alphabet, make_rule(alphabet, name, *params))
 
-    @classmethod
-    def from_real(cls, alphabet: Alphabet, real: UnitReal) -> "Language":
-        return cls(alphabet, RealCode(real))
-
     def contains(self, s: str) -> bool:
         self.alphabet.check(s)
         backing = self.backing
         if isinstance(backing, FiniteTable):
             return s in backing.strings
-        if isinstance(backing, Predicate):
-            result = backing.fn(s)
-            if result is None:
-                raise MembershipUndecided(
-                    f"rule {backing.name!r} could not decide {s!r}"
-                )
-            return bool(result)
-        return decode_membership(backing.real, s, self.alphabet) == 1
+        result = backing.fn(s)
+        if result is None:
+            raise MembershipUndecided(f"rule {backing.name!r} could not decide {s!r}")
+        return bool(result)
 
     def __contains__(self, s: str) -> bool:
         return self.contains(s)
@@ -256,6 +238,8 @@ class OracleTable:
     @classmethod
     def from_entries(cls, entries: dict[int, int], horizon: int) -> "OracleTable":
         """Sparse entries; omitted indices default to 0."""
+        if horizon < 0:
+            raise ValueError(f"horizon must be nonnegative, got {horizon}")
         bits = [0] * horizon
         for i, b in entries.items():
             if not 1 <= i <= horizon:

@@ -5,14 +5,17 @@ buffers its line input into a base-B "tape" rational, freezes the buffer when
 the input ends, and then executes a small rule program over a set of stack
 registers, one rule application per ring cycle.  Stacks live in saturated
 neurons as base-B rationals whose most significant digit is the top; control
-state, rule matching, and write gating are threshold (signal) neurons.
+state and rule matching are threshold (signal) neurons.
 
-Phase discipline (ring of RING_LEN phases): senses and guard conditions are
-recomputed every tick from the stable stacks; rule guards are sampled at
-phase 2, matches and pop remainders exist at phase 4, write gates at phase 5,
-and new stack/state values land entering phase 0 of the next cycle.  Because
-stacks only change on the write tick, the continuously recomputed senses are
-always fresh by the time guards sample them.
+Phase discipline (ring of RING_LEN phases): senses, guard conditions and pop
+remainders are recomputed every tick from the stable stacks; rule guards are
+sampled at phase 2, the winning rule's match holds at phase 4 and its delayed
+match at phase 5; that rule's candidates, the kills of the old stack and state
+values, and the target state pulse hold at phase 6; and the writes land
+entering phase 0 of the next cycle.  Because stacks only change on the write
+tick, the continuously recomputed senses are always fresh by the time guards
+sample them.  Only stacks that a guard, an op, the output or the oracle names
+get a register.
 """
 
 from __future__ import annotations
@@ -40,11 +43,11 @@ __all__ = [
 RING_LEN = 7
 
 # Phases at which the engine samples things (values exist one tick later):
-# guards at 2, the no-match test at 3, match delays and candidates at 4,
-# gates at 5, writes land entering phase 0 of the next cycle.
+# guards at 2 and the no-match test at 3; matches then hold at 4, delayed
+# matches at 5, candidates, kills and target pulses at 6, and writes land
+# entering phase 0 of the next cycle.
 _PH_RAW = 2
 _PH_NOMATCH = 3
-_PH_EXEC = 4
 
 
 class NetBuilder:
@@ -293,12 +296,23 @@ def compile_program(prog: MicroProgram) -> Network:
     b.w(phi[0], phi[RING_LEN - 1], 1)
     b.w(phi[0], sp2, 1)
 
-    # Stack registers with senses, thermometers, and pop remainders.
+    # Stack registers with senses, thermometers, and pop remainders, built
+    # only for the stacks that something reads or writes.
+    used = {"wb"} | set(prog.output.require_empty)
+    if prog.oracle is not None:
+        used.add(prog.oracle[0])
+    for rule in prog.rules:
+        for item in rule.guards + rule.ops:
+            if item.stack not in stacks:
+                raise ConstructionError(f"rule on undeclared stack {item.stack!r}")
+            used.add(item.stack)
     reg: dict[str, int] = {}
     ne: dict[str, int] = {}
     thermo: dict[str, dict[int, int]] = {}  # stack -> digit class -> neuron
     rem: dict[str, int] = {}
     for spec in all_stacks:
+        if spec.name not in used:
+            continue
         s_idx = b.neuron(f"{spec.name}.val", act=SAT)
         b.w(s_idx, s_idx, 1)
         reg[spec.name] = s_idx
@@ -364,11 +378,12 @@ def compile_program(prog: MicroProgram) -> Network:
         cond_cache[key] = c_idx
         return c_idx
 
-    # Rules: raw guards sampled at phase _PH_RAW, prioritised matches a tick
-    # later, write gating and candidate assembly after that.
+    # Rules: raw guards sampled at phase _PH_RAW, so raw is live at phase 3;
+    # the prioritised match is live at phase 4 and its delay md at phase 5.
+    # Only one state is active, so at most one rule matches per cycle.
     raw_by_state: dict[str, list[int]] = {st: [] for st in states}
     raws: list[int] = []
-    matches: list[int] = []
+    md: list[int] = []
     for r_i, rule in enumerate(prog.rules):
         if rule.state not in q:
             raise ConstructionError(f"rule {r_i} uses undeclared state {rule.state!r}")
@@ -377,8 +392,6 @@ def compile_program(prog: MicroProgram) -> Network:
         b.w(raw, q[rule.state], 1)
         b.w(raw, phi[_PH_RAW], 1)
         for guard in rule.guards:
-            if guard.stack not in stacks:
-                raise ConstructionError(f"guard on undeclared stack {guard.stack!r}")
             if guard.kind == "empty":
                 b.w(raw, ne[guard.stack], -1)
             elif guard.kind == "nonempty":
@@ -396,30 +409,20 @@ def compile_program(prog: MicroProgram) -> Network:
             b.w(match, earlier, -1)
         raw_by_state[rule.state].append(raw)
         raws.append(raw)
-        matches.append(match)
-
-    nomatch = b.neuron("nomatch")
-    b.w(nomatch, phi[_PH_NOMATCH], 1)
-    for raw in raws:
-        b.w(nomatch, raw, -1)
-    halt_pulse = b.neuron("halt")
-    b.w(halt_pulse, nomatch, 1)
-
-    # Per-rule execution: delayed match pulse, candidates, gates.
-    md: list[int] = []
-    for r_i, rule in enumerate(prog.rules):
-        m_idx = b.neuron(f"md{r_i}", bias=-1)
-        b.w(m_idx, matches[r_i], 1)
-        b.w(m_idx, phi[_PH_EXEC], 1)
+        m_idx = b.neuron(f"md{r_i}")
+        b.w(m_idx, match, 1)
         md.append(m_idx)
 
-    touching: dict[str, list[int]] = {name: [] for name in stacks}
-    gates: dict[str, list[int]] = {name: [] for name in stacks}
+    # Writes: at phase 6 each stack a rule writes gets that rule's candidate
+    # and loses its old value through kill; both land entering phase 0.
+    # A candidate is its op's value x gated by md with weight 1 and bias -1.
+    # Every x is at most 1, so sigma(x + md - 1) is x when md = 1 and 0
+    # otherwise; and reg and rem hold still from phase 2 to phase 6, so the
+    # x read at phase 5 is the x of the guards' configuration.
+    writers: dict[str, list[int]] = {}  # stack -> md of each rule writing it
     for r_i, rule in enumerate(prog.rules):
         per_stack: dict[str, list[StackOp]] = {}
         for op in rule.ops:
-            if op.stack not in stacks:
-                raise ConstructionError(f"op on undeclared stack {op.stack!r}")
             per_stack.setdefault(op.stack, []).append(op)
         for stack_name, ops in per_stack.items():
             if len(ops) != 1:
@@ -429,11 +432,10 @@ def compile_program(prog: MicroProgram) -> Network:
             op = ops[0]
             spec = stacks[stack_name]
             base = spec.base
-            cand = b.neuron(f"cand{r_i}.{stack_name}", act=SAT)
+            cand = b.neuron(f"cand{r_i}.{stack_name}", act=SAT, bias=-1)
+            b.w(cand, md[r_i], 1)
             if op.kind == "pop":
                 b.w(cand, rem[stack_name], 1)
-                b.w(cand, phi[_PH_EXEC], 1)
-                b.add_bias(cand, -1)
             elif op.kind == "push":
                 d = spec.digit_values[op.digit_class]
                 b.w(cand, reg[stack_name], Fraction(1, base))
@@ -456,37 +458,25 @@ def compile_program(prog: MicroProgram) -> Network:
                 b.add_bias(cand, -Fraction(base**m - 1, base - 1))
             else:
                 raise ConstructionError(f"unknown op kind {op.kind!r}")
-            gate = b.neuron(f"g{r_i}.{stack_name}", act=SAT, bias=-1)
-            b.w(gate, cand, 1)
-            b.w(gate, md[r_i], 1)
-            gates[stack_name].append(gate)
-            touching[stack_name].append(matches[r_i])
+            b.w(reg[stack_name], cand, 1)
+            writers.setdefault(stack_name, []).append(md[r_i])
 
-    for stack_name, match_list in touching.items():
-        if not match_list:
-            continue
-        ww = b.neuron(f"ww.{stack_name}", bias=-1)
-        for m_idx in match_list:
-            b.w(ww, m_idx, 1)
-        b.w(ww, phi[_PH_EXEC], 1)
+    for stack_name, md_list in writers.items():
         kill = b.neuron(f"kill.{stack_name}", act=SAT, bias=-1)
         b.w(kill, reg[stack_name], 1)
-        b.w(kill, ww, 1)
+        for m_idx in md_list:
+            b.w(kill, m_idx, 1)
         b.w(reg[stack_name], kill, -1)
-        for gate in gates[stack_name]:
-            b.w(reg[stack_name], gate, 1)
 
-    # State transitions: the kill and the target pulse must land on the same
-    # tick, so the delayed match is delayed once more for the target.
-    anymatch = b.neuron("anymatch", bias=-1)
-    for m_idx in matches:
-        b.w(anymatch, m_idx, 1)
-    b.w(anymatch, phi[_PH_EXEC], 1)
+    # State transitions: the kill of the state a rule leaves and the target
+    # pulse of the state it enters both read md, so they land together.
     for st in states:
-        kq = b.neuron(f"kq.{st}", bias=-1)
-        b.w(kq, q[st], 1)
-        b.w(kq, anymatch, 1)
-        b.w(q[st], kq, -1)
+        leaving = [md[r_i] for r_i, rule in enumerate(prog.rules) if rule.state == st]
+        if leaving:
+            kq = b.neuron(f"kq.{st}")
+            for m_idx in leaving:
+                b.w(kq, m_idx, 1)
+            b.w(q[st], kq, -1)
     target_pulse: dict[str, int] = {}
     for r_i, rule in enumerate(prog.rules):
         if rule.next_state not in target_pulse:
@@ -510,6 +500,13 @@ def compile_program(prog: MicroProgram) -> Network:
             if rule.emit:
                 b.w(out_data, md[r_i], 1)
     else:
+        # Halting: no raw guard fired in this cycle's sample.
+        nomatch = b.neuron("nomatch")
+        b.w(nomatch, phi[_PH_NOMATCH], 1)
+        for raw in raws:
+            b.w(nomatch, raw, -1)
+        halt_pulse = b.neuron("halt")
+        b.w(halt_pulse, nomatch, 1)
         b.w(out_valid, halt_pulse, 1)
         out_data = b.neuron("out.data", bias=-1)
         b.w(out_data, halt_pulse, 1)

@@ -118,8 +118,11 @@ class Network:
         self.out_valid = out_valid
         self.out_flag = out_flag
         self.input_symbols = tuple(input_symbols) if input_symbols is not None else None
-        if self.input_symbols is not None and len(self.input_symbols) != n_inputs:
-            raise ShapeError("one symbol per data line required")
+        if self.input_symbols is not None:
+            if len(self.input_symbols) != n_inputs:
+                raise ShapeError("one symbol per data line required")
+            if len(set(self.input_symbols)) != n_inputs:
+                raise ShapeError(f"input symbols {self.input_symbols} repeat a symbol")
         self.neuron_names = tuple(neuron_names) if neuron_names is not None else None
         if self.neuron_names is not None and len(self.neuron_names) != n_neurons:
             raise ShapeError("one name per neuron required")

@@ -103,6 +103,28 @@ def anbn_machine():
     )
 
 
+def copy_machine():
+    """Two-stack machine that uses both stacks; accepts the nonempty words.
+
+    It loads input bits (a=0, b=1) onto stack 1, then transfers them to
+    stack 2 with end-of-input rules.
+    """
+    return TwoStackMachine(
+        states=("L", "M"),
+        alphabet=AB,
+        rules=(
+            Rule("L", "a", None, None, "L", push1=0),
+            Rule("L", "b", None, None, "L", push1=1),
+            Rule("L", None, 0, None, "M", push2=0),
+            Rule("L", None, 1, None, "M", push2=1),
+            Rule("M", None, 0, None, "M", push2=0),
+            Rule("M", None, 1, None, "M", push2=1),
+        ),
+        start="L",
+        accepting=frozenset({"M"}),
+    )
+
+
 def words_up_to(n, symbols="ab"):
     yield ""
     for length in range(1, n + 1):

@@ -43,7 +43,14 @@ from arnnlab import (
 from arnnlab.compilers import composed_oracle_budget
 from arnnlab.exact import ScalarKind
 
-from conftest import AB, FIVE_DFAS, anbn_machine, abstar_language, words_up_to
+from conftest import (
+    AB,
+    FIVE_DFAS,
+    abstar_language,
+    anbn_machine,
+    copy_machine,
+    words_up_to,
+)
 
 
 # -- stack gadget algebra -----------------------------------------------------
@@ -199,22 +206,7 @@ def test_divergent_machine_times_out_never_rejects():
 
 
 def test_copy_machine_uses_both_stacks():
-    # loads input bits (a=0, b=1) onto stack 1, then transfers them to
-    # stack 2 with end-of-input rules; accepts exactly the nonempty words
-    machine = TwoStackMachine(
-        states=("L", "M"),
-        alphabet=AB,
-        rules=(
-            Rule("L", "a", None, None, "L", push1=0),
-            Rule("L", "b", None, None, "L", push1=1),
-            Rule("L", None, 0, None, "M", push2=0),
-            Rule("L", None, 1, None, "M", push2=1),
-            Rule("M", None, 0, None, "M", push2=0),
-            Rule("M", None, 1, None, "M", push2=1),
-        ),
-        start="L",
-        accepting=frozenset({"M"}),
-    )
+    machine = copy_machine()
     net = two_stack_to_net(machine)
     for w in ["", "a", "ab", "bba", "abab"]:
         want, steps = machine.execute(w, 1000)

@@ -326,6 +326,13 @@ def test_network_repeated_record_is_format_error(tmp_path, record):
         load_network(str(path))
 
 
+def test_network_repeated_symbol_is_format_error(tmp_path):
+    path = tmp_path / "dup.net"
+    path.write_text(TINY_NET.replace("symbols a", "symbols aa"), encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:2: symbols 'aa' repeat")):
+        load_network(str(path))
+
+
 def test_network_scalar_parse_errors(tmp_path):
     path = tmp_path / "bad.net"
     path.write_text("neurons 1 inputs 0\nc 0 float:0.5\n", encoding="utf-8")

@@ -134,6 +134,12 @@ def test_oracle_table_from_language():
         table.bit(26)
 
 
+def test_oracle_table_from_entries_rejects_negative_horizon():
+    assert OracleTable.from_entries({}, 0).horizon == 0
+    with pytest.raises(ValueError, match="horizon must be nonnegative"):
+        OracleTable.from_entries({}, -3)
+
+
 def test_oracle_table_packings():
     table = OracleTable((1, 0))
     assert table.packed_value("binary") == Fraction(1, 2)

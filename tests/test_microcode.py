@@ -7,12 +7,25 @@ stack registers must always hold valid base-B expansions over their digit
 sets.
 """
 
+import re
 from fractions import Fraction
 
-from arnnlab import Verdict, run, two_stack_budget, two_stack_to_net
+from arnnlab import (
+    CANTOR4,
+    ExactScalar,
+    OracleNetSpec,
+    OracleTable,
+    Verdict,
+    compose_nets,
+    oracle_net,
+    oracle_net_parts,
+    run,
+    two_stack_budget,
+    two_stack_to_net,
+)
 from arnnlab.network import _compiled, _fast_step
 
-from conftest import AB, anbn_machine
+from conftest import AB, abstar_language, anbn_machine, copy_machine, words_up_to
 
 
 def trace_values(net, word, ticks):
@@ -96,12 +109,14 @@ def test_control_state_one_hot_after_ignition():
 
 
 def test_stack_registers_always_valid_expansions():
-    net = two_stack_to_net(anbn_machine())
-    specs = {"wb.val": (16, {0, 9, 11}), "in.val": (8, {1, 3}), "s1.val": (4, {1, 3}), "s2.val": (4, {1, 3})}
-    for values in trace_values(net, "aabab", 500):
-        for name, (base, allowed) in specs.items():
-            for digit in digits_of(values[name], base):
-                assert digit in allowed or digit == 0, (name, values[name])
+    binary = (4, {1, 3})
+    specs = {"wb.val": (16, {0, 9, 11}), "in.val": (8, {1, 3}), "s1.val": binary}
+    # a^n b^n never names s2, so s2 is covered by a machine that writes it
+    for machine, extra in ((anbn_machine(), {}), (copy_machine(), {"s2.val": binary})):
+        for values in trace_values(two_stack_to_net(machine), "aabab", 500):
+            for name, (base, allowed) in {**specs, **extra}.items():
+                for digit in digits_of(values[name], base):
+                    assert digit in allowed or digit == 0, (name, values[name])
 
 
 def test_verdict_repeats_after_halt():
@@ -141,3 +156,58 @@ def test_buffer_clears_after_freeze_and_denominators_stay_bounded():
         half = len(bits) // 2
         assert max(bits[half:]) <= max(bits[:half]), word
         assert max(bits) <= 4 * (len(word) + 1) + 1, word
+
+
+def compiled_nets():
+    """The a^n b^n net and every net compiled for the a b* oracle."""
+    table = OracleTable.from_language(abstar_language(), 25)
+    spec = OracleNetSpec(ExactScalar.oracle(table, CANTOR4, "0'"), AB)
+    first, second, handoff = oracle_net_parts(spec)
+    return {
+        "anbn": two_stack_to_net(anbn_machine()),
+        "oracle": oracle_net(spec),
+        "transmitter": first,
+        "extractor": second,
+        "composed": compose_nets(first, second, handoff),
+    }
+
+
+def test_compiled_nets_build_only_read_neurons():
+    nets = compiled_nets()
+    for label, net in nets.items():
+        outputs = {net.out_data, net.out_valid, net.out_flag}
+        read = {j for (_, j) in net.state_weights}
+        by_other = {j for (i, j) in net.state_weights if i != j}
+        for idx, name in enumerate(net.neuron_names):
+            assert idx in read or idx in outputs, (label, name)
+            # only latches keep themselves: the input clock's start latch
+            # and control states that no rule leaves
+            base = name.removeprefix("2.")
+            if idx not in by_other and idx not in outputs:
+                assert base == "started" or base.startswith("q."), (label, name)
+            assert not re.fullmatch(r"g\d+\..*|ww\..*|anymatch", base), (label, name)
+    names = set(nets["anbn"].neuron_names)
+    assert not any(n.startswith("s2.") for n in names)
+    assert {"in.val", "s1.val", "kill.s1"} <= names
+    assert "s2.val" in two_stack_to_net(copy_machine()).neuron_names
+
+
+def test_one_rule_candidates_live_only_on_phase_six():
+    machine = anbn_machine()
+    net = two_stack_to_net(machine)
+    cands = [n for n in net.neuron_names if n.startswith("cand")]
+    assert cands
+    for word in words_up_to(6):
+        _, steps = machine.execute(word, 10_000)
+        for values in trace_values(net, word, two_stack_budget(len(word), steps)):
+            live = {n.split(".")[0] for n in cands if values[n] != 0}
+            assert len(live) <= 1, (word, live)
+            assert not live or values["phi6"] == 1, (word, live)
+
+
+def test_anbn_tick_counts_pinned():
+    # rewiring the microcode must keep every tick count of the net
+    net = two_stack_to_net(anbn_machine())
+    pinned = {"": 17, "ab": 54, "ba": 40, "aab": 76, "abab": 70, "aabb": 84, "aaabbb": 114}
+    for word, ticks in pinned.items():
+        assert run(net, word, 1_000, record_trace=False).ticks == ticks, word

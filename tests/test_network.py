@@ -64,6 +64,12 @@ def test_step_shape_checks():
             step(wired, (0,), inputs, validation)
 
 
+def test_repeated_input_symbol_is_shape_error():
+    with pytest.raises(ShapeError, match="repeat a symbol"):
+        Network(1, 2, input_symbols=("a", "a"))
+    assert Network(1, 2, input_symbols=("a", "b")).line_for_symbol("b") == 1
+
+
 def test_step_state_confinement_under_iteration():
     net = one_neuron(a=3, c=Fraction(-1, 3))
     x = (Fraction(9, 10),)
