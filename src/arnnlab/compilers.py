@@ -36,6 +36,7 @@ from .microcode import (
     buffer_class,
     compile_program,
     input_clock,
+    start_latch,
 )
 from .network import Network, RunResult, Verdict, run
 
@@ -131,7 +132,8 @@ def dfa_to_net(dfa: Dfa) -> Network:
     k = len(syms)
     b = NetBuilder()
     v_col = k
-    started, fresh = input_clock(b, v_col, edge=False)
+    started = start_latch(b, v_col)
+    fresh = input_clock(b, v_col)
 
     pair: dict[tuple[str, str], int] = {}
     for q in dfa.states:

@@ -80,6 +80,11 @@ class UnitReal:
     horizon raises :class:`HorizonExceeded` (the oracle-backed case, where
     "unknown" must stay distinguishable from "zero").
 
+    ``strict_horizon`` governs only ``digit_at``.  Arithmetic pins a finite
+    expansion at its horizon either way: ``bounds(n)`` for ``n >= horizon``
+    is the single point ``truncated_fraction(horizon)``, and ``network.run``
+    steps a net on that rational.
+
     The memo is single-owner mutable state; to share an expansion across
     threads, materialise a ``snapshot(n)`` and share that instead.
     """

@@ -38,6 +38,7 @@ __all__ = [
     "StackSpec",
     "compile_program",
     "input_clock",
+    "start_latch",
 ]
 
 RING_LEN = 7
@@ -222,29 +223,34 @@ def buffer_class(digit_class: int) -> int:
 # Compilation
 
 
-def input_clock(b: NetBuilder, v_col: int, edge: bool) -> tuple[int, int]:
-    """End-of-input clock on validation column ``v_col``: (started, fresh).
-
-    ``started`` latches once validation is high; ``fresh`` is high on the
-    tick the input ends.  Without ``edge`` input starts at tick 0, so the
-    first low tick ends it; with ``edge`` validation must rise and then fall.
-    """
+def start_latch(b: NetBuilder, v_col: int) -> int:
+    """``started``, which latches once validation column ``v_col`` is high."""
     started = b.neuron("started")
     b.w(started, started, 1)
     b.win(started, v_col, 1)
+    return started
+
+
+def input_clock(b: NetBuilder, v_col: int, started: Optional[int] = None) -> int:
+    """End-of-input clock on validation column ``v_col``: ``fresh``.
+
+    ``fresh`` is high on the tick the input ends.  Without ``started`` (see
+    :func:`start_latch`) input starts at tick 0, so the first low tick ends
+    it; with it, validation must rise and then fall.
+    """
     over = b.neuron("over")
     b.w(over, over, 1)
     b.win(over, v_col, -1)
     fresh = b.neuron("fresh")
     b.win(fresh, v_col, -1)
     b.w(fresh, over, -1)
-    if edge:
+    if started is not None:
         b.w(over, started, 1)
         b.w(fresh, started, 1)
     else:
         b.add_bias(over, 1)
         b.add_bias(fresh, 1)
-    return started, fresh
+    return fresh
 
 
 def compile_program(prog: MicroProgram) -> Network:
@@ -282,7 +288,9 @@ def compile_program(prog: MicroProgram) -> Network:
         for line in range(k):
             b.win(buf, line, Fraction(2 * line, base_b))
     b.win(buf, v_col, Fraction(4 * k + 1, base_b))
-    _, fresh = input_clock(b, v_col, edge=prog.symbols is None)
+    # a pulse input must rise first; a word's input starts at tick 0
+    started = start_latch(b, v_col) if prog.symbols is None else None
+    fresh = input_clock(b, v_col, started)
     grab = b.neuron("grab", act=SAT, bias=-1)
     b.w(grab, buf, 1)
     b.w(grab, fresh, 1)

@@ -147,12 +147,16 @@ class Network:
         """Copy of the network with one state weight substituted."""
         weights = dict(self.state_weights)
         weights[(i, j)] = scalar
+        return self._with_scalars(weights, self.input_weights, self.biases)
+
+    def _with_scalars(self, state_weights, input_weights, biases) -> "Network":
+        """Copy of the network with other weight and bias maps."""
         return Network(
             self.n_neurons,
             self.n_inputs,
-            state_weights=weights,
-            input_weights=self.input_weights,
-            biases=self.biases,
+            state_weights=state_weights,
+            input_weights=input_weights,
+            biases=biases,
             activations=self.activations,
             out_data=self.out_data,
             out_valid=self.out_valid,
@@ -267,6 +271,11 @@ class _CompiledNet:
     positive bias reach to its bias plus their weights, over ``d``.  The
     net is read-only, so an entry never goes stale; the memo is emptied
     whole when it reaches ``_UNIT_MEMO_CAP`` entries.
+
+    On a lazy net, ``pinned`` is the compiled copy of the net with each
+    stream pinned at its horizon, on which ``run`` steps it (see
+    :func:`_kernel`), or None when some stream has no known horizon.
+    ``exact`` stays False on such a net.
     """
 
     def __init__(self, net: Network) -> None:
@@ -311,7 +320,12 @@ class _CompiledNet:
         # the smallest integer sum (over d) that sets a neuron to 1
         self.ceil = [d if act == SAT else 1 for act in net.activations]
         self.unit_memo: dict[tuple, dict[int, int]] = {}
+        # built by _kernel on the first run, so that compiling stays cheap
+        self.pinned = _UNBUILT
 
+
+#: ``_CompiledNet.pinned`` of a net that ``run`` has not stepped yet.
+_UNBUILT = object()
 
 #: Entries at which a net's unit memo is emptied whole; in one cycle of the
 #: benchmark's workloads, no net meets more than 545 distinct keys.
@@ -322,6 +336,33 @@ def _compiled(net: Network) -> _CompiledNet:
     if net._compiled is None:
         object.__setattr__(net, "_compiled", _CompiledNet(net))
     return net._compiled
+
+
+def _kernel(net: Network) -> Optional[_CompiledNet]:
+    """The compiled net on which ``run`` steps ``net`` exactly, or None.
+
+    That is the net's own on an exact net.  A stream with a finite horizon denotes the rational of its digits up to
+    that horizon: ``UnitReal.bounds(n)`` pins it there for every
+    ``n >= horizon``, strict or not, so whenever the interval path decides
+    a sign it decides it as this rational does.  A net whose lazy scalars
+    are all such streams therefore runs on the compiled copy with each
+    stream replaced by that rational.
+    """
+    cn = _compiled(net)
+    if cn.exact:
+        return cn
+    if cn.pinned is _UNBUILT:
+        cn.pinned = None
+        maps = [dict(m) for m in (net.state_weights, net.input_weights, net.biases)]
+        for m in maps:
+            for key, scalar in m.items():
+                if not scalar.is_exact:
+                    stream = scalar.stream
+                    if stream.horizon is None:
+                        return None
+                    m[key] = ExactScalar.from_fraction(stream.truncated_fraction(stream.horizon))
+        cn.pinned = _compiled(net._with_scalars(*maps))
+    return cn.pinned
 
 
 class _IntState:
@@ -459,7 +500,8 @@ def _out_bit(value: Value) -> int:
     return 1 if value > 0 else 0
 
 
-#: How far ``run`` refines lazy scalars before a sign counts as undecidable.
+#: How far ``run`` refines lazy scalars before a sign counts as undecidable,
+#: on a net that carries a stream with no known horizon.
 _LAZY_BUDGET = PrecisionBudget(max_digits=128, on_exhaustion="fail")
 
 
@@ -476,6 +518,13 @@ def run(
     validation 1, then all lines drop to 0.  The verdict is latched from the
     output data line on the first tick the output validation line is 1;
     ``Verdict.TIMEOUT`` is returned if the tick budget runs out first.
+
+    An exact net steps on the integer kernel, and so does a net whose lazy
+    scalars are all streams with a finite horizon (every compiled
+    stream-weight oracle net), with each stream pinned at its horizon; see
+    :func:`_kernel`.  A net that carries a stream with no known horizon
+    steps through ``step`` on interval enclosures refined to at most 128
+    digits, and a sign they cannot decide raises ``UnknownSign``.
     """
     if net.out_data is None or net.out_valid is None:
         raise ConfigError("network has no designated output lines")
@@ -485,8 +534,8 @@ def run(
         )
     lines = [net.line_for_symbol(ch) for ch in word] if word else []
 
-    cn = _compiled(net)
-    if cn.exact:
+    kernel = _kernel(net)
+    if kernel is not None:
         state: Sequence[Value] = _IntState(net.n_neurons, {}, 1)
     else:
         state = zero_state(net)
@@ -504,9 +553,9 @@ def run(
         else:
             inputs = zeros
             validation = 0
-        if cn.exact:
+        if kernel is not None:
             # every numerator kept in nz is positive, so a bit is membership
-            state = _fast_step(cn, state, inputs, validation)
+            state = _fast_step(kernel, state, inputs, validation)
             nz = state.nz
             data_bit = 1 if data in nz else 0
             valid_bit = 1 if valid in nz else 0

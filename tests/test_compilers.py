@@ -371,9 +371,9 @@ def test_oracle_net_accepts_finite_stream():
 
 
 def test_oracle_net_interval_path_matches_exact_oracle():
-    # a strict-horizon stream weight is not exact, so the net steps through
-    # the lazy interval path; it must give the exact oracle net's bits in the
-    # same number of ticks
+    # a strict-horizon stream weight is not exact, so the net is not exact;
+    # run steps it with the stream pinned at its horizon, and it must give
+    # the exact oracle net's bits in the same number of ticks
     table = OracleTable.from_language(abstar_language(), 2)
     lazy = ExactScalar.from_stream(table.digit_view(CANTOR4))
     assert not lazy.is_exact
@@ -388,6 +388,24 @@ def test_oracle_net_interval_path_matches_exact_oracle():
     for net in nets:
         with pytest.raises(HorizonExceeded):
             oracle_consult(net, "b", oracle_budget("b", AB))
+
+
+def test_stream_oracle_net_decides_past_the_interval_precision():
+    # on a horizon-80 table these indices need the stream's value past the
+    # 128-digit interval budget (the interval path ended in UnknownSign at
+    # neuron 31); pinned at its horizon, the stream-weight net gives the
+    # exact oracle net's bits in the same number of ticks
+    language = Language.from_members(AB, [string_of_index(i, AB) for i in (3, 66, 79)])
+    table = OracleTable.from_language(language, 80)
+    lazy = oracle_net(OracleNetSpec(ExactScalar.from_stream(table.digit_view(CANTOR4)), AB))
+    exact = oracle_net(OracleNetSpec(ExactScalar.oracle(table, CANTOR4, "0'"), AB))
+    for index, bit in ((66, 1), (70, 0), (79, 1)):
+        word = string_of_index(index, AB)
+        want = oracle_consult(exact, word, oracle_budget(word, AB))
+        got = oracle_consult(lazy, word, oracle_budget(word, AB))
+        assert (got[0], got[1].ticks) == (want[0], want[1].ticks), index
+        assert got[0] == bit, index
+    assert not lazy.is_exact()
 
 
 def test_oracle_net_rejects_infinite_stream():

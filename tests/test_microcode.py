@@ -180,12 +180,17 @@ def test_compiled_nets_build_only_read_neurons():
         by_other = {j for (i, j) in net.state_weights if i != j}
         for idx, name in enumerate(net.neuron_names):
             assert idx in read or idx in outputs, (label, name)
-            # only latches keep themselves: the input clock's start latch
-            # and control states that no rule leaves
+            # only control states that no rule leaves keep themselves
             base = name.removeprefix("2.")
             if idx not in by_other and idx not in outputs:
-                assert base == "started" or base.startswith("q."), (label, name)
+                assert base.startswith("q."), (label, name)
             assert not re.fullmatch(r"g\d+\..*|ww\..*|anymatch", base), (label, name)
+    # a word's input starts at tick 0, so only a pulse-input net (the
+    # extractor) builds the start latch, and its input clock reads it
+    for label in ("anbn", "oracle", "transmitter"):
+        assert "started" not in nets[label].neuron_names, label
+    assert "started" in nets["extractor"].neuron_names
+    assert "2.started" in nets["composed"].neuron_names
     names = set(nets["anbn"].neuron_names)
     assert not any(n.startswith("s2.") for n in names)
     assert {"in.val", "s1.val", "kill.s1"} <= names

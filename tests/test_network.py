@@ -1,6 +1,7 @@
 """Synchronous dynamics, the word protocol, and exactness of the simulator."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from arnnlab import (
     zero_state,
 )
 from arnnlab.exact import affine_combine, saturated_sigma, signal
-from arnnlab.network import _compiled, _fast_step
+from arnnlab.network import _compiled, _fast_step, _kernel
 
 from conftest import anbn_machine, parity_dfa, words_up_to
 
@@ -509,3 +510,102 @@ def test_run_with_lazy_weight_decides_through_intervals():
     assert not net.is_exact()
     result = run(net, "", 4)
     assert result.verdict == Verdict.ACCEPT
+    # that stream has no known horizon, so run stays on the interval path
+    assert _kernel(net) is None
+    # where the 128-digit budget cannot settle a sign, run raises
+    zeros = UnitReal(gen=iter([0] * 500), base=2)
+    undecided = Network(
+        1, 0, biases={0: ExactScalar.from_stream(zeros)}, activations=("sig",),
+        out_data=0, out_valid=0,
+    )
+    with pytest.raises(UnknownSign, match="neuron 0"):
+        run(undecided, "", 4)
+    assert _kernel(undecided) is None
+    # a stream with a horizon is pinned there instead: the net is still not
+    # exact, but run steps a pinned copy on the integer kernel
+    pinned = Network(
+        2,
+        0,
+        biases={0: random_stream(random.Random(3)), 1: ExactScalar.integer(1)},
+        activations=("sat", "sig"),
+        out_data=0,
+        out_valid=1,
+    )
+    kernel = _kernel(pinned)
+    assert not pinned.is_exact() and kernel.exact and kernel is not pinned._compiled
+    assert run(pinned, "", 4).verdict == Verdict.ACCEPT
+
+
+def reference_run(net, word, ticks):
+    """``run``'s protocol stepped through public ``step`` from the zero state
+    on interval enclosures, with a 128-digit budget that raises
+    ``UnknownSign`` where it cannot decide; returns (verdict, ticks, flagged)."""
+    budget = PrecisionBudget(max_digits=128, on_exhaustion="fail")
+    m = net.n_inputs
+    state = zero_state(net)
+    for t in range(ticks):
+        if t < len(word):
+            line = net.line_for_symbol(word[t])
+            bits, v = tuple(int(j == line) for j in range(m)), 1
+        else:
+            bits, v = (0,) * m, 0
+        state = step(net, state, bits, v, budget=budget)
+        if signal(state[net.out_valid]):
+            verdict = Verdict.ACCEPT if signal(state[net.out_data]) else Verdict.REJECT
+            return verdict, t + 1, bool(signal(state[net.out_flag]))
+    return Verdict.TIMEOUT, ticks, False
+
+
+def test_run_on_pinned_streams_matches_interval_steps():
+    # nets whose weights and biases include streams with a strict horizon:
+    # run steps them on the integer kernel with each stream pinned at its
+    # horizon, and must agree with interval steps wherever those decide
+    rng = random.Random(60605)
+    seen = Counter()
+    for _ in range(200):
+        n = rng.randint(3, 8)
+        m = rng.randint(1, 2)
+        sw = {
+            (i, j): ExactScalar.rational(rng.randint(-4, 4), rng.choice([1, 2, 4]))
+            for i in range(n)
+            for j in range(n)
+            if rng.random() < 0.4
+        }
+        for _ in range(rng.randint(1, 3)):
+            sw[(rng.randrange(n), rng.randrange(n))] = random_stream(rng)
+        iw = {
+            (i, j): ExactScalar.rational(rng.randint(-2, 2), rng.choice([1, 2]))
+            for i in range(n)
+            for j in range(m + 1)
+            if rng.random() < 0.4
+        }
+        for _ in range(rng.randint(0, 2)):
+            iw[(rng.randrange(n), rng.randrange(m + 1))] = random_stream(rng)
+        bias = {
+            i: ExactScalar.rational(rng.randint(-4, 4), rng.choice([1, 2, 4]))
+            for i in range(n)
+            if rng.random() < 0.5
+        }
+        for _ in range(rng.randint(0, 2)):
+            bias[rng.randrange(n)] = random_stream(rng)
+        acts = tuple(rng.choice(["sat", "sat", "sig"]) for _ in range(n))
+        data, valid, flag = rng.sample(range(n), 3)
+        net = Network(
+            n, m, state_weights=sw, input_weights=iw, biases=bias, activations=acts,
+            out_data=data, out_valid=valid, out_flag=flag, input_symbols="ab"[:m],
+        )
+        assert not net.is_exact()
+        for _ in range(3):
+            word = "".join(rng.choice("ab"[:m]) for _ in range(rng.randint(0, 4)))
+            ticks = len(word) + rng.randint(1, 12)
+            try:
+                want = reference_run(net, word, ticks)
+            except UnknownSign:
+                seen["undecided"] += 1
+                continue
+            result = run(net, word, ticks, record_trace=False)
+            assert (result.verdict, result.ticks, result.flagged) == want, (word, ticks)
+            seen[want[0]] += 1
+            seen["flagged"] += want[2]
+        assert _kernel(net).exact
+    assert all(seen[k] >= 20 for k in (*Verdict, "flagged")), seen
