@@ -417,19 +417,13 @@ class OracleNetSpec:
 
     The oracle real must be an oracle- or stream-backed scalar denoting a
     Cantor-4 packed characteristic sequence; the net consults digit
-    index_of_string(w) of it.  Only the length-lex index encoder is
-    implemented.
+    index_of_string(w) of it, the length-lex index of w.
     """
 
     oracle_real: ExactScalar
     alphabet: Alphabet
-    index_encoder: str = "length-lex"
 
     def __post_init__(self) -> None:
-        if self.index_encoder != "length-lex":
-            raise ConstructionError(
-                f"unsupported index encoder {self.index_encoder!r}"
-            )
         if self.oracle_real.kind not in (ScalarKind.ORACLE, ScalarKind.STREAM):
             raise ConstructionError("oracle real must be a Stream or Oracle scalar")
         if self.oracle_real.kind == ScalarKind.ORACLE:
@@ -662,12 +656,15 @@ def compose_nets(
             raise ShapeError(f"first net has no {name!r} output to hand off")
         key = (i + offset, src)
         if key in state_weights:
-            prior, added = state_weights[key].exact_fraction(), scalar.exact_fraction()
-            if prior is None or added is None:
+            # only rationals merge: a sum would drop a stream's or an
+            # oracle's degree label, and with it the net's place in the
+            # hierarchy
+            prior = state_weights[key]
+            if {prior.kind, scalar.kind} - {ScalarKind.INTEGER, ScalarKind.RATIONAL}:
                 raise ConstructionError(
-                    f"handoff weight {key} collides with a weight that is not exact"
+                    f"handoff weight {key} collides with a weight that is not rational"
                 )
-            state_weights[key] = ExactScalar.from_fraction(prior + added)
+            state_weights[key] = ExactScalar.from_fraction(prior.value + scalar.value)
         else:
             state_weights[key] = scalar
     names = None

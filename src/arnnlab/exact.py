@@ -80,10 +80,12 @@ class UnitReal:
     horizon raises :class:`HorizonExceeded` (the oracle-backed case, where
     "unknown" must stay distinguishable from "zero").
 
-    ``strict_horizon`` governs only ``digit_at``.  Arithmetic pins a finite
-    expansion at its horizon either way: ``bounds(n)`` for ``n >= horizon``
-    is the single point ``truncated_fraction(horizon)``, and ``network.run``
-    steps a net on that rational.
+    ``strict_horizon`` governs only ``digit_at``.  A finite expansion
+    denotes the rational of its digits up to the horizon either way:
+    ``bounds(n)`` for ``n >= horizon`` is the single point
+    ``truncated_fraction(horizon)``, and ``ExactScalar.exact_fraction`` is
+    that rational.  A generator that runs dry before a declared horizon
+    leaves zeros up to it.
 
     The memo is single-owner mutable state; to share an expansion across
     threads, materialise a ``snapshot(n)`` and share that instead.
@@ -187,13 +189,15 @@ class UnitReal:
                 )
             return 0
         while len(self._memo) < n:
-            assert self._gen is not None
+            if self._gen is None:
+                return 0  # inside a declared horizon, past the given digits
             try:
                 d = next(self._gen)
             except StopIteration:
                 # Generator ran dry: the expansion is finite after all.
                 self._gen = None
-                self.horizon = len(self._memo)
+                if self.horizon is None:
+                    self.horizon = len(self._memo)
                 return self.digit_at(n)
             self._check_digit(d)
             self._memo.append(d)
@@ -339,10 +343,12 @@ class ExactScalar:
         return self.exact_fraction() is not None
 
     def exact_fraction(self) -> Optional[Fraction]:
-        """The scalar as an exact ``Fraction``, or None for lazy streams.
+        """The scalar as an exact ``Fraction``, or None for a lazy stream.
 
         Oracle scalars denote the truncated rational packed from their
-        table; streams are exact only when their expansion is finite.
+        table.  A stream with a finite horizon, strict or not, carries
+        finitely many digits and so denotes the rational of those digits;
+        only a stream with no known horizon (and no known value) is lazy.
         """
         if self.kind in (ScalarKind.INTEGER, ScalarKind.RATIONAL):
             return self.value
@@ -351,7 +357,7 @@ class ExactScalar:
         assert self.stream is not None
         if self.stream.exact_value is not None:
             return self.stream.exact_value
-        if self.stream.horizon is not None and not self.stream.strict_horizon:
+        if self.stream.horizon is not None:
             return self.stream.truncated_fraction(self.stream.horizon)
         return None
 
@@ -599,7 +605,7 @@ def compare_with_precision(
         elif xlo > ylo:  # x >= xlo > ylo == y
             return Cmp.GREATER
         if not xopen and not yopen:
-            return Cmp.EQUAL  # both pinned and neither side decided above
+            return Cmp.EQUAL  # both closed and neither side decided above
         if n >= budget.max_digits:
             break
         n = min(n * 2, budget.max_digits)

@@ -15,7 +15,8 @@ values, and the target state pulse hold at phase 6; and the writes land
 entering phase 0 of the next cycle.  Because stacks only change on the write
 tick, the continuously recomputed senses are always fresh by the time guards
 sample them.  Only stacks that a guard, an op, the output or the oracle names
-get a register.
+get a register, and every neuron built is read by another neuron or is an
+output.
 """
 
 from __future__ import annotations
@@ -304,8 +305,8 @@ def compile_program(prog: MicroProgram) -> Network:
     b.w(phi[0], phi[RING_LEN - 1], 1)
     b.w(phi[0], sp2, 1)
 
-    # Stack registers with senses, thermometers, and pop remainders, built
-    # only for the stacks that something reads or writes.
+    # Stack registers, built only for the stacks that something reads or
+    # writes.
     used = {"wb"} | set(prog.output.require_empty)
     if prog.oracle is not None:
         used.add(prog.oracle[0])
@@ -315,75 +316,92 @@ def compile_program(prog: MicroProgram) -> Network:
                 raise ConstructionError(f"rule on undeclared stack {item.stack!r}")
             used.add(item.stack)
     reg: dict[str, int] = {}
-    ne: dict[str, int] = {}
-    thermo: dict[str, dict[int, int]] = {}  # stack -> digit class -> neuron
-    rem: dict[str, int] = {}
     for spec in all_stacks:
-        if spec.name not in used:
-            continue
-        s_idx = b.neuron(f"{spec.name}.val", act=SAT)
-        b.w(s_idx, s_idx, 1)
-        reg[spec.name] = s_idx
-        ne_idx = b.neuron(f"{spec.name}.ne")
-        b.w(ne_idx, s_idx, 1)
-        ne[spec.name] = ne_idx
-        thermo[spec.name] = {}
-        positive = [(ci, d) for ci, d in enumerate(spec.digit_values) if d > 0]
-        for ci, d in positive:
-            theta = d - 1
-            if theta == 0:
-                thermo[spec.name][ci] = ne_idx
-            else:
-                t_idx = b.neuron(f"{spec.name}.ge{d}", bias=-theta)
-                b.w(t_idx, s_idx, spec.base)
-                thermo[spec.name][ci] = t_idx
-        r_idx = b.neuron(f"{spec.name}.rem", act=SAT)
-        b.w(r_idx, s_idx, spec.base)
-        prev = 0
-        for ci, d in positive:
-            b.w(r_idx, thermo[spec.name][ci], -(d - prev))
-            prev = d
-        rem[spec.name] = r_idx
+        if spec.name in used:
+            s_idx = b.neuron(f"{spec.name}.val", act=SAT)
+            b.w(s_idx, s_idx, 1)
+            reg[spec.name] = s_idx
     b.w(reg["wb"], grab, 1)
 
-    # Control states.
+    # Control states, built only for the states that a rule leaves or an
+    # output reads: any other state would be read by its own self-loop only.
+    out = prog.output
+    read_states = set(out.accept_states | out.flag_states | out.emit_states)
+    read_states.update(rule.state for rule in prog.rules)
     q: dict[str, int] = {}
     for st in states:
-        q_idx = b.neuron(f"q.{st}")
-        b.w(q_idx, q_idx, 1)
-        q[st] = q_idx
-    b.w(q[prog.start_state], sp2, 1)
+        if st in read_states:
+            q_idx = b.neuron(f"q.{st}")
+            b.w(q_idx, q_idx, 1)
+            q[st] = q_idx
+    if prog.start_state in q:
+        b.w(q[prog.start_state], sp2, 1)
     if prog.oracle is not None:
         stack_name, scalar = prog.oracle
         b.w_scalar(reg[stack_name], sp2, scalar)
 
-    # Guard condition neurons (continuous), cached per (stack, class).
-    cond_cache: dict[tuple[str, int], int] = {}
+    # Senses (continuous, recomputed every tick from the register), each
+    # built on first use, so that a stack gets only those that a guard,
+    # require_empty or a pop remainder reads.
+    senses: dict[str, int] = {}  # by neuron name
 
-    def top_cond(stack: str, digit_class: int) -> int:
-        key = (stack, digit_class)
-        if key in cond_cache:
-            return cond_cache[key]
+    def nonempty(stack: str) -> int:
+        name = f"{stack}.ne"
+        if name not in senses:
+            senses[name] = b.neuron(name)
+            b.w(senses[name], reg[stack], 1)
+        return senses[name]
+
+    def at_least(stack: str, digit_class: int) -> int:
+        """Thermometer: high when the top digit is at least that of a
+        positive digit class."""
         spec = stacks[stack]
         d = spec.digit_values[digit_class]
-        c_idx = b.neuron(f"{stack}.top{d}")
+        if d == 1:
+            return nonempty(stack)
+        name = f"{stack}.ge{d}"
+        if name not in senses:
+            senses[name] = b.neuron(name, bias=-(d - 1))
+            b.w(senses[name], reg[stack], spec.base)
+        return senses[name]
+
+    def remainder(stack: str) -> int:
+        """The register with its top digit popped."""
+        name = f"{stack}.rem"
+        if name not in senses:
+            spec = stacks[stack]
+            r_idx = senses[name] = b.neuron(name, act=SAT)
+            b.w(r_idx, reg[stack], spec.base)
+            prev = 0
+            for ci, d in enumerate(spec.digit_values):
+                if d > 0:
+                    b.w(r_idx, at_least(stack, ci), -(d - prev))
+                    prev = d
+        return senses[name]
+
+    def top_cond(stack: str, digit_class: int) -> int:
+        spec = stacks[stack]
+        d = spec.digit_values[digit_class]
+        name = f"{stack}.top{d}"
+        if name in senses:
+            return senses[name]
+        c_idx = senses[name] = b.neuron(name)
         if d == 0:
             # Nonempty but below the smallest positive digit.
-            b.w(c_idx, ne[stack], 1)
+            b.w(c_idx, nonempty(stack), 1)
             first_pos = next(
                 ci for ci, dv in enumerate(spec.digit_values) if dv > 0
             )
-            b.w(c_idx, thermo[stack][first_pos], -1)
+            b.w(c_idx, at_least(stack, first_pos), -1)
         else:
-            b.w(c_idx, thermo[stack][digit_class], 1)
+            b.w(c_idx, at_least(stack, digit_class), 1)
             higher = [
                 ci
                 for ci, dv in enumerate(spec.digit_values)
                 if dv > d
             ]
             if higher:
-                b.w(c_idx, thermo[stack][higher[0]], -1)
-        cond_cache[key] = c_idx
+                b.w(c_idx, at_least(stack, higher[0]), -1)
         return c_idx
 
     # Rules: raw guards sampled at phase _PH_RAW, so raw is live at phase 3;
@@ -401,9 +419,9 @@ def compile_program(prog: MicroProgram) -> Network:
         b.w(raw, phi[_PH_RAW], 1)
         for guard in rule.guards:
             if guard.kind == "empty":
-                b.w(raw, ne[guard.stack], -1)
+                b.w(raw, nonempty(guard.stack), -1)
             elif guard.kind == "nonempty":
-                b.w(raw, ne[guard.stack], 1)
+                b.w(raw, nonempty(guard.stack), 1)
                 positives += 1
             elif guard.kind == "top":
                 b.w(raw, top_cond(guard.stack, guard.digit_class), 1)
@@ -443,14 +461,14 @@ def compile_program(prog: MicroProgram) -> Network:
             cand = b.neuron(f"cand{r_i}.{stack_name}", act=SAT, bias=-1)
             b.w(cand, md[r_i], 1)
             if op.kind == "pop":
-                b.w(cand, rem[stack_name], 1)
+                b.w(cand, remainder(stack_name), 1)
             elif op.kind == "push":
                 d = spec.digit_values[op.digit_class]
                 b.w(cand, reg[stack_name], Fraction(1, base))
                 b.add_bias(cand, Fraction(d, base))
             elif op.kind == "poppush":
                 d = spec.digit_values[op.digit_class]
-                b.w(cand, rem[stack_name], Fraction(1, base))
+                b.w(cand, remainder(stack_name), Fraction(1, base))
                 b.add_bias(cand, Fraction(d, base))
             elif op.kind == "pushmany":
                 if not spec.is_unary:
@@ -487,13 +505,14 @@ def compile_program(prog: MicroProgram) -> Network:
             b.w(q[st], kq, -1)
     target_pulse: dict[str, int] = {}
     for r_i, rule in enumerate(prog.rules):
+        if rule.next_state not in q:
+            continue
         if rule.next_state not in target_pulse:
             target_pulse[rule.next_state] = b.neuron(f"tp.{rule.next_state}")
             b.w(q[rule.next_state], target_pulse[rule.next_state], 1)
         b.w(target_pulse[rule.next_state], md[r_i], 1)
 
     # Outputs.
-    out = prog.output
     flag_idx: Optional[int] = None
     if out.flag_states:
         flag_idx = b.neuron("out.flag")
@@ -521,7 +540,7 @@ def compile_program(prog: MicroProgram) -> Network:
         for st in out.accept_states:
             b.w(out_data, q[st], 1)
         for stack_name in out.require_empty:
-            b.w(out_data, ne[stack_name], -1)
+            b.w(out_data, nonempty(stack_name), -1)
 
     return b.build(
         n_lines,

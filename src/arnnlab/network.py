@@ -147,16 +147,12 @@ class Network:
         """Copy of the network with one state weight substituted."""
         weights = dict(self.state_weights)
         weights[(i, j)] = scalar
-        return self._with_scalars(weights, self.input_weights, self.biases)
-
-    def _with_scalars(self, state_weights, input_weights, biases) -> "Network":
-        """Copy of the network with other weight and bias maps."""
         return Network(
             self.n_neurons,
             self.n_inputs,
-            state_weights=state_weights,
-            input_weights=input_weights,
-            biases=biases,
+            state_weights=weights,
+            input_weights=self.input_weights,
+            biases=self.biases,
             activations=self.activations,
             out_data=self.out_data,
             out_valid=self.out_valid,
@@ -197,10 +193,10 @@ def step(
     """One synchronous update; exact for integer/rational scalars.
 
     An exact net with an all-rational state steps on the integer kernel,
-    ``_fast_step``.  With lazy scalars, or interval components in the
-    state, a precision budget is required and state components may become
-    interval enclosures; an undecidable signal activation raises
-    ``UnknownSign`` naming the neuron.
+    ``_fast_step``.  With lazy scalars (streams with no known horizon), or
+    interval components in the state, a precision budget is required and
+    state components may become interval enclosures; an undecidable signal
+    activation raises ``UnknownSign`` naming the neuron.
     """
     if len(state) != net.n_neurons:
         raise ShapeError(f"state has {len(state)} components, expected {net.n_neurons}")
@@ -272,10 +268,9 @@ class _CompiledNet:
     net is read-only, so an entry never goes stale; the memo is emptied
     whole when it reaches ``_UNIT_MEMO_CAP`` entries.
 
-    On a lazy net, ``pinned`` is the compiled copy of the net with each
-    stream pinned at its horizon, on which ``run`` steps it (see
-    :func:`_kernel`), or None when some stream has no known horizon.
-    ``exact`` stays False on such a net.
+    ``exact`` is False only when some scalar is a stream with no known
+    horizon; a stream with a finite horizon is the rational of its digits
+    (see ``ExactScalar.exact_fraction``) and is scaled like any other.
     """
 
     def __init__(self, net: Network) -> None:
@@ -320,12 +315,6 @@ class _CompiledNet:
         # the smallest integer sum (over d) that sets a neuron to 1
         self.ceil = [d if act == SAT else 1 for act in net.activations]
         self.unit_memo: dict[tuple, dict[int, int]] = {}
-        # built by _kernel on the first run, so that compiling stays cheap
-        self.pinned = _UNBUILT
-
-
-#: ``_CompiledNet.pinned`` of a net that ``run`` has not stepped yet.
-_UNBUILT = object()
 
 #: Entries at which a net's unit memo is emptied whole; in one cycle of the
 #: benchmark's workloads, no net meets more than 545 distinct keys.
@@ -336,33 +325,6 @@ def _compiled(net: Network) -> _CompiledNet:
     if net._compiled is None:
         object.__setattr__(net, "_compiled", _CompiledNet(net))
     return net._compiled
-
-
-def _kernel(net: Network) -> Optional[_CompiledNet]:
-    """The compiled net on which ``run`` steps ``net`` exactly, or None.
-
-    That is the net's own on an exact net.  A stream with a finite horizon denotes the rational of its digits up to
-    that horizon: ``UnitReal.bounds(n)`` pins it there for every
-    ``n >= horizon``, strict or not, so whenever the interval path decides
-    a sign it decides it as this rational does.  A net whose lazy scalars
-    are all such streams therefore runs on the compiled copy with each
-    stream replaced by that rational.
-    """
-    cn = _compiled(net)
-    if cn.exact:
-        return cn
-    if cn.pinned is _UNBUILT:
-        cn.pinned = None
-        maps = [dict(m) for m in (net.state_weights, net.input_weights, net.biases)]
-        for m in maps:
-            for key, scalar in m.items():
-                if not scalar.is_exact:
-                    stream = scalar.stream
-                    if stream.horizon is None:
-                        return None
-                    m[key] = ExactScalar.from_fraction(stream.truncated_fraction(stream.horizon))
-        cn.pinned = _compiled(net._with_scalars(*maps))
-    return cn.pinned
 
 
 class _IntState:
@@ -519,12 +481,11 @@ def run(
     output data line on the first tick the output validation line is 1;
     ``Verdict.TIMEOUT`` is returned if the tick budget runs out first.
 
-    An exact net steps on the integer kernel, and so does a net whose lazy
-    scalars are all streams with a finite horizon (every compiled
-    stream-weight oracle net), with each stream pinned at its horizon; see
-    :func:`_kernel`.  A net that carries a stream with no known horizon
-    steps through ``step`` on interval enclosures refined to at most 128
-    digits, and a sign they cannot decide raises ``UnknownSign``.
+    An exact net steps on the integer kernel; that includes every net whose
+    streams all have a finite horizon, such as each compiled stream-weight
+    oracle net.  A net that carries a stream with no known horizon steps
+    through ``step`` on interval enclosures refined to at most 128 digits,
+    and a sign they cannot decide raises ``UnknownSign``.
     """
     if net.out_data is None or net.out_valid is None:
         raise ConfigError("network has no designated output lines")
@@ -534,8 +495,8 @@ def run(
         )
     lines = [net.line_for_symbol(ch) for ch in word] if word else []
 
-    kernel = _kernel(net)
-    if kernel is not None:
+    cn = _compiled(net)
+    if cn.exact:
         state: Sequence[Value] = _IntState(net.n_neurons, {}, 1)
     else:
         state = zero_state(net)
@@ -553,9 +514,9 @@ def run(
         else:
             inputs = zeros
             validation = 0
-        if kernel is not None:
+        if cn.exact:
             # every numerator kept in nz is positive, so a bit is membership
-            state = _fast_step(kernel, state, inputs, validation)
+            state = _fast_step(cn, state, inputs, validation)
             nz = state.nz
             data_bit = 1 if data in nz else 0
             valid_bit = 1 if valid in nz else 0

@@ -23,6 +23,7 @@ from arnnlab import (
     UnitReal,
     Verdict,
     cantor_encode,
+    classify_network,
     compose_nets,
     decode_membership,
     dfa_budget,
@@ -353,14 +354,6 @@ def test_oracle_net_rejects_binary_packing():
         OracleNetSpec(ExactScalar.oracle(table, "binary", "0'"), AB)
 
 
-def test_oracle_net_rejects_unknown_index_encoder():
-    table = OracleTable.from_language(abstar_language(), 8)
-    with pytest.raises(ConstructionError):
-        OracleNetSpec(
-            ExactScalar.oracle(table, CANTOR4, "0'"), AB, index_encoder="godel"
-        )
-
-
 def test_oracle_net_accepts_finite_stream():
     digits = OracleTable.from_language(abstar_language(), 12).digit_view(CANTOR4)
     stream = UnitReal.from_digits(digits.prefix(12), base=4, degree_label="0")
@@ -371,12 +364,12 @@ def test_oracle_net_accepts_finite_stream():
 
 
 def test_oracle_net_interval_path_matches_exact_oracle():
-    # a strict-horizon stream weight is not exact, so the net is not exact;
-    # run steps it with the stream pinned at its horizon, and it must give
-    # the exact oracle net's bits in the same number of ticks
+    # a strict-horizon stream weight is the rational of its digits, so the
+    # net is exact and runs on the integer kernel; it must give the exact
+    # oracle net's bits in the same number of ticks
     table = OracleTable.from_language(abstar_language(), 2)
     lazy = ExactScalar.from_stream(table.digit_view(CANTOR4))
-    assert not lazy.is_exact
+    assert lazy.is_exact
     nets = [
         oracle_net(OracleNetSpec(lazy, AB)),
         oracle_net(OracleNetSpec(ExactScalar.oracle(table, CANTOR4, "0'"), AB)),
@@ -393,7 +386,7 @@ def test_oracle_net_interval_path_matches_exact_oracle():
 def test_stream_oracle_net_decides_past_the_interval_precision():
     # on a horizon-80 table these indices need the stream's value past the
     # 128-digit interval budget (the interval path ended in UnknownSign at
-    # neuron 31); pinned at its horizon, the stream-weight net gives the
+    # neuron 31); exact at its horizon, the stream-weight net gives the
     # exact oracle net's bits in the same number of ticks
     language = Language.from_members(AB, [string_of_index(i, AB) for i in (3, 66, 79)])
     table = OracleTable.from_language(language, 80)
@@ -405,7 +398,7 @@ def test_stream_oracle_net_decides_past_the_interval_precision():
         got = oracle_consult(lazy, word, oracle_budget(word, AB))
         assert (got[0], got[1].ticks) == (want[0], want[1].ticks), index
         assert got[0] == bit, index
-    assert not lazy.is_exact()
+    assert lazy.is_exact()
 
 
 def test_oracle_net_rejects_infinite_stream():
@@ -499,17 +492,28 @@ def test_compose_first_net_without_out_valid_is_shape_error():
 def test_compose_rejects_inexact_colliding_handoff_weight():
     # the second net reads both its data line and its validation line from
     # the first net's valid output, so the two weights land on one key and
-    # must be merged; a lazy stream weight has no exact sum
-    lazy = ExactScalar.from_stream(UnitReal.from_function(lambda n: n % 2))
-    second = Network(
-        1,
-        1,
-        input_weights={(0, 0): lazy, (0, 1): ExactScalar.integer(1)},
-        out_data=0,
-        out_valid=0,
-    )
-    with pytest.raises(ConstructionError):
-        compose_nets(identity_pass_net(), second, {0: "valid"})
+    # must be merged; only rationals merge, since a sum would lose a lazy
+    # stream's value or an oracle's or stream's degree label
+    def second(weight):
+        return Network(
+            1,
+            1,
+            input_weights={(0, 0): weight, (0, 1): ExactScalar.integer(1)},
+            out_data=0,
+            out_valid=0,
+        )
+
+    table = OracleTable.from_language(abstar_language(), 8)
+    for weight in (
+        ExactScalar.from_stream(UnitReal.from_function(lambda n: n % 2), "0'"),
+        ExactScalar.oracle(table, CANTOR4, "0''"),
+        ExactScalar.from_stream(UnitReal.from_digits([1, 0, 1]), "0'"),
+    ):
+        assert classify_network(second(weight)).degrees
+        with pytest.raises(ConstructionError, match="not rational"):
+            compose_nets(identity_pass_net(), second(weight), {0: "valid"})
+    merged = compose_nets(identity_pass_net(), second(ExactScalar.rational(1, 2)), {0: "valid"})
+    assert merged.state_weights[(2, 1)] == ExactScalar.rational(3, 2)
 
 
 def test_composed_parts_match_monolithic_oracle():

@@ -25,8 +25,8 @@ from arnnlab import (
     two_stack_to_net,
     zero_state,
 )
-from arnnlab.exact import affine_combine, saturated_sigma, signal
-from arnnlab.network import _compiled, _fast_step, _kernel
+from arnnlab.exact import ScalarKind, affine_combine, saturated_sigma, signal
+from arnnlab.network import _compiled, _fast_step
 
 from conftest import anbn_machine, parity_dfa, words_up_to
 
@@ -259,10 +259,14 @@ def dense_step(net, state, inputs, validation, budget):
 
 
 def random_stream(rng):
-    """A lazy scalar known to a strict horizon of 1-12 digits, as in the
-    stream-weight oracle nets.  (Against an interval source wider than the
-    precision target, affine_combine never stops refining a stream that has
-    no horizon.)"""
+    """A lazy scalar: a stream of random binary digits with no horizon."""
+    digits = random.Random(rng.random())
+    return ExactScalar.from_stream(UnitReal(gen=iter(lambda: digits.randint(0, 1), None)))
+
+
+def finite_stream(rng):
+    """A stream known to a strict horizon of 1-12 digits, as in the
+    stream-weight oracle nets: an exact scalar, the rational of its digits."""
     horizon = rng.randint(1, 12)
     digits = [rng.randint(0, 1) for _ in range(horizon)]
     return ExactScalar.from_stream(UnitReal(digits, horizon=horizon, strict_horizon=True))
@@ -430,6 +434,7 @@ def test_weight_maps_are_read_only_and_caches_are_per_net():
     assert (key[0], lazy) in copy._compiled.state_edges[key[1]]
     assert (key[0], lazy) not in net._compiled.state_edges[key[1]]
     assert recognizes(net, sample, lambda w: dfa_budget(len(w))).all_agree
+    assert net.replace_state_weight(*key, finite_stream(random.Random(1))).is_exact()
 
 
 
@@ -507,40 +512,53 @@ def test_run_with_lazy_weight_decides_through_intervals():
         out_data=0,
         out_valid=1,
     )
+    # that stream has no known horizon, so run stays on the interval path
     assert not net.is_exact()
     result = run(net, "", 4)
     assert result.verdict == Verdict.ACCEPT
-    # that stream has no known horizon, so run stays on the interval path
-    assert _kernel(net) is None
     # where the 128-digit budget cannot settle a sign, run raises
     zeros = UnitReal(gen=iter([0] * 500), base=2)
     undecided = Network(
         1, 0, biases={0: ExactScalar.from_stream(zeros)}, activations=("sig",),
         out_data=0, out_valid=0,
     )
+    assert not undecided.is_exact()
     with pytest.raises(UnknownSign, match="neuron 0"):
         run(undecided, "", 4)
-    assert _kernel(undecided) is None
-    # a stream with a horizon is pinned there instead: the net is still not
-    # exact, but run steps a pinned copy on the integer kernel
-    pinned = Network(
+    # a stream with a horizon is the rational of its digits: the net is
+    # exact, and run and step take the integer kernel
+    finite = Network(
         2,
         0,
-        biases={0: random_stream(random.Random(3)), 1: ExactScalar.integer(1)},
+        biases={0: finite_stream(random.Random(3)), 1: ExactScalar.integer(1)},
         activations=("sat", "sig"),
         out_data=0,
         out_valid=1,
     )
-    kernel = _kernel(pinned)
-    assert not pinned.is_exact() and kernel.exact and kernel is not pinned._compiled
-    assert run(pinned, "", 4).verdict == Verdict.ACCEPT
+    assert finite.is_exact()
+    assert run(finite, "", 4).verdict == Verdict.ACCEPT
+    stream = finite.biases[0].stream
+    assert step(finite, (0, 0)) == (stream.truncated_fraction(stream.horizon), 1)
 
 
 def reference_run(net, word, ticks):
-    """``run``'s protocol stepped through public ``step`` from the zero state
-    on interval enclosures, with a 128-digit budget that raises
-    ``UnknownSign`` where it cannot decide; returns (verdict, ticks, flagged)."""
+    """``run``'s protocol stepped by ``dense_step`` from the zero state on
+    interval enclosures, with a 128-digit budget that raises ``UnknownSign``
+    where it cannot decide; returns (verdict, ticks, flagged).  Each stream
+    scalar is handed to ``affine_combine`` as its bare ``UnitReal``, which
+    stays lazy, so a stream is refined digit by digit as a real would be."""
     budget = PrecisionBudget(max_digits=128, on_exhaustion="fail")
+
+    def lazy(scalars):
+        return {k: w.stream if w.kind == ScalarKind.STREAM else w for k, w in scalars.items()}
+
+    # never compiled: dense_step reads the weight maps directly
+    net = Network(
+        net.n_neurons, net.n_inputs, state_weights=lazy(net.state_weights),
+        input_weights=lazy(net.input_weights), biases=lazy(net.biases),
+        activations=net.activations, out_data=net.out_data, out_valid=net.out_valid,
+        out_flag=net.out_flag, input_symbols=net.input_symbols,
+    )
     m = net.n_inputs
     state = zero_state(net)
     for t in range(ticks):
@@ -549,7 +567,7 @@ def reference_run(net, word, ticks):
             bits, v = tuple(int(j == line) for j in range(m)), 1
         else:
             bits, v = (0,) * m, 0
-        state = step(net, state, bits, v, budget=budget)
+        state = dense_step(net, state, bits, v, budget)
         if signal(state[net.out_valid]):
             verdict = Verdict.ACCEPT if signal(state[net.out_data]) else Verdict.REJECT
             return verdict, t + 1, bool(signal(state[net.out_flag]))
@@ -558,8 +576,8 @@ def reference_run(net, word, ticks):
 
 def test_run_on_pinned_streams_matches_interval_steps():
     # nets whose weights and biases include streams with a strict horizon:
-    # run steps them on the integer kernel with each stream pinned at its
-    # horizon, and must agree with interval steps wherever those decide
+    # they are exact, so run steps them on the integer kernel, and it must
+    # agree with interval steps on the lazy streams wherever those decide
     rng = random.Random(60605)
     seen = Counter()
     for _ in range(200):
@@ -572,7 +590,7 @@ def test_run_on_pinned_streams_matches_interval_steps():
             if rng.random() < 0.4
         }
         for _ in range(rng.randint(1, 3)):
-            sw[(rng.randrange(n), rng.randrange(n))] = random_stream(rng)
+            sw[(rng.randrange(n), rng.randrange(n))] = finite_stream(rng)
         iw = {
             (i, j): ExactScalar.rational(rng.randint(-2, 2), rng.choice([1, 2]))
             for i in range(n)
@@ -580,21 +598,21 @@ def test_run_on_pinned_streams_matches_interval_steps():
             if rng.random() < 0.4
         }
         for _ in range(rng.randint(0, 2)):
-            iw[(rng.randrange(n), rng.randrange(m + 1))] = random_stream(rng)
+            iw[(rng.randrange(n), rng.randrange(m + 1))] = finite_stream(rng)
         bias = {
             i: ExactScalar.rational(rng.randint(-4, 4), rng.choice([1, 2, 4]))
             for i in range(n)
             if rng.random() < 0.5
         }
         for _ in range(rng.randint(0, 2)):
-            bias[rng.randrange(n)] = random_stream(rng)
+            bias[rng.randrange(n)] = finite_stream(rng)
         acts = tuple(rng.choice(["sat", "sat", "sig"]) for _ in range(n))
         data, valid, flag = rng.sample(range(n), 3)
         net = Network(
             n, m, state_weights=sw, input_weights=iw, biases=bias, activations=acts,
             out_data=data, out_valid=valid, out_flag=flag, input_symbols="ab"[:m],
         )
-        assert not net.is_exact()
+        assert net.is_exact()
         for _ in range(3):
             word = "".join(rng.choice("ab"[:m]) for _ in range(rng.randint(0, 4)))
             ticks = len(word) + rng.randint(1, 12)
@@ -607,5 +625,4 @@ def test_run_on_pinned_streams_matches_interval_steps():
             assert (result.verdict, result.ticks, result.flagged) == want, (word, ticks)
             seen[want[0]] += 1
             seen["flagged"] += want[2]
-        assert _kernel(net).exact
     assert all(seen[k] >= 20 for k in (*Verdict, "flagged")), seen
