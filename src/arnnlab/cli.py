@@ -165,12 +165,10 @@ def _cmd_spike_encode(args) -> str:
     digits = [int(c) for c in args.digits]
     real = UnitReal.from_digits(digits, degree_label=args.label)
     schedule = timing_encode(real, len(digits))
-    text = formats.format_schedule(schedule)
     if args.out is not None:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        formats.save_schedule(schedule, args.out)
         return ""
-    return text.rstrip("\n")
+    return formats.format_schedule(schedule).rstrip("\n")
 
 
 def _cmd_spike_decode(args) -> str:

@@ -330,13 +330,13 @@ def _word_net(
         MicroRule(
             "REV",
             (Guard("wb", "top", buffer_class(s)),),
-            (StackOp("wb", "pop"), StackOp("in", "push", s)),
+            (StackOp("wb", pops=1), StackOp("in", push=(s,))),
             "REV",
         )
         for s in range(k)
     ]
     drain.append(
-        MicroRule("REV", (Guard("wb", "top", 0),), (StackOp("wb", "pop"),), "REV")
+        MicroRule("REV", (Guard("wb", "top", 0),), (StackOp("wb", pops=1),), "REV")
     )
     drain.append(MicroRule("REV", (Guard("wb", "empty"),), (), first_state))
     prog = MicroProgram(
@@ -348,16 +348,6 @@ def _word_net(
         oracle=oracle,
     )
     return compile_program(prog)
-
-
-def _stack_op(stack: str, pop: Optional[int], push: Optional[int]) -> Optional[StackOp]:
-    if pop is not None and push is not None:
-        return StackOp(stack, "poppush", digit_class=push)
-    if pop is not None:
-        return StackOp(stack, "pop")
-    if push is not None:
-        return StackOp(stack, "push", digit_class=push)
-    return None
 
 
 def two_stack_to_net(machine: TwoStackMachine) -> Network:
@@ -374,13 +364,14 @@ def two_stack_to_net(machine: TwoStackMachine) -> Network:
             guards.append(Guard("in", "empty"))
         else:
             guards.append(Guard("in", "top", machine.alphabet.rank(rule.read)))
-            ops.append(StackOp("in", "pop"))
+            ops.append(StackOp("in", pops=1))
         for stack, pop, push in (("s1", rule.pop1, rule.push1), ("s2", rule.pop2, rule.push2)):
             if pop is not None:
                 guards.append(Guard(stack, "top", pop))
-            op = _stack_op(stack, pop, push)
-            if op is not None:
-                ops.append(op)
+            if pop is not None or push is not None:
+                ops.append(
+                    StackOp(stack, int(pop is not None), () if push is None else (push,))
+                )
         rules.append(
             MicroRule(
                 f"m.{rule.state}",
@@ -452,14 +443,14 @@ def _index_rules(k: int, after_state: str) -> list[MicroRule]:
     loop returns the total to c1 before the next symbol.
     """
     rules = [
-        MicroRule("IDX", (), (StackOp("c1", "push", 0),), "RD"),
+        MicroRule("IDX", (), (StackOp("c1", push=(0,)),), "RD"),
     ]
     for s in range(k):
         rules.append(
             MicroRule(
                 "RD",
                 (Guard("in", "top", s),),
-                (StackOp("in", "pop"),),
+                (StackOp("in", pops=1),),
                 f"DBL{s}",
             )
         )
@@ -468,24 +459,19 @@ def _index_rules(k: int, after_state: str) -> list[MicroRule]:
         rules.append(
             MicroRule(
                 f"DBL{s}",
-                (Guard("c1", "nonempty"),),
-                (StackOp("c1", "pop"), StackOp("c2", "pushmany", count=k)),
+                (Guard("c1", "top", 0),),
+                (StackOp("c1", pops=1), StackOp("c2", push=(0,) * k)),
                 f"DBL{s}",
             )
         )
         offset = s + 2 - k
-        if offset > 0:
-            adjust: tuple[StackOp, ...] = (StackOp("c2", "pushmany", count=offset),)
-        elif offset < 0:
-            adjust = (StackOp("c2", "popmany", count=-offset),)
-        else:
-            adjust = ()
+        adjust = (StackOp("c2", max(-offset, 0), (0,) * max(offset, 0)),) if offset else ()
         rules.append(MicroRule(f"DBL{s}", (Guard("c1", "empty"),), adjust, "MV"))
     rules.append(
         MicroRule(
             "MV",
-            (Guard("c2", "nonempty"),),
-            (StackOp("c2", "pop"), StackOp("c1", "push", 0)),
+            (Guard("c2", "top", 0),),
+            (StackOp("c2", pops=1), StackOp("c1", push=(0,))),
             "MV",
         )
     )
@@ -496,8 +482,8 @@ def _index_rules(k: int, after_state: str) -> list[MicroRule]:
 def _extract_rules() -> list[MicroRule]:
     """Pop the oracle once per counter unit beyond the first, then answer."""
     return [
-        MicroRule("EX1", (Guard("c1", "nonempty"),), (StackOp("c1", "pop"),), "EX2"),
-        MicroRule("EX2", (Guard("c1", "nonempty"),), (StackOp("x", "pop"),), "EX1"),
+        MicroRule("EX1", (Guard("c1", "top", 0),), (StackOp("c1", pops=1),), "EX2"),
+        MicroRule("EX2", (Guard("c1", "top", 0),), (StackOp("x", pops=1),), "EX1"),
         MicroRule("EX2", (Guard("c1", "empty"),), (), "ANS"),
         MicroRule("ANS", (Guard("x", "top", 1),), (), "ACC"),
         MicroRule("ANS", (Guard("x", "top", 0),), (), "REJ"),
@@ -537,7 +523,7 @@ def oracle_net_parts(spec: OracleNetSpec) -> tuple[Network, Network, dict[int, s
     n_rules = _index_rules(len(spec.alphabet), "EMIT")
     n_rules.append(
         MicroRule(
-            "EMIT", (Guard("c1", "nonempty"),), (StackOp("c1", "pop"),), "EMIT", emit=True
+            "EMIT", (Guard("c1", "top", 0),), (StackOp("c1", pops=1),), "EMIT", emit=True
         )
     )
     n_rules.append(MicroRule("EMIT", (Guard("c1", "empty"),), (), "DONE"))
@@ -554,13 +540,13 @@ def oracle_net_parts(spec: OracleNetSpec) -> tuple[Network, Network, dict[int, s
         MicroRule(
             "CNT",
             (Guard("wb", "top", buffer_class(1)),),
-            (StackOp("wb", "pop"), StackOp("c1", "push", 0)),
+            (StackOp("wb", pops=1), StackOp("c1", push=(0,))),
             "CNT",
         ),
         MicroRule(
-            "CNT", (Guard("wb", "top", buffer_class(0)),), (StackOp("wb", "pop"),), "CNT"
+            "CNT", (Guard("wb", "top", buffer_class(0)),), (StackOp("wb", pops=1),), "CNT"
         ),
-        MicroRule("CNT", (Guard("wb", "top", 0),), (StackOp("wb", "pop"),), "CNT"),
+        MicroRule("CNT", (Guard("wb", "top", 0),), (StackOp("wb", pops=1),), "CNT"),
         MicroRule("CNT", (Guard("wb", "empty"),), (), "EX1"),
     ]
     o_rules += _extract_rules()

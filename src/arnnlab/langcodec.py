@@ -272,15 +272,7 @@ class OracleTable:
 
     def packed_value(self, encoding: str) -> Fraction:
         """Exact rational value of the truncated packing."""
-        if encoding == BINARY:
-            total = Fraction(0)
-            for i, b in enumerate(self.bits, start=1):
-                if b:
-                    total += Fraction(1, 2**i)
-            return total
-        if encoding == CANTOR4:
-            return cantor_encode(self.bits)
-        raise ValueError(f"unknown encoding {encoding!r}")
+        return self.digit_view(encoding).truncated_fraction(self.horizon)
 
 
 # ---------------------------------------------------------------------------

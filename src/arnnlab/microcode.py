@@ -17,6 +17,10 @@ tick, the continuously recomputed senses are always fresh by the time guards
 sample them.  Only stacks that a guard, an op, the output or the oracle names
 get a register, and every neuron built is read by another neuron or is an
 output.
+
+A rule tests stacks with guards (empty, or a given top digit class) and
+writes each stack with at most one op of a single form: pop some digits,
+then push some digit classes.  Each op compiles to one candidate neuron.
 """
 
 from __future__ import annotations
@@ -157,17 +161,29 @@ class StackSpec:
 
 @dataclass(frozen=True)
 class Guard:
+    """A rule's test of one stack: ``"empty"``, or ``"top"`` digit class.
+
+    On a unary register, ``Guard(s, "top", 0)`` is the nonempty test.
+    """
+
     stack: str
-    kind: str  # "empty" | "nonempty" | "top"
+    kind: str  # "empty" | "top"
     digit_class: int = -1
 
 
 @dataclass(frozen=True)
 class StackOp:
+    """Pop ``pops`` digits of ``stack``, then push the classes in ``push``.
+
+    The pushed digit classes land in order, so the last one ends on top.
+    Only a unary register pops more than one digit at once; it pops
+    affinely, so a pop past its bottom leaves it empty (saturating at 0)
+    only when nothing is pushed after it.
+    """
+
     stack: str
-    kind: str  # "pop" | "push" | "poppush" | "pushmany" | "popmany"
-    digit_class: int = -1
-    count: int = 1
+    pops: int = 0
+    push: tuple[int, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -380,28 +396,23 @@ def compile_program(prog: MicroProgram) -> Network:
         return senses[name]
 
     def top_cond(stack: str, digit_class: int) -> int:
-        spec = stacks[stack]
-        d = spec.digit_values[digit_class]
+        """High when the top digit is that of the digit class."""
+        vals = stacks[stack].digit_values
+        d = vals[digit_class]
+        if d > 0 and digit_class == len(vals) - 1:
+            # nothing lies above the highest digit: its thermometer says it
+            return at_least(stack, digit_class)
         name = f"{stack}.top{d}"
         if name in senses:
             return senses[name]
         c_idx = senses[name] = b.neuron(name)
         if d == 0:
-            # Nonempty but below the smallest positive digit.
+            # Nonempty but below the smallest positive digit, which is
+            # the next class up since the digits ascend.
             b.w(c_idx, nonempty(stack), 1)
-            first_pos = next(
-                ci for ci, dv in enumerate(spec.digit_values) if dv > 0
-            )
-            b.w(c_idx, at_least(stack, first_pos), -1)
         else:
             b.w(c_idx, at_least(stack, digit_class), 1)
-            higher = [
-                ci
-                for ci, dv in enumerate(spec.digit_values)
-                if dv > d
-            ]
-            if higher:
-                b.w(c_idx, at_least(stack, higher[0]), -1)
+        b.w(c_idx, at_least(stack, digit_class + 1), -1)
         return c_idx
 
     # Rules: raw guards sampled at phase _PH_RAW, so raw is live at phase 3;
@@ -420,9 +431,6 @@ def compile_program(prog: MicroProgram) -> Network:
         for guard in rule.guards:
             if guard.kind == "empty":
                 b.w(raw, nonempty(guard.stack), -1)
-            elif guard.kind == "nonempty":
-                b.w(raw, nonempty(guard.stack), 1)
-                positives += 1
             elif guard.kind == "top":
                 b.w(raw, top_cond(guard.stack, guard.digit_class), 1)
                 positives += 1
@@ -445,47 +453,41 @@ def compile_program(prog: MicroProgram) -> Network:
     # Every x is at most 1, so sigma(x + md - 1) is x when md = 1 and 0
     # otherwise; and reg and rem hold still from phase 2 to phase 6, so the
     # x read at phase 5 is the x of the guards' configuration.
+    # x is the source scaled by base**-len(push) plus each pushed digit's
+    # bias.  The source is reg when nothing is popped, reg's affine image
+    # base**m * reg - (base**m - 1)/(base - 1) when a unary register pops m
+    # digits, and rem when any other register pops its top digit.  A unary
+    # pop past the bottom saturates at 0 when nothing is pushed after it.
     writers: dict[str, list[int]] = {}  # stack -> md of each rule writing it
     for r_i, rule in enumerate(prog.rules):
-        per_stack: dict[str, list[StackOp]] = {}
+        if len({op.stack for op in rule.ops}) != len(rule.ops):
+            raise ConstructionError(f"rule {r_i}: at most one op per stack per rule")
         for op in rule.ops:
-            per_stack.setdefault(op.stack, []).append(op)
-        for stack_name, ops in per_stack.items():
-            if len(ops) != 1:
-                raise ConstructionError(
-                    f"rule {r_i}: at most one op per stack per rule"
-                )
-            op = ops[0]
-            spec = stacks[stack_name]
+            spec = stacks[op.stack]
             base = spec.base
-            cand = b.neuron(f"cand{r_i}.{stack_name}", act=SAT, bias=-1)
+            if not op.pops and not op.push:
+                raise ConstructionError(
+                    f"rule {r_i}: op on {op.stack!r} neither pops nor pushes"
+                )
+            if op.pops > 1 and not spec.is_unary:
+                raise ConstructionError(
+                    f"rule {r_i}: only a unary stack pops {op.pops} digits"
+                )
+            cand = b.neuron(f"cand{r_i}.{op.stack}", act=SAT, bias=-1)
             b.w(cand, md[r_i], 1)
-            if op.kind == "pop":
-                b.w(cand, remainder(stack_name), 1)
-            elif op.kind == "push":
-                d = spec.digit_values[op.digit_class]
-                b.w(cand, reg[stack_name], Fraction(1, base))
-                b.add_bias(cand, Fraction(d, base))
-            elif op.kind == "poppush":
-                d = spec.digit_values[op.digit_class]
-                b.w(cand, remainder(stack_name), Fraction(1, base))
-                b.add_bias(cand, Fraction(d, base))
-            elif op.kind == "pushmany":
-                if not spec.is_unary:
-                    raise ConstructionError("pushmany only on unary stacks")
-                m = op.count
-                b.w(cand, reg[stack_name], Fraction(1, base**m))
-                b.add_bias(cand, Fraction(base**m - 1, (base - 1) * base**m))
-            elif op.kind == "popmany":
-                if not spec.is_unary:
-                    raise ConstructionError("popmany only on unary stacks")
-                m = op.count
-                b.w(cand, reg[stack_name], base**m)
-                b.add_bias(cand, -Fraction(base**m - 1, base - 1))
-            else:
-                raise ConstructionError(f"unknown op kind {op.kind!r}")
-            b.w(reg[stack_name], cand, 1)
-            writers.setdefault(stack_name, []).append(md[r_i])
+            source, weight, bias = reg[op.stack], Fraction(1), Fraction(0)
+            if op.pops and spec.is_unary:
+                weight = Fraction(base**op.pops)
+                bias = -Fraction(base**op.pops - 1, base - 1)
+            elif op.pops:
+                source = remainder(op.stack)
+            for digit_class in op.push:
+                weight /= base
+                bias = (bias + spec.digit_values[digit_class]) / base
+            b.w(cand, source, weight)
+            b.add_bias(cand, bias)
+            b.w(reg[op.stack], cand, 1)
+            writers.setdefault(op.stack, []).append(md[r_i])
 
     for stack_name, md_list in writers.items():
         kill = b.neuron(f"kill.{stack_name}", act=SAT, bias=-1)

@@ -452,7 +452,6 @@ class RunResult:
     verdict: Verdict
     trace: IOTrace
     ticks: int
-    decided_at: Optional[int] = None
     flagged: bool = False
 
 
@@ -533,11 +532,7 @@ def run(
         if valid_bit:
             verdict = Verdict.ACCEPT if data_bit else Verdict.REJECT
             return RunResult(
-                verdict,
-                tuple(records),
-                ticks=t + 1,
-                decided_at=t + 1,
-                flagged=bool(flag_bit),
+                verdict, tuple(records), ticks=t + 1, flagged=bool(flag_bit)
             )
     return RunResult(Verdict.TIMEOUT, tuple(records), ticks=budget)
 

@@ -10,8 +10,11 @@ sets.
 import re
 from fractions import Fraction
 
+import pytest
+
 from arnnlab import (
     CANTOR4,
+    ConstructionError,
     ExactScalar,
     OracleNetSpec,
     OracleTable,
@@ -22,6 +25,14 @@ from arnnlab import (
     run,
     two_stack_budget,
     two_stack_to_net,
+)
+from arnnlab.microcode import (
+    MicroProgram,
+    MicroRule,
+    OutputSpec,
+    StackOp,
+    StackSpec,
+    compile_program,
 )
 from arnnlab.network import _compiled, _fast_step
 
@@ -215,3 +226,68 @@ def test_anbn_tick_counts_pinned():
     pinned = {"": 17, "ab": 54, "ba": 40, "aab": 76, "abab": 70, "aabb": 84, "aaabbb": 114}
     for word, ticks in pinned.items():
         assert run(net, word, 1_000, record_trace=False).ticks == ticks, word
+
+
+def test_compiled_net_sizes_pinned():
+    # neurons and nonzero weights (state, input and bias) of each net
+    pinned = {
+        "anbn": (85, 238),
+        "oracle": (152, 393),
+        "transmitter": (120, 305),
+        "extractor": (88, 213),
+        "composed": (208, 518),
+        "copy": (95, 277),
+    }
+    for label, net in compiled_nets().items():
+        weights = len(net.state_weights) + len(net.input_weights) + len(net.biases)
+        assert (net.n_neurons, weights) == pinned[label], label
+
+
+def test_no_relay_senses():
+    # a unary register pops affinely, so it has no remainder neuron; and a
+    # guard on a register's highest digit reads that digit's thermometer
+    unary = ("c1", "c2")
+    highest = {"wb": 11, "in": 3, "s1": 3, "s2": 3, "x": 3}
+    nets = compiled_nets()
+    for label, net in nets.items():
+        names = {n.removeprefix("2.") for n in net.neuron_names}
+        assert not names & {f"{s}.rem" for s in unary}, label
+        assert not names & {f"{s}.top{d}" for s, d in highest.items()}, label
+    assert "c1.ne" in nets["oracle"].neuron_names
+
+
+def one_op_program(stack, op):
+    return MicroProgram(
+        stacks=(stack,),
+        rules=(MicroRule("A", (), (op,), "A"),),
+        start_state="A",
+        symbols=("a",),
+        output=OutputSpec(),
+    )
+
+
+def test_stack_op_candidate_weights():
+    # pushes land in order, the last on top: x/16 + 1/16 + 3/4 after
+    # pushing digit classes 0 then 1 onto a base-4 {1, 3} register
+    binary = StackSpec("s", 4, (1, 3))
+    net = compile_program(one_op_program(binary, StackOp("s", push=(0, 1))))
+    names = net.neuron_names
+    cand, reg = names.index("cand0.s"), names.index("s.val")
+    assert net.state_weights[(cand, reg)].value == Fraction(1, 16)
+    assert net.biases[cand].value == -1 + Fraction(13, 16)
+    # a unary register pops m digits affinely: 4**m x - (4**m - 1)/3
+    unary = StackSpec("s", 4, (1,))
+    net = compile_program(one_op_program(unary, StackOp("s", pops=2)))
+    names = net.neuron_names
+    cand, reg = names.index("cand0.s"), names.index("s.val")
+    assert net.state_weights[(cand, reg)].value == 16
+    assert net.biases[cand].value == -1 - 5
+    assert "s.rem" not in names
+
+
+def test_stack_op_rejects_empty_and_multi_pop_ops():
+    binary = StackSpec("s", 4, (1, 3))
+    with pytest.raises(ConstructionError, match="neither pops nor pushes"):
+        compile_program(one_op_program(binary, StackOp("s")))
+    with pytest.raises(ConstructionError, match="only a unary stack pops 2"):
+        compile_program(one_op_program(binary, StackOp("s", pops=2, push=(1,))))

@@ -466,7 +466,7 @@ def test_run_trace_validation_profile():
     vals = [rec.validation for rec in result.trace]
     assert vals[:2] == [1, 1]
     assert all(v == 0 for v in vals[2:])
-    assert result.trace[result.decided_at - 1].out_valid == 1
+    assert result.trace[result.ticks - 1].out_valid == 1
 
 
 def test_run_deterministic():
