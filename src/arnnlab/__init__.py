@@ -11,6 +11,7 @@ from .compilers import (
     Rule,
     TwoStackMachine,
     compose_nets,
+    composed_oracle_budget,
     dfa_budget,
     dfa_to_net,
     oracle_budget,
@@ -41,14 +42,11 @@ from .errors import (
 from .exact import (
     BINARY,
     CANTOR4,
-    Cmp,
     ExactScalar,
     Interval,
     PrecisionBudget,
     UnitReal,
     affine_combine,
-    compare_with_precision,
-    digit_at,
     saturated_sigma,
     signal,
 )

@@ -241,6 +241,8 @@ class TwoStackMachine:
 
     def __post_init__(self) -> None:
         state_set = set(self.states)
+        if len(state_set) != len(self.states):
+            raise ConstructionError("duplicate state names")
         if self.start not in state_set:
             raise ConstructionError(f"start state {self.start!r} undeclared")
         for acc in self.accepting:
@@ -431,7 +433,7 @@ class OracleNetSpec:
             if stream.horizon is None:
                 raise ConstructionError(
                     "stream oracle needs a finite horizon to embed as a weight; "
-                    "take a snapshot(n) first"
+                    "build it with UnitReal.from_digits(real.prefix(n))"
                 )
 
 

@@ -5,9 +5,10 @@ values, lazily-known reals are demand-driven digit streams with memoised
 prefixes, and oracle-backed reals are finite truncated tables.  No floating
 point is used anywhere.
 
-Digit streams denote values in the half-open unit interval [0, 1) and are
-assumed canonical (no eventual all-(base-1) tail), which is what makes the
-half-open prefix enclosures used by :func:`compare_with_precision` sound.
+A digit stream is exact iff its horizon is known: finitely many digits
+denote the rational they spell.  A stream with no known horizon is lazy,
+and the operations below enclose it by its prefixes, refining as far as a
+:class:`PrecisionBudget` allows.
 """
 
 from __future__ import annotations
@@ -21,14 +22,11 @@ from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from .errors import HorizonExceeded, ShapeError, UnknownSign
 
 __all__ = [
-    "Cmp",
     "ExactScalar",
     "Interval",
     "PrecisionBudget",
     "UnitReal",
     "affine_combine",
-    "compare_with_precision",
-    "digit_at",
     "saturated_sigma",
     "signal",
 ]
@@ -40,34 +38,20 @@ ONE = Fraction(1)
 BOTTOM_LABEL = "0"
 
 
-class Cmp(Enum):
-    """Result of a precision-bounded comparison."""
-
-    LESS = "less"
-    EQUAL = "equal"
-    GREATER = "greater"
-    UNKNOWN = "unknown"
-
-
 @dataclass(frozen=True)
 class PrecisionBudget:
     """How hard to work before giving up on a lazily-known value.
 
     ``max_digits`` sets the enclosure target 2**-max_digits; operations
-    refine their operands as far as needed to reach it.  ``on_exhaustion``
-    selects between reporting ``Cmp.UNKNOWN`` and raising ``UnknownSign``
-    for operations whose result admits an unknown verdict.  Operations that
-    must return a value (``signal``, ``saturated_sigma``) always raise.
+    refine their operands as far as needed to reach it, and ``signal``
+    raises ``UnknownSign`` when that many digits leave the sign undecided.
     """
 
     max_digits: int = 64
-    on_exhaustion: str = "unknown"  # "unknown" | "fail"
 
     def __post_init__(self) -> None:
         if self.max_digits < 1:
             raise ValueError("max_digits must be >= 1")
-        if self.on_exhaustion not in ("unknown", "fail"):
-            raise ValueError("on_exhaustion must be 'unknown' or 'fail'")
 
 
 class UnitReal:
@@ -80,27 +64,27 @@ class UnitReal:
     horizon raises :class:`HorizonExceeded` (the oracle-backed case, where
     "unknown" must stay distinguishable from "zero").
 
-    ``strict_horizon`` governs only ``digit_at``.  A finite expansion
-    denotes the rational of its digits up to the horizon either way:
+    The one exactness rule: an expansion is exact iff its horizon is
+    known.  ``strict_horizon`` governs only ``digit_at``; either way
     ``bounds(n)`` for ``n >= horizon`` is the single point
     ``truncated_fraction(horizon)``, and ``ExactScalar.exact_fraction`` is
     that rational.  A generator that runs dry before a declared horizon
-    leaves zeros up to it.
+    leaves zeros up to it; one that runs dry with no horizon declared sets
+    the horizon where it stopped.
 
     The memo is single-owner mutable state; to share an expansion across
-    threads, materialise a ``snapshot(n)`` and share that instead.
+    threads, share ``UnitReal.from_digits(r.prefix(n))`` instead.
     """
 
     def __init__(
         self,
-        digits: Sequence[int] = (),
+        digits: Iterable[int] = (),
         *,
         gen: Optional[Iterator[int]] = None,
         base: int = 2,
         horizon: Optional[int] = None,
         strict_horizon: bool = False,
         degree_label: Optional[str] = None,
-        exact_value: Optional[Fraction] = None,
     ) -> None:
         if base not in (2, 4):
             raise ValueError("base must be 2 or 4")
@@ -112,7 +96,6 @@ class UnitReal:
         self.horizon = horizon
         self.strict_horizon = strict_horizon
         self.degree_label = degree_label
-        self.exact_value = exact_value
         for d in self._memo:
             self._check_digit(d)
 
@@ -128,18 +111,8 @@ class UnitReal:
         degree_label: Optional[str] = None,
     ) -> "UnitReal":
         """Finite expansion; digits past the end are zero (or an error)."""
-        ds = tuple(digits)
-        numerator = 0
-        for d in ds:
-            numerator = numerator * base + d
-        value = Fraction(numerator, base ** len(ds)) if ds else Fraction(0)
         return cls(
-            ds,
-            base=base,
-            horizon=len(ds),
-            strict_horizon=strict_horizon,
-            degree_label=degree_label,
-            exact_value=value,
+            digits, base=base, strict_horizon=strict_horizon, degree_label=degree_label
         )
 
     @classmethod
@@ -158,7 +131,7 @@ class UnitReal:
                 digit, num = divmod(num, den)
                 yield digit
 
-        return cls(gen=longdiv(), base=base, degree_label=degree_label, exact_value=value)
+        return cls(gen=longdiv(), base=base, degree_label=degree_label)
 
     @classmethod
     def from_function(
@@ -229,12 +202,6 @@ class UnitReal:
             return lo, lo
         lo = self.truncated_fraction(n)
         return lo, lo + Fraction(1, self.base**n)
-
-    def snapshot(self, n: int) -> "UnitReal":
-        """Frozen finite truncation of the first n digits (shareable)."""
-        return UnitReal.from_digits(
-            self.prefix(n), base=self.base, degree_label=self.degree_label
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         shown = "".join(str(d) for d in self._memo[:12])
@@ -337,40 +304,19 @@ class ExactScalar:
 
     # -- views -----------------------------------------------------------
 
-    @property
-    def is_exact(self) -> bool:
-        """True when the scalar denotes a single known rational."""
-        return self.exact_fraction() is not None
-
     def exact_fraction(self) -> Optional[Fraction]:
         """The scalar as an exact ``Fraction``, or None for a lazy stream.
 
         Oracle scalars denote the truncated rational packed from their
-        table.  A stream with a finite horizon, strict or not, carries
-        finitely many digits and so denotes the rational of those digits;
-        only a stream with no known horizon (and no known value) is lazy.
+        table.  A stream is exact iff its horizon is known, strict or not:
+        it then denotes the rational of its digits up to the horizon.
         """
         if self.kind in (ScalarKind.INTEGER, ScalarKind.RATIONAL):
             return self.value
         if self.kind == ScalarKind.ORACLE:
             return self.table.packed_value(self.encoding)
-        assert self.stream is not None
-        if self.stream.exact_value is not None:
-            return self.stream.exact_value
-        if self.stream.horizon is not None:
-            return self.stream.truncated_fraction(self.stream.horizon)
-        return None
-
-    def digits(self) -> UnitReal:
-        """Digit-expansion view; the scalar must denote a value in [0, 1)."""
-        if self.kind == ScalarKind.STREAM:
-            return self.stream
-        if self.kind == ScalarKind.ORACLE:
-            return self.table.digit_view(self.encoding, degree_label=self.degree_label)
-        value = self.value
-        if not (0 <= value < 1):
-            raise ValueError("only scalars in [0, 1) have a digit expansion")
-        return UnitReal.from_fraction(value)
+        horizon = self.stream.horizon
+        return None if horizon is None else self.stream.truncated_fraction(horizon)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.kind in (ScalarKind.INTEGER, ScalarKind.RATIONAL):
@@ -400,13 +346,6 @@ def _resolve(x: Operand) -> Union[Fraction, UnitReal, Interval]:
     if isinstance(x, (UnitReal, Interval)):
         return x
     raise TypeError(f"unsupported operand {x!r}")
-
-
-def digit_at(x: Union[UnitReal, ExactScalar], n: int) -> int:
-    """The n-th digit (1-based) of the expansion of ``x``."""
-    if isinstance(x, ExactScalar):
-        x = x.digits()
-    return x.digit_at(n)
 
 
 def _require_budget(budget: Optional[PrecisionBudget], what: str) -> PrecisionBudget:
@@ -553,64 +492,3 @@ def affine_combine(
             n *= 2
         result = result.add(term)
     return result
-
-
-def compare_with_precision(
-    x: Operand, y: Operand, budget: PrecisionBudget
-) -> Cmp:
-    """Three-way comparison, with ``Cmp.UNKNOWN`` for undecided lazy pairs.
-
-    Exact operands compare exactly.  Digit streams are compared through
-    half-open prefix enclosures [prefix, prefix + base**-n), refined up to
-    ``budget.max_digits`` digits; equality of two streams is only ever
-    reported for the identical stream object or for finite expansions that
-    pin the values down exactly.
-    """
-    if isinstance(x, (UnitReal, ExactScalar)) and x is y:
-        return Cmp.EQUAL
-    rx = _resolve(x)
-    ry = _resolve(y)
-    if isinstance(rx, UnitReal) and isinstance(ry, UnitReal) and rx is ry:
-        return Cmp.EQUAL
-    if isinstance(rx, Interval) or isinstance(ry, Interval):
-        raise TypeError("compare_with_precision does not accept intervals")
-
-    def bounds_at(r: Union[Fraction, UnitReal], n: int) -> tuple[Fraction, Fraction, bool]:
-        # (lo, hi, hi_exclusive)
-        if isinstance(r, Fraction):
-            return r, r, False
-        lo, hi = r.bounds(n)
-        return lo, hi, hi != lo
-
-    if isinstance(rx, Fraction) and isinstance(ry, Fraction):
-        if rx < ry:
-            return Cmp.LESS
-        if rx > ry:
-            return Cmp.GREATER
-        return Cmp.EQUAL
-
-    n = 1
-    while True:
-        xlo, xhi, xopen = bounds_at(rx, n)
-        ylo, yhi, yopen = bounds_at(ry, n)
-        # x in [xlo, xhi) when open, x == xlo when closed; same for y.
-        if xopen:
-            if xhi <= ylo:  # x < xhi <= ylo <= y
-                return Cmp.LESS
-        elif xlo < ylo:  # x == xlo < ylo <= y
-            return Cmp.LESS
-        if yopen:
-            if xlo >= yhi:  # y < yhi <= xlo <= x
-                return Cmp.GREATER
-        elif xlo > ylo:  # x >= xlo > ylo == y
-            return Cmp.GREATER
-        if not xopen and not yopen:
-            return Cmp.EQUAL  # both closed and neither side decided above
-        if n >= budget.max_digits:
-            break
-        n = min(n * 2, budget.max_digits)
-    if budget.on_exhaustion == "fail":
-        raise UnknownSign(
-            f"comparison undecided after {budget.max_digits} digits"
-        )
-    return Cmp.UNKNOWN

@@ -58,7 +58,7 @@ from typing import Iterable, Optional
 
 from .compilers import Dfa, Rule, TwoStackMachine
 from .degrees import DegreeOrder
-from .errors import AlphabetError, FormatError
+from .errors import AlphabetError, FormatError, ShapeError
 from .exact import BINARY, CANTOR4, ExactScalar, ScalarKind
 from .langcodec import Alphabet, Language, OracleTable
 from .network import SAT, SIG, Network
@@ -189,6 +189,7 @@ def save_oracle_table(table: OracleTable, path: str) -> None:
 def _state_line(
     parts: list[str],
     where: str,
+    seen: set[tuple],
     states: list[str],
     accepting: set[str],
     start: Optional[str],
@@ -197,6 +198,7 @@ def _state_line(
     if len(parts) < 2:
         raise FormatError(f"{where}: state line needs a name")
     name = parts[1]
+    _once(seen, ("state", name), where)
     states.append(name)
     for flag in parts[2:]:
         if flag == "accept":
@@ -220,7 +222,7 @@ def load_dfa(path: str) -> Dfa:
     for lineno, line in _lines(_read(path)):
         parts = line.split()
         if parts[0] == "state":
-            start = _state_line(parts, f"{path}:{lineno}", states, accepting, start)
+            start = _state_line(parts, f"{path}:{lineno}", seen, states, accepting, start)
         elif parts[0] == "trans" and len(parts) == 4:
             _, src, sym, dst = parts
             _once(seen, ("trans", src, sym), f"{path}:{lineno}")
@@ -262,7 +264,7 @@ def load_two_stack(path: str) -> TwoStackMachine:
             _once(seen, ("alphabet",), where)
             alphabet = Alphabet.of(line[len("alphabet:") :].strip())
         elif parts[0] == "state":
-            start = _state_line(parts, where, states, accepting, start)
+            start = _state_line(parts, where, seen, states, accepting, start)
         elif parts[0] == "rule":
             if len(parts) != 9 or parts[5] != "->":
                 raise FormatError(
@@ -386,18 +388,21 @@ def load_network(path: str) -> Network:
     if n_neurons is None or n_inputs is None:
         raise FormatError(f"{path}: missing 'neurons N inputs M' header")
     activations = tuple(acts.get(i, SAT) for i in range(n_neurons))
-    return Network(
-        n_neurons,
-        n_inputs,
-        state_weights=state_weights,
-        input_weights=input_weights,
-        biases=biases,
-        activations=activations,
-        out_data=outs.get("out_data"),
-        out_valid=outs.get("out_valid"),
-        out_flag=outs.get("out_flag"),
-        input_symbols=symbols,
-    )
+    try:
+        return Network(
+            n_neurons,
+            n_inputs,
+            state_weights=state_weights,
+            input_weights=input_weights,
+            biases=biases,
+            activations=activations,
+            out_data=outs.get("out_data"),
+            out_valid=outs.get("out_valid"),
+            out_flag=outs.get("out_flag"),
+            input_symbols=symbols,
+        )
+    except ShapeError as exc:
+        raise FormatError(f"{path}: {exc}") from exc
 
 
 def format_network(net: Network) -> tuple[str, dict[str, ExactScalar]]:

@@ -177,8 +177,8 @@ class StackOp:
 
     The pushed digit classes land in order, so the last one ends on top.
     Only a unary register pops more than one digit at once; it pops
-    affinely, so a pop past its bottom leaves it empty (saturating at 0)
-    only when nothing is pushed after it.
+    affinely, so a pop past its bottom leaves it empty (saturating at 0).
+    A unary op pops or pushes, not both.
     """
 
     stack: str
@@ -457,7 +457,8 @@ def compile_program(prog: MicroProgram) -> Network:
     # bias.  The source is reg when nothing is popped, reg's affine image
     # base**m * reg - (base**m - 1)/(base - 1) when a unary register pops m
     # digits, and rem when any other register pops its top digit.  A unary
-    # pop past the bottom saturates at 0 when nothing is pushed after it.
+    # pop past the bottom saturates at 0, which only holds with no push after
+    # it, so a unary op may not do both.
     writers: dict[str, list[int]] = {}  # stack -> md of each rule writing it
     for r_i, rule in enumerate(prog.rules):
         if len({op.stack for op in rule.ops}) != len(rule.ops):
@@ -472,6 +473,10 @@ def compile_program(prog: MicroProgram) -> Network:
             if op.pops > 1 and not spec.is_unary:
                 raise ConstructionError(
                     f"rule {r_i}: only a unary stack pops {op.pops} digits"
+                )
+            if op.pops and op.push and spec.is_unary:
+                raise ConstructionError(
+                    f"rule {r_i}: unary stack {op.stack!r} cannot pop and push in one op"
                 )
             cand = b.neuron(f"cand{r_i}.{op.stack}", act=SAT, bias=-1)
             b.w(cand, md[r_i], 1)

@@ -463,7 +463,7 @@ def _out_bit(value: Value) -> int:
 
 #: How far ``run`` refines lazy scalars before a sign counts as undecidable,
 #: on a net that carries a stream with no known horizon.
-_LAZY_BUDGET = PrecisionBudget(max_digits=128, on_exhaustion="fail")
+_LAZY_BUDGET = PrecisionBudget(max_digits=128)
 
 
 def run(

@@ -140,6 +140,11 @@ def test_random_dfas_match_direct_simulation():
 # -- two-stack machines ----------------------------------------------------------
 
 
+def test_machine_rejects_duplicate_state_names():
+    with pytest.raises(ConstructionError, match="duplicate state names"):
+        TwoStackMachine(("S", "T", "T"), AB, (), "S", frozenset({"T"}))
+
+
 def test_machine_rejects_nondeterminism():
     with pytest.raises(ConstructionError):
         TwoStackMachine(
@@ -369,7 +374,7 @@ def test_oracle_net_interval_path_matches_exact_oracle():
     # oracle net's bits in the same number of ticks
     table = OracleTable.from_language(abstar_language(), 2)
     lazy = ExactScalar.from_stream(table.digit_view(CANTOR4))
-    assert lazy.is_exact
+    assert lazy.exact_fraction() is not None
     nets = [
         oracle_net(OracleNetSpec(lazy, AB)),
         oracle_net(OracleNetSpec(ExactScalar.oracle(table, CANTOR4, "0'"), AB)),

@@ -1,4 +1,4 @@
-"""Exact number tower: streams, activations, affine forms, comparison."""
+"""Exact number tower: streams, activations, affine forms, scalars."""
 
 import itertools
 import signal as signal_module
@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arnnlab import (
-    Cmp,
     ExactScalar,
     HorizonExceeded,
     Interval,
@@ -18,8 +17,6 @@ from arnnlab import (
     UnitReal,
     UnknownSign,
     affine_combine,
-    compare_with_precision,
-    digit_at,
     saturated_sigma,
     signal,
 )
@@ -33,14 +30,14 @@ from conftest import abstar_language
 
 def test_digit_at_abstar_expansion():
     r = encode_language(abstar_language(), 25)
-    assert digit_at(r, 2) == 1
-    assert digit_at(r, 1) == 0
+    assert r.digit_at(2) == 1
+    assert r.digit_at(1) == 0
 
 
 def test_digit_at_one_third():
     # long-division oracle: 1/3 = 0.010101...
     r = UnitReal.from_fraction(Fraction(1, 3))
-    assert digit_at(r, 4) == 1
+    assert r.digit_at(4) == 1
     assert r.prefix(8) == (0, 1, 0, 1, 0, 1, 0, 1)
 
 
@@ -48,6 +45,11 @@ def test_digit_at_beyond_finite_horizon_pads_zero():
     r = UnitReal.from_digits([1, 0, 1])
     assert r.digit_at(5) == 0
     assert r.horizon == 3
+
+
+def test_from_digits_rejects_out_of_range_digit():
+    with pytest.raises(ValueError):
+        UnitReal.from_digits([0, 2])
 
 
 def test_digit_at_strict_horizon_raises():
@@ -251,62 +253,6 @@ def test_affine_interval_times_stream_encloses_product(
     assert got.width <= value * box.width + Fraction(1, 2**max_digits)
 
 
-# -- compare_with_precision ----------------------------------------------------
-
-
-def test_compare_exact_rationals():
-    budget = PrecisionBudget(max_digits=4)
-    assert compare_with_precision(Fraction(1, 2), Fraction(1, 2), budget) == Cmp.EQUAL
-
-
-def test_compare_streams_of_known_rationals():
-    # rational subtraction oracle: 1/3 - 1/4 > 0
-    budget = PrecisionBudget(max_digits=4)
-    x = UnitReal.from_fraction(Fraction(1, 3))
-    y = UnitReal.from_fraction(Fraction(1, 4))
-    assert compare_with_precision(x, y, budget) == Cmp.GREATER
-    assert compare_with_precision(y, x, budget) == Cmp.LESS
-
-
-def test_compare_agreeing_streams_is_unknown():
-    budget = PrecisionBudget(max_digits=4)
-    x = UnitReal(gen=iter([0, 1, 0, 1] + [0] * 64), base=2)
-    y = UnitReal(gen=iter([0, 1, 0, 1] + [1] * 64), base=2)
-    assert compare_with_precision(x, y, budget) == Cmp.UNKNOWN
-
-
-def test_compare_identical_stream_object_is_equal():
-    budget = PrecisionBudget(max_digits=4)
-    x = UnitReal.from_function(lambda n: n % 2)
-    assert compare_with_precision(x, x, budget) == Cmp.EQUAL
-
-
-def test_compare_exhaustion_can_fail():
-    budget = PrecisionBudget(max_digits=4, on_exhaustion="fail")
-    x = UnitReal(gen=iter([0] * 64), base=2)
-    y = UnitReal(gen=iter([0] * 64), base=2)
-    with pytest.raises(UnknownSign):
-        compare_with_precision(x, y, budget)
-
-
-@given(
-    st.fractions(min_value=0, max_value=1).filter(lambda f: f < 1),
-    st.fractions(min_value=0, max_value=1).filter(lambda f: f < 1),
-)
-@settings(max_examples=80)
-def test_compare_streams_never_wrong(a, b):
-    budget = PrecisionBudget(max_digits=16)
-    x = UnitReal(gen=iter(UnitReal.from_fraction(a).prefix(64)), base=2)
-    y = UnitReal(gen=iter(UnitReal.from_fraction(b).prefix(64)), base=2)
-    got = compare_with_precision(x, y, budget)
-    if got == Cmp.LESS:
-        assert a < b
-    elif got == Cmp.GREATER:
-        assert a > b
-    else:
-        assert got == Cmp.UNKNOWN
-
-
 # -- scalars -------------------------------------------------------------------
 
 
@@ -324,7 +270,10 @@ def test_stream_scalar_is_exact_iff_its_horizon_is_known():
     dry = UnitReal(gen=iter([1]), base=4, horizon=3, strict_horizon=True)
     assert ExactScalar.from_stream(dry).exact_fraction() == Fraction(1, 4)
     lazy = ExactScalar.from_stream(UnitReal.from_function(lambda n: n % 2))
-    assert lazy.exact_fraction() is None and not lazy.is_exact
+    assert lazy.exact_fraction() is None
+    # an infinite expansion of a known rational is lazy too: no horizon
+    third = ExactScalar.from_stream(UnitReal.from_fraction(Fraction(1, 3)))
+    assert third.exact_fraction() is None
 
 
 def test_integer_and_rational_carry_bottom_label():
@@ -335,5 +284,3 @@ def test_integer_and_rational_carry_bottom_label():
 def test_budget_validation():
     with pytest.raises(ValueError):
         PrecisionBudget(max_digits=0)
-    with pytest.raises(ValueError):
-        PrecisionBudget(on_exhaustion="explode")

@@ -137,6 +137,9 @@ def test_dfa_repeated_transition_is_format_error(tmp_path):
     )
     with pytest.raises(FormatError, match="repeats an earlier 'trans' record"):
         load_dfa(str(path))
+    path.write_text("state q start accept\nstate q\ntrans q a q\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:2: repeats an earlier 'state'")):
+        load_dfa(str(path))
 
 
 @pytest.mark.parametrize(
@@ -168,6 +171,9 @@ def test_two_stack_repeated_alphabet_is_format_error(tmp_path):
     path = tmp_path / "dup.tsm"
     path.write_text("alphabet: ab\nalphabet: a\nstate S start accept\n", encoding="utf-8")
     with pytest.raises(FormatError, match="repeats an earlier 'alphabet' record"):
+        load_two_stack(str(path))
+    path.write_text("alphabet: ab\nstate S start\nstate T accept\nstate T\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:4: repeats an earlier 'state'")):
         load_two_stack(str(path))
 
 
@@ -330,6 +336,20 @@ def test_network_repeated_symbol_is_format_error(tmp_path):
     path = tmp_path / "dup.net"
     path.write_text(TINY_NET.replace("symbols a", "symbols aa"), encoding="utf-8")
     with pytest.raises(FormatError, match=re.escape(f"{path}:2: symbols 'aa' repeat")):
+        load_network(str(path))
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("a 5 0 int:1", "state weight (5,0) out of range"),
+        ("symbols ab", "one symbol per data line required"),
+    ],
+)
+def test_network_shape_error_names_the_file(tmp_path, line, message):
+    path = tmp_path / "bad.net"
+    path.write_text(f"neurons 2 inputs 1\n{line}\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: {message}")):
         load_network(str(path))
 
 

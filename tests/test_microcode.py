@@ -291,3 +291,7 @@ def test_stack_op_rejects_empty_and_multi_pop_ops():
         compile_program(one_op_program(binary, StackOp("s")))
     with pytest.raises(ConstructionError, match="only a unary stack pops 2"):
         compile_program(one_op_program(binary, StackOp("s", pops=2, push=(1,))))
+    # a unary pop past the bottom then a push would not saturate in between
+    unary = StackSpec("s", 4, (1,))
+    with pytest.raises(ConstructionError, match="cannot pop and push"):
+        compile_program(one_op_program(unary, StackOp("s", pops=1, push=(0,))))

@@ -547,7 +547,7 @@ def reference_run(net, word, ticks):
     where it cannot decide; returns (verdict, ticks, flagged).  Each stream
     scalar is handed to ``affine_combine`` as its bare ``UnitReal``, which
     stays lazy, so a stream is refined digit by digit as a real would be."""
-    budget = PrecisionBudget(max_digits=128, on_exhaustion="fail")
+    budget = PrecisionBudget(max_digits=128)
 
     def lazy(scalars):
         return {k: w.stream if w.kind == ScalarKind.STREAM else w for k, w in scalars.items()}
