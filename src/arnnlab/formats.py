@@ -342,6 +342,7 @@ def _format_scalar(
 
 
 def load_network(path: str) -> Network:
+    """Read a network file; equal scalar tokens share one scalar object."""
     base_dir = os.path.dirname(os.path.abspath(path))
     n_neurons: Optional[int] = None
     n_inputs: Optional[int] = None
@@ -352,6 +353,14 @@ def load_network(path: str) -> Network:
     acts: dict[int, str] = {}
     outs: dict[str, int] = {}
     seen: set[tuple] = set()
+    parsed: dict[str, ExactScalar] = {}
+
+    def scalar(token: str, where: str) -> ExactScalar:
+        value = parsed.get(token)
+        if value is None:
+            value = parsed[token] = _parse_scalar(token, base_dir, where)
+        return value
+
     for lineno, line in _lines(_read(path)):
         where = f"{path}:{lineno}"
         parts = line.split()
@@ -368,12 +377,12 @@ def load_network(path: str) -> Network:
         elif parts[0] in ("a", "b") and len(parts) == 4:
             i, j = _int(parts[1], where), _int(parts[2], where)
             _once(seen, (parts[0], i, j), where)
-            scalar = _parse_scalar(parts[3], base_dir, where)
-            (state_weights if parts[0] == "a" else input_weights)[(i, j)] = scalar
+            weights = state_weights if parts[0] == "a" else input_weights
+            weights[(i, j)] = scalar(parts[3], where)
         elif parts[0] == "c" and len(parts) == 3:
             i = _int(parts[1], where)
             _once(seen, ("c", i), where)
-            biases[i] = _parse_scalar(parts[2], base_dir, where)
+            biases[i] = scalar(parts[2], where)
         elif parts[0] == "activation" and len(parts) == 3:
             if parts[2] not in (SAT, SIG):
                 raise FormatError(f"{where}: activation must be sat or sig")

@@ -57,28 +57,33 @@ _PH_NOMATCH = 3
 
 
 class NetBuilder:
-    """Incremental sparse network assembly with named neurons."""
+    """Incremental sparse network assembly with named neurons.
+
+    Weights and biases stay ``int`` until a ``Fraction`` weight enters, and
+    ``build`` makes one scalar per distinct value, shared by every weight
+    that has it.
+    """
 
     def __init__(self) -> None:
         self._names: list[str] = []
         self._acts: list[str] = []
-        self._biases: dict[int, Fraction] = {}
-        self._state_w: dict[tuple[int, int], Fraction] = {}
+        self._biases: dict[int, Union[int, Fraction]] = {}
+        self._state_w: dict[tuple[int, int], Union[int, Fraction]] = {}
         self._state_scalars: dict[tuple[int, int], ExactScalar] = {}
-        self._input_w: dict[tuple[int, int], Fraction] = {}
+        self._input_w: dict[tuple[int, int], Union[int, Fraction]] = {}
 
     def neuron(self, name: str, act: str = SIG, bias: Union[int, Fraction] = 0) -> int:
         idx = len(self._names)
         self._names.append(name)
         self._acts.append(act)
         if bias:
-            self._biases[idx] = Fraction(bias)
+            self._biases[idx] = bias
         return idx
 
     def w(self, dst: int, src: int, weight: Union[int, Fraction]) -> None:
         if weight:
             key = (dst, src)
-            self._state_w[key] = self._state_w.get(key, Fraction(0)) + Fraction(weight)
+            self._state_w[key] = self._state_w.get(key, 0) + weight
 
     def w_scalar(self, dst: int, src: int, scalar: ExactScalar) -> None:
         """Attach a weight that must keep its scalar identity (oracle reals)."""
@@ -87,11 +92,11 @@ class NetBuilder:
     def win(self, dst: int, column: int, weight: Union[int, Fraction]) -> None:
         if weight:
             key = (dst, column)
-            self._input_w[key] = self._input_w.get(key, Fraction(0)) + Fraction(weight)
+            self._input_w[key] = self._input_w.get(key, 0) + weight
 
     def add_bias(self, dst: int, weight: Union[int, Fraction]) -> None:
         if weight:
-            self._biases[dst] = self._biases.get(dst, Fraction(0)) + Fraction(weight)
+            self._biases[dst] = self._biases.get(dst, 0) + weight
 
     def build(
         self,
@@ -102,8 +107,13 @@ class NetBuilder:
         out_flag: Optional[int] = None,
         input_symbols: Optional[Sequence[str]] = None,
     ) -> Network:
-        def scalarise(frac: Fraction) -> ExactScalar:
-            return ExactScalar.from_fraction(frac)
+        made: dict[Union[int, Fraction], ExactScalar] = {}
+
+        def scalarise(value: Union[int, Fraction]) -> ExactScalar:
+            scalar = made.get(value)
+            if scalar is None:
+                scalar = made[value] = ExactScalar.from_fraction(value)
+            return scalar
 
         state_weights = {k: scalarise(v) for k, v in self._state_w.items() if v}
         state_weights.update(self._state_scalars)

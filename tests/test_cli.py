@@ -244,3 +244,21 @@ def test_failing_compile_leaves_no_output(capsys, tmp_path):
     code, _, err = invoke(capsys, "compile-dfa", "--dfa", str(bad), "--out", str(out_path))
     assert code == 3
     assert not out_path.exists()
+
+
+def test_repeated_main_calls_are_independent(capsys, tmp_path):
+    machine = tmp_path / "anbn.m2"
+    machine.write_text(ANBN_FILE, encoding="utf-8")
+    net = tmp_path / "anbn.net"
+    invoke(capsys, "compile-two-stack", "--machine", str(machine), "--out", str(net))
+    # a repeatable option's values do not carry over to the next call
+    code, out, _ = invoke(capsys, "classify", "--net", str(net), "--timing-label", "0'")
+    assert (code, out) == (0, "oracle-degrees: 0'\n")
+    code, out, _ = invoke(capsys, "classify", "--net", str(net))
+    assert (code, out) == (0, "at-most-turing\n")
+    # nor does a usage error spoil the next call
+    code, _, _ = invoke(capsys, "index", "--alphabet", "ab")
+    assert code == 2
+    code, out, _ = invoke(capsys, "index", "--alphabet", "ab", "--number", "11")
+    assert (code, out) == (0, "abb\n")
+    assert build_parser() is not build_parser()

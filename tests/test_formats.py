@@ -1,6 +1,7 @@
 """Round-trips and error handling for the text file formats."""
 
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -269,6 +270,34 @@ def test_network_roundtrip_two_stack(tmp_path):
         _, steps = machine.execute(w, 1000)
         budget = two_stack_budget(len(w), steps)
         assert run(loaded, w, budget).verdict == run(net, w, budget).verdict
+
+
+def test_equal_scalars_are_one_object_across_save_and_load(tmp_path):
+    from conftest import anbn_machine
+
+    net = two_stack_to_net(anbn_machine())
+    path = tmp_path / "anbn.net"
+    save_network(net, str(path))
+    loaded = load_network(str(path))
+    for n in (net, loaded):
+        scalars = list(n.scalars())
+        assert len(scalars) == 238
+        assert len({id(s) for s in scalars}) == 17
+        assert all(type(s.value) is Fraction for s in scalars)
+    assert format_network(loaded) == format_network(net)
+
+
+def test_oracle_table_named_twice_is_read_once(tmp_path):
+    save_oracle_table(OracleTable.from_entries({2: 1}, 4), str(tmp_path / "t.tbl"))
+    path = tmp_path / "two.net"
+    path.write_text(
+        "neurons 2 inputs 1\na 0 0 oracle:t.tbl:cantor4\na 1 1 oracle:t.tbl:cantor4\n",
+        encoding="utf-8",
+    )
+    loaded = load_network(str(path))
+    assert loaded.state_weights[(0, 0)] is loaded.state_weights[(1, 1)]
+    _, sidecars = format_network(loaded)
+    assert list(sidecars) == ["oracle0.tbl"]
 
 
 def test_network_roundtrip_oracle_sidecar(tmp_path):
