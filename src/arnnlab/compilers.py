@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import ConstructionError, HorizonExceeded, ShapeError
-from .exact import CANTOR4, ExactScalar, ScalarKind, saturated_sigma, signal
+from .errors import ConstructionError, HorizonExceeded, RunTimeout, ShapeError
+from .exact import ExactScalar, ScalarKind, saturated_sigma, signal
 from .langcodec import Alphabet, index_of_string
 from .microcode import (
     Guard,
@@ -408,9 +408,9 @@ def two_stack_budget(word_length: int, machine_steps: int) -> int:
 class OracleNetSpec:
     """What to build an oracle-consulting net from.
 
-    The oracle real must be an oracle- or stream-backed scalar denoting a
-    Cantor-4 packed characteristic sequence; the net consults digit
-    index_of_string(w) of it, the length-lex index of w.
+    The oracle real must be an oracle- or stream-backed scalar whose digit
+    stream is a Cantor-4 packed characteristic sequence; the net consults
+    digit index_of_string(w) of it, the length-lex index of w.
     """
 
     oracle_real: ExactScalar
@@ -419,22 +419,18 @@ class OracleNetSpec:
     def __post_init__(self) -> None:
         if self.oracle_real.kind not in (ScalarKind.ORACLE, ScalarKind.STREAM):
             raise ConstructionError("oracle real must be a Stream or Oracle scalar")
-        if self.oracle_real.kind == ScalarKind.ORACLE:
-            if self.oracle_real.encoding != CANTOR4:
-                raise ConstructionError(
-                    "binary-packed oracles cannot be consulted by threshold "
-                    "gadgets (a 0 digit is indistinguishable from the end of "
-                    "the table); pack the table with cantor4"
-                )
-        else:
-            stream = self.oracle_real.stream
-            if stream.base != 4:
-                raise ConstructionError("stream oracle must be a base-4 expansion")
-            if stream.horizon is None:
-                raise ConstructionError(
-                    "stream oracle needs a finite horizon to embed as a weight; "
-                    "build it with UnitReal.from_digits(real.prefix(n))"
-                )
+        stream = self.oracle_real.stream
+        if stream.base != 4:
+            raise ConstructionError(
+                "oracle real must be a base-4 expansion: threshold gadgets "
+                "cannot tell a binary 0 digit from the end of the table; "
+                "pack the table with cantor4"
+            )
+        if stream.horizon is None:
+            raise ConstructionError(
+                "oracle real needs a finite horizon to embed as a weight; "
+                "build it with UnitReal.from_digits(real.prefix(n))"
+            )
 
 
 def _index_rules(k: int, after_state: str) -> list[MicroRule]:
@@ -590,11 +586,12 @@ def oracle_consult(
     """Run an oracle net and return the membership bit.
 
     Raises :class:`HorizonExceeded` when the net flags that the requested
-    index lies beyond the oracle's truncation.
+    index lies beyond the oracle's truncation, and :class:`RunTimeout` when
+    no verdict comes within ``budget`` ticks.
     """
     result = run(net, word, budget, record_trace=False)
     if result.verdict == Verdict.TIMEOUT:
-        raise ConstructionError(f"oracle net timed out on {word!r}")
+        raise RunTimeout(f"oracle net timed out on {word!r}")
     if result.flagged:
         raise HorizonExceeded(
             f"index of {word!r} lies beyond the oracle's horizon"

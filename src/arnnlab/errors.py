@@ -22,7 +22,7 @@ class AlphabetError(ArnnError):
 
 
 class MembershipUndecided(ArnnError):
-    """A language backing could not decide membership."""
+    """A language's membership test returned None for a string."""
 
 
 class EncodingError(ArnnError):

@@ -2,8 +2,8 @@
 
 Everything here is exact: integers and rationals are stdlib ``Fraction``
 values, lazily-known reals are demand-driven digit streams with memoised
-prefixes, and oracle-backed reals are finite truncated tables.  No floating
-point is used anywhere.
+prefixes, and oracle-backed reals are the digit streams packed from finite
+truncated tables.  No floating point is used anywhere.
 
 A digit stream is exact iff its horizon is known: finitely many digits
 denote the rational they spell.  A stream with no known horizon is lazy,
@@ -258,7 +258,9 @@ class ExactScalar:
 
     Integer and rational scalars always carry the bottom degree label "0".
     Stream scalars default to "0" (a computable sequence); oracle scalars
-    carry whatever label was declared for them, possibly none.
+    carry whatever label was declared for them, possibly none.  An oracle
+    scalar's ``stream`` is its table's packed digits, strict past the
+    table's horizon; ``table`` and ``encoding`` say what to write to a file.
     """
 
     kind: ScalarKind
@@ -298,23 +300,26 @@ class ExactScalar:
 
     @classmethod
     def oracle(cls, table, encoding: str = CANTOR4, label: Optional[str] = None) -> "ExactScalar":
-        if encoding not in (BINARY, CANTOR4):
-            raise ValueError(f"unknown oracle encoding {encoding!r}")
-        return cls(ScalarKind.ORACLE, table=table, encoding=encoding, degree_label=label)
+        """The table's packed digit stream, kept with the table it came from."""
+        return cls(
+            ScalarKind.ORACLE,
+            stream=table.digit_view(encoding),
+            table=table,
+            encoding=encoding,
+            degree_label=label,
+        )
 
     # -- views -----------------------------------------------------------
 
     def exact_fraction(self) -> Optional[Fraction]:
         """The scalar as an exact ``Fraction``, or None for a lazy stream.
 
-        Oracle scalars denote the truncated rational packed from their
-        table.  A stream is exact iff its horizon is known, strict or not:
-        it then denotes the rational of its digits up to the horizon.
+        Streams and oracles alike are digit streams.  A stream is exact iff
+        its horizon is known, strict or not: it then denotes the rational of
+        its digits up to the horizon.  An oracle's stream always has one.
         """
         if self.kind in (ScalarKind.INTEGER, ScalarKind.RATIONAL):
             return self.value
-        if self.kind == ScalarKind.ORACLE:
-            return self.table.packed_value(self.encoding)
         horizon = self.stream.horizon
         return None if horizon is None else self.stream.truncated_fraction(horizon)
 
@@ -332,8 +337,6 @@ Operand = Union[int, Fraction, ExactScalar, UnitReal, Interval]
 
 def _resolve(x: Operand) -> Union[Fraction, UnitReal, Interval]:
     """Normalise an operand to Fraction (exact), UnitReal, or Interval."""
-    if isinstance(x, bool):
-        return Fraction(int(x))
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, Fraction):

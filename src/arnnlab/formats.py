@@ -54,12 +54,13 @@ Spike schedule files::
 from __future__ import annotations
 
 import os
-from typing import Iterable, Optional
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Optional
 
 from .compilers import Dfa, Rule, TwoStackMachine
 from .degrees import DegreeOrder
-from .errors import AlphabetError, FormatError, ShapeError
-from .exact import BINARY, CANTOR4, ExactScalar, ScalarKind
+from .errors import AlphabetError, ConstructionError, FormatError, LatticeError, ShapeError
+from .exact import ExactScalar, ScalarKind
 from .langcodec import Alphabet, Language, OracleTable
 from .network import SAT, SIG, Network
 from .spikes import SpikeSchedule
@@ -100,6 +101,21 @@ def _once(seen: set[tuple], key: tuple, where: str) -> None:
     seen.add(key)
 
 
+@contextmanager
+def _named(where: str, *errors: type[Exception]) -> Iterator[None]:
+    """Re-raise ``errors`` as a :class:`FormatError` that names ``where``."""
+    try:
+        yield
+    except errors as exc:
+        raise FormatError(f"{where}: {exc}") from exc
+
+
+def _alphabet(line: str, where: str) -> Alphabet:
+    """The alphabet of an ``alphabet: SYMBOLS`` line."""
+    with _named(where, AlphabetError):
+        return Alphabet.of(line[len("alphabet:") :].strip())
+
+
 def _int(token: str, where: str) -> int:
     try:
         return int(token)
@@ -121,7 +137,7 @@ def load_language(path: str) -> Language:
         where = f"{path}:{lineno}"
         if line.startswith("alphabet:"):
             _once(seen, ("alphabet",), where)
-            alphabet = Alphabet.of(line[len("alphabet:") :].strip())
+            alphabet = _alphabet(line, where)
         elif line.startswith("member:"):
             members.append(line[len("member:") :].strip())
         elif line.startswith("rule:"):
@@ -136,11 +152,10 @@ def load_language(path: str) -> Language:
     if rule is not None and members:
         raise FormatError(f"{path}: give either members or a rule, not both")
     if rule is not None:
-        try:
+        with _named(rule_where, ValueError, AlphabetError):
             return Language.from_rule(alphabet, *rule)
-        except (ValueError, AlphabetError) as exc:
-            raise FormatError(f"{rule_where}: {exc}") from exc
-    return Language.from_members(alphabet, members)
+    with _named(path, AlphabetError):
+        return Language.from_members(alphabet, members)
 
 
 # ---------------------------------------------------------------------------
@@ -167,10 +182,8 @@ def load_oracle_table(path: str) -> OracleTable:
             raise FormatError(f"{path}:{lineno}: unrecognised line {line!r}")
     if horizon is None:
         raise FormatError(f"{path}: missing 'horizon' line")
-    try:
+    with _named(path, ValueError):
         return OracleTable.from_entries(entries, horizon)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def save_oracle_table(table: OracleTable, path: str) -> None:
@@ -233,13 +246,14 @@ def load_dfa(path: str) -> Dfa:
             raise FormatError(f"{path}:{lineno}: unrecognised line {line!r}")
     if start is None:
         raise FormatError(f"{path}: no start state declared")
-    return Dfa(
-        tuple(states),
-        Alphabet.of(symbols),
-        transitions,
-        start,
-        frozenset(accepting),
-    )
+    with _named(path, ConstructionError, AlphabetError):
+        return Dfa(
+            tuple(states),
+            Alphabet.of(symbols),
+            transitions,
+            start,
+            frozenset(accepting),
+        )
 
 
 def _bit_or_none(token: str, where: str) -> Optional[int]:
@@ -262,7 +276,7 @@ def load_two_stack(path: str) -> TwoStackMachine:
         parts = line.split()
         if line.startswith("alphabet:"):
             _once(seen, ("alphabet",), where)
-            alphabet = Alphabet.of(line[len("alphabet:") :].strip())
+            alphabet = _alphabet(line, where)
         elif parts[0] == "state":
             start = _state_line(parts, where, seen, states, accepting, start)
         elif parts[0] == "rule":
@@ -289,9 +303,10 @@ def load_two_stack(path: str) -> TwoStackMachine:
         raise FormatError(f"{path}: missing 'alphabet:' line")
     if start is None:
         raise FormatError(f"{path}: no start state declared")
-    return TwoStackMachine(
-        tuple(states), alphabet, tuple(rules), start, frozenset(accepting)
-    )
+    with _named(path, ConstructionError, AlphabetError):
+        return TwoStackMachine(
+            tuple(states), alphabet, tuple(rules), start, frozenset(accepting)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -313,11 +328,9 @@ def _parse_scalar(token: str, base_dir: str, where: str) -> ExactScalar:
         if not os.path.isabs(table_path):
             table_path = os.path.join(base_dir, table_path)
         table = load_oracle_table(table_path)
-        encoding = parts[2]
-        if encoding not in (BINARY, CANTOR4):
-            raise FormatError(f"{where}: unknown oracle encoding {encoding!r}")
         label = parts[3] if len(parts) == 4 else None
-        return ExactScalar.oracle(table, encoding, label)
+        with _named(where, ValueError):
+            return ExactScalar.oracle(table, parts[2], label)
     raise FormatError(f"{where}: cannot parse scalar {token!r}")
 
 
@@ -397,7 +410,7 @@ def load_network(path: str) -> Network:
     if n_neurons is None or n_inputs is None:
         raise FormatError(f"{path}: missing 'neurons N inputs M' header")
     activations = tuple(acts.get(i, SAT) for i in range(n_neurons))
-    try:
+    with _named(path, ShapeError):
         return Network(
             n_neurons,
             n_inputs,
@@ -410,8 +423,6 @@ def load_network(path: str) -> Network:
             out_flag=outs.get("out_flag"),
             input_symbols=symbols,
         )
-    except ShapeError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
 
 
 def format_network(net: Network) -> tuple[str, dict[str, ExactScalar]]:
@@ -473,7 +484,8 @@ def load_lattice(path: str) -> DegreeOrder:
             below.append((parts[1], parts[2]))
         else:
             raise FormatError(f"{path}:{lineno}: unrecognised line {line!r}")
-    return DegreeOrder.from_relations(labels, below)
+    with _named(path, LatticeError):
+        return DegreeOrder.from_relations(labels, below)
 
 
 # ---------------------------------------------------------------------------
@@ -499,10 +511,8 @@ def parse_schedule(text: str, where: str = "<schedule>") -> SpikeSchedule:
             raise FormatError(f"{where}:{lineno}: unrecognised line {line!r}")
     if window is None:
         raise FormatError(f"{where}: missing 'window' line")
-    try:
+    with _named(where, ValueError):
         return SpikeSchedule(tuple(sorted(ticks)), window, label)
-    except ValueError as exc:
-        raise FormatError(f"{where}: {exc}") from exc
 
 
 def load_schedule(path: str) -> SpikeSchedule:

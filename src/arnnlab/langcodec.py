@@ -2,11 +2,13 @@
 
 Strings over a finite ordered alphabet are ranked length-first then
 lexicographically, 1-based with the empty string at index 1 (for {a, b}:
-e->1, a->2, b->3, aa->4, ab->5, ...).  A language L is packed into the
-characteristic real r_L whose k-th binary digit records membership of the
-k-th string.  Bits are also packable into base-4 "Cantor" rationals using
-digits {1, 3}, which keeps the decode gadgets away from the threshold
-boundaries of the network activations.
+e->1, a->2, b->3, aa->4, ab->5, ...).  A language is an alphabet plus a
+membership test, whether the test reads a finite member set or a built-in
+rule.  A language L is packed into the characteristic real r_L whose k-th
+binary digit records membership of the k-th string.  An oracle table holds
+the first bits of such a real, and its one packed form is a strict digit
+stream: base 2, or base-4 "Cantor" digits {1, 3}, which keep the decode
+gadgets away from the threshold boundaries of the network activations.
 """
 
 from __future__ import annotations
@@ -25,10 +27,8 @@ from .exact import BINARY, CANTOR4, UnitReal, saturated_sigma, signal
 
 __all__ = [
     "Alphabet",
-    "FiniteTable",
     "Language",
     "OracleTable",
-    "Predicate",
     "cantor_decode_step",
     "cantor_encode",
     "decode_membership",
@@ -111,39 +111,22 @@ def string_of_index(index: int, alphabet: Alphabet) -> str:
 
 
 @dataclass(frozen=True)
-class FiniteTable:
-    """Language given extensionally as a finite set of strings."""
-
-    strings: frozenset[str]
-
-
-@dataclass(frozen=True)
-class Predicate:
-    """Language given by a named decision rule."""
-
-    name: str
-    params: tuple[str, ...]
-    fn: Callable[[str], bool]
-
-
-Backing = Union[FiniteTable, Predicate]
-
-
-@dataclass(frozen=True)
 class Language:
-    """Membership predicate over a finite alphabet."""
+    """A finite alphabet plus a membership test.
+
+    The test may return None for a string it cannot decide; ``contains``
+    turns that into :class:`MembershipUndecided` rather than guessing.
+    """
 
     alphabet: Alphabet
-    backing: Backing
-
-    def __post_init__(self) -> None:
-        if isinstance(self.backing, FiniteTable):
-            for s in self.backing.strings:
-                self.alphabet.check(s)
+    test: Callable[[str], Optional[bool]]
 
     @classmethod
     def from_members(cls, alphabet: Alphabet, members: Iterable[str]) -> "Language":
-        return cls(alphabet, FiniteTable(frozenset(members)))
+        members = frozenset(members)
+        for s in members:
+            alphabet.check(s)
+        return cls(alphabet, members.__contains__)
 
     @classmethod
     def from_rule(cls, alphabet: Alphabet, name: str, *params: str) -> "Language":
@@ -151,20 +134,17 @@ class Language:
 
     def contains(self, s: str) -> bool:
         self.alphabet.check(s)
-        backing = self.backing
-        if isinstance(backing, FiniteTable):
-            return s in backing.strings
-        result = backing.fn(s)
+        result = self.test(s)
         if result is None:
-            raise MembershipUndecided(f"rule {backing.name!r} could not decide {s!r}")
+            raise MembershipUndecided(f"membership of {s!r} is undecided")
         return bool(result)
 
     def __contains__(self, s: str) -> bool:
         return self.contains(s)
 
 
-def make_rule(alphabet: Alphabet, name: str, *params: str) -> Predicate:
-    """Built-in decision rules usable in language files.
+def make_rule(alphabet: Alphabet, name: str, *params: str) -> Callable[[str], bool]:
+    """The membership test of a built-in decision rule usable in language files.
 
     parity <sym>   -- even number of occurrences of <sym>
     anbn [a b]     -- a^n b^n for n >= 0
@@ -195,7 +175,7 @@ def make_rule(alphabet: Alphabet, name: str, *params: str) -> Predicate:
         fn = lambda s, a=a, b=b: len(s) >= 1 and s[0] == a and set(s[1:]) <= {b}
     else:
         raise ValueError(f"unknown rule {name!r}")
-    return Predicate(name, tuple(params), fn)
+    return fn
 
 
 def _two_symbols(alphabet: Alphabet, name: str, params: tuple[str, ...]) -> tuple[str, ...]:
@@ -254,7 +234,7 @@ class OracleTable:
             raise HorizonExceeded(f"index {index} beyond table horizon {self.horizon}")
         return self.bits[index - 1]
 
-    def digit_view(self, encoding: str, degree_label: Optional[str] = None) -> UnitReal:
+    def digit_view(self, encoding: str) -> UnitReal:
         """Digit expansion of the packed table, strict past the horizon."""
         if encoding == BINARY:
             digits, base = self.bits, 2
@@ -262,17 +242,7 @@ class OracleTable:
             digits, base = tuple(2 * b + 1 for b in self.bits), 4
         else:
             raise ValueError(f"unknown encoding {encoding!r}")
-        return UnitReal(
-            digits,
-            base=base,
-            horizon=self.horizon,
-            strict_horizon=True,
-            degree_label=degree_label,
-        )
-
-    def packed_value(self, encoding: str) -> Fraction:
-        """Exact rational value of the truncated packing."""
-        return self.digit_view(encoding).truncated_fraction(self.horizon)
+        return UnitReal(digits, base=base, horizon=self.horizon, strict_horizon=True)
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from arnnlab import (
     OracleNetSpec,
     OracleTable,
     Rule,
+    RunTimeout,
     ShapeError,
     TwoStackMachine,
     UnitReal,
@@ -357,6 +358,15 @@ def test_oracle_net_rejects_binary_packing():
     table = OracleTable.from_language(abstar_language(), 8)
     with pytest.raises(ConstructionError):
         OracleNetSpec(ExactScalar.oracle(table, "binary", "0'"), AB)
+    with pytest.raises(ConstructionError):
+        OracleNetSpec(ExactScalar.from_stream(table.digit_view("binary")), AB)
+
+
+def test_oracle_consult_timeout_is_run_timeout():
+    net = oracle_net(abstar_oracle_spec())
+    word = "ab"
+    with pytest.raises(RunTimeout, match="timed out"):
+        oracle_consult(net, word, len(word) + 1)
 
 
 def test_oracle_net_accepts_finite_stream():

@@ -389,6 +389,14 @@ def test_network_scalar_parse_errors(tmp_path):
         load_network(str(path))
 
 
+def test_network_unknown_oracle_encoding_names_the_line(tmp_path):
+    save_oracle_table(OracleTable((1,)), str(tmp_path / "t.tbl"))
+    path = tmp_path / "bad.net"
+    path.write_text("neurons 1 inputs 0\nc 0 oracle:t.tbl:base3\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:2: unknown encoding 'base3'")):
+        load_network(str(path))
+
+
 @pytest.mark.parametrize(
     "token, message",
     [
@@ -416,6 +424,44 @@ def test_stream_scalar_not_serialisable():
     )
     with pytest.raises(FormatError):
         format_network(net)
+
+
+@pytest.mark.parametrize(
+    "loader, name, text, message",
+    [
+        (
+            load_dfa, "partial.dfa",
+            "state q start accept\nstate r\ntrans q a r\n",
+            "transition map not total",
+        ),
+        (
+            load_two_stack, "overlap.m2",
+            "alphabet: ab\nstate S start accept\n"
+            "rule S a - - -> S 1 -\nrule S a - - -> S - -\n",
+            "nondeterministic machine",
+        ),
+        (load_language, "bad.lang", "alphabet: ab\nmember: ac\n", "not in alphabet"),
+        (
+            load_lattice, "cycle.lat",
+            "label x\nlabel y\nbelow x y\nbelow y x\n",
+            "contains a cycle",
+        ),
+    ],
+    ids=["dfa", "two_stack", "language", "lattice"],
+)
+def test_loader_construction_error_names_the_file(tmp_path, loader, name, text, message):
+    path = tmp_path / name
+    path.write_text(text, encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: ") + ".*" + message):
+        loader(str(path))
+
+
+@pytest.mark.parametrize("loader", [load_language, load_two_stack])
+def test_repeated_alphabet_symbol_names_the_line(tmp_path, loader):
+    path = tmp_path / "dup.txt"
+    path.write_text("alphabet: aba\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}:1: alphabet symbols must be distinct")):
+        loader(str(path))
 
 
 def test_lattice_file(tmp_path):

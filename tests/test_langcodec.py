@@ -8,11 +8,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arnnlab import (
+    BINARY,
+    CANTOR4,
     Alphabet,
     AlphabetError,
     EncodingError,
+    ExactScalar,
     HorizonExceeded,
     Language,
+    MembershipUndecided,
     OracleTable,
     UnitReal,
     cantor_decode_step,
@@ -112,6 +116,14 @@ def test_builtin_rules():
     assert "" not in abstar and "aab" not in abstar
 
 
+def test_undecided_membership_test_raises():
+    # a caller's own test may answer None; contains must not read it as "no"
+    language = Language(AB, lambda s: None if len(s) > 2 else s == "ab")
+    assert "ab" in language and "a" not in language
+    with pytest.raises(MembershipUndecided):
+        language.contains("abb")
+
+
 @settings(max_examples=50)
 @given(st.sets(st.integers(min_value=1, max_value=40), max_size=12), st.integers(min_value=1, max_value=40))
 def test_roundtrip_random_finite_languages(member_indices, n):
@@ -142,12 +154,29 @@ def test_oracle_table_from_entries_rejects_negative_horizon():
 
 def test_oracle_table_packings():
     table = OracleTable((1, 0))
-    assert table.packed_value("binary") == Fraction(1, 2)
-    assert table.packed_value("cantor4") == cantor_encode("10")
+    assert ExactScalar.oracle(table, "binary").exact_fraction() == Fraction(1, 2)
+    assert ExactScalar.oracle(table, "cantor4").exact_fraction() == cantor_encode("10")
     view = table.digit_view("cantor4")
     assert view.prefix(2) == (3, 1)
     with pytest.raises(HorizonExceeded):
         view.digit_at(3)
+
+
+def test_oracle_scalar_is_its_tables_packed_stream():
+    rng = random.Random(13)
+    for horizon in range(30):
+        bits = "".join(rng.choice("01") for _ in range(horizon))
+        table = OracleTable(tuple(int(c) for c in bits))
+        for encoding, value in (
+            (CANTOR4, cantor_encode(bits)),
+            (BINARY, Fraction(int(bits or "0", 2), 2**horizon)),
+        ):
+            scalar = ExactScalar.oracle(table, encoding)
+            assert scalar.exact_fraction() == value, (encoding, bits)
+            assert scalar.stream.horizon == horizon
+            assert scalar.stream.strict_horizon
+            with pytest.raises(HorizonExceeded):
+                scalar.stream.digit_at(horizon + 1)
 
 
 # -- cantor -----------------------------------------------------------------------
