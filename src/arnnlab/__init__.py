@@ -64,10 +64,8 @@ from .langcodec import (
 from .network import (
     Network,
     NetworkState,
-    RecognitionReport,
     RunResult,
     Verdict,
-    recognizes,
     run,
     step,
     zero_state,

@@ -14,9 +14,9 @@ import sys
 from typing import Optional, Sequence
 
 from . import formats
-from .compilers import OracleNetSpec, dfa_to_net, oracle_net, two_stack_to_net
+from .compilers import OracleNetSpec, dfa_to_net, oracle_consult, oracle_net, two_stack_to_net
 from .degrees import DegreeOrder, classify_network
-from .errors import ArnnError, HorizonExceeded, RunTimeout
+from .errors import ArnnError
 from .exact import CANTOR4, ExactScalar, UnitReal
 from .langcodec import (
     Alphabet,
@@ -26,7 +26,6 @@ from .langcodec import (
     index_of_string,
     string_of_index,
 )
-from .network import Verdict, run
 from .spikes import timing_decode, timing_encode
 
 __all__ = ["app", "build_parser", "main"]
@@ -141,14 +140,8 @@ def _cmd_build_oracle_net(args) -> str:
 
 def _cmd_run(args) -> str:
     net = formats.load_network(args.net)
-    result = run(net, args.word, args.budget, record_trace=False)
-    if result.verdict == Verdict.TIMEOUT:
-        raise RunTimeout(f"no verdict within {args.budget} ticks")
-    if result.flagged:
-        raise HorizonExceeded(
-            f"net flagged {args.word!r} as beyond its oracle horizon"
-        )
-    return result.verdict.value
+    bit, _ = oracle_consult(net, args.word, args.budget)
+    return "accept" if bit else "reject"
 
 
 def _cmd_classify(args) -> str:

@@ -103,7 +103,7 @@ class Dfa:
         for (src, sym), dst in self.transitions.items():
             if src not in state_set or dst not in state_set:
                 raise ConstructionError(f"transition {src}->{dst} uses unknown state")
-            self.alphabet.check(sym)
+            self.alphabet.rank(sym)
         for state in self.states:
             for sym in self.alphabet:
                 if (state, sym) not in self.transitions:
@@ -252,7 +252,7 @@ class TwoStackMachine:
             if rule.state not in state_set or rule.next_state not in state_set:
                 raise ConstructionError(f"rule {rule} uses an undeclared state")
             if rule.read is not None:
-                self.alphabet.check(rule.read)
+                self.alphabet.rank(rule.read)
             for bit in (rule.pop1, rule.pop2, rule.push1, rule.push2):
                 if bit is not None and bit not in (0, 1):
                     raise ConstructionError("stack symbols are bits")
@@ -583,18 +583,19 @@ def composed_oracle_budget(word: str, alphabet: Alphabet) -> int:
 def oracle_consult(
     net: Network, word: str, budget: int
 ) -> tuple[int, RunResult]:
-    """Run an oracle net and return the membership bit.
+    """Run any net on ``word`` and return its verdict as a bit, 1 = accept.
 
-    Raises :class:`HorizonExceeded` when the net flags that the requested
-    index lies beyond the oracle's truncation, and :class:`RunTimeout` when
-    no verdict comes within ``budget`` ticks.
+    Raises :class:`RunTimeout` when no verdict comes within ``budget``
+    ticks, and :class:`HorizonExceeded` when the net raises its flag output,
+    which an oracle net does when the word's index lies beyond the oracle's
+    truncation.
     """
     result = run(net, word, budget, record_trace=False)
     if result.verdict == Verdict.TIMEOUT:
-        raise RunTimeout(f"oracle net timed out on {word!r}")
+        raise RunTimeout(f"net timed out on {word!r}: no verdict within {budget} ticks")
     if result.flagged:
         raise HorizonExceeded(
-            f"index of {word!r} lies beyond the oracle's horizon"
+            f"net flagged {word!r} as beyond its oracle's horizon"
         )
     return (1 if result.verdict == Verdict.ACCEPT else 0), result
 
@@ -603,20 +604,15 @@ def oracle_consult(
 # Composition
 
 
-def compose_nets(
-    first: Network, second: Network, handoff: Optional[dict[int, str]] = None
-) -> Network:
+def compose_nets(first: Network, second: Network, handoff: dict[int, str]) -> Network:
     """Feed the second net's input lines from the first net's output neurons.
 
-    ``handoff`` maps each of the second net's data lines to "data", "valid",
-    or "flag" outputs of the first; the second's validation line is always
-    driven by the first's output validation.  The combined net keeps the
-    first's input lines and the second's outputs.
+    ``handoff`` (required; ``oracle_net_parts`` returns one) maps each of the
+    second net's data lines to "data", "valid", or "flag" outputs of the
+    first; the second's validation line is always driven by the first's
+    output validation.  The combined net keeps the first's input lines and
+    the second's outputs.
     """
-    if handoff is None:
-        if second.n_inputs != 1:
-            raise ShapeError("explicit handoff needed for multi-line second net")
-        handoff = {0: "data"}
     source_of = {
         "data": first.out_data,
         "valid": first.out_valid,

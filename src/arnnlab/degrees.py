@@ -74,13 +74,6 @@ class DegreeOrder:
             ["0", "0'", "0''"], [("0", "0'"), ("0'", "0''")]
         )
 
-    def extended(
-        self, labels: Iterable[str], below: Iterable[tuple[str, str]] = ()
-    ) -> "DegreeOrder":
-        pairs = {(a, b) for a, b in self.strictly_below}
-        pairs.update(below)
-        return DegreeOrder.from_relations(set(self.labels) | set(labels), pairs)
-
     def is_strictly_below(self, a: str, b: str) -> bool:
         return (a, b) in self.strictly_below
 
@@ -108,7 +101,7 @@ BOUNDED_AUTOMATA = "bounded-automata"
 TURING = "turing"
 ORACLE = "oracle"
 
-_RANK = {BOUNDED_AUTOMATA: 0, TURING: 1, ORACLE: 2}
+_KINDS = (BOUNDED_AUTOMATA, TURING, ORACLE)
 
 
 @dataclass(frozen=True)
@@ -119,7 +112,7 @@ class PowerClass:
     degrees: frozenset[str] = frozenset()
 
     def __post_init__(self) -> None:
-        if self.kind not in _RANK:
+        if self.kind not in _KINDS:
             raise ValueError(f"unknown power class {self.kind!r}")
         if self.kind == ORACLE and not self.degrees:
             raise ValueError("oracle class needs at least one degree")
@@ -135,10 +128,6 @@ class PowerClass:
     @classmethod
     def oracle_degrees(cls, degrees: Iterable[str]) -> "PowerClass":
         return cls(ORACLE, frozenset(degrees))
-
-    @property
-    def rank(self) -> int:
-        return _RANK[self.kind]
 
     def __str__(self) -> str:
         if self.kind == BOUNDED_AUTOMATA:

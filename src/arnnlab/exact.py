@@ -57,20 +57,20 @@ class PrecisionBudget:
 class UnitReal:
     """A real in [0, 1) given by a demand-driven digit expansion.
 
-    Digits (base 2 or 4) are pulled from a generator and memoised, so
-    ``digit_at`` is deterministic and order-independent.  A finite
-    ``horizon`` records where the expansion ends: past it the digits are
-    zero, unless ``strict_horizon`` is set, in which case querying past the
-    horizon raises :class:`HorizonExceeded` (the oracle-backed case, where
-    "unknown" must stay distinguishable from "zero").
+    Digits (base 2 or 4) are given, or pulled from a generator and
+    memoised, so ``digit_at`` is deterministic and order-independent.  The
+    ``horizon`` records where the expansion ends: given digits end at their
+    last one, and a generator's expansion ends where the generator runs
+    dry.  Past the horizon the digits are zero, unless ``strict_horizon``
+    is set, in which case querying past it raises :class:`HorizonExceeded`
+    (the oracle-backed case, where "unknown" must stay distinguishable from
+    "zero").
 
     The one exactness rule: an expansion is exact iff its horizon is
     known.  ``strict_horizon`` governs only ``digit_at``; either way
     ``bounds(n)`` for ``n >= horizon`` is the single point
     ``truncated_fraction(horizon)``, and ``ExactScalar.exact_fraction`` is
-    that rational.  A generator that runs dry before a declared horizon
-    leaves zeros up to it; one that runs dry with no horizon declared sets
-    the horizon where it stopped.
+    that rational.
 
     The memo is single-owner mutable state; to share an expansion across
     threads, share ``UnitReal.from_digits(r.prefix(n))`` instead.
@@ -82,7 +82,6 @@ class UnitReal:
         *,
         gen: Optional[Iterator[int]] = None,
         base: int = 2,
-        horizon: Optional[int] = None,
         strict_horizon: bool = False,
         degree_label: Optional[str] = None,
     ) -> None:
@@ -91,9 +90,7 @@ class UnitReal:
         self.base = base
         self._memo: list[int] = list(digits)
         self._gen = gen
-        if gen is None and horizon is None:
-            horizon = len(self._memo)
-        self.horizon = horizon
+        self.horizon: Optional[int] = len(self._memo) if gen is None else None
         self.strict_horizon = strict_horizon
         self.degree_label = degree_label
         for d in self._memo:
@@ -162,15 +159,12 @@ class UnitReal:
                 )
             return 0
         while len(self._memo) < n:
-            if self._gen is None:
-                return 0  # inside a declared horizon, past the given digits
             try:
                 d = next(self._gen)
             except StopIteration:
                 # Generator ran dry: the expansion is finite after all.
                 self._gen = None
-                if self.horizon is None:
-                    self.horizon = len(self._memo)
+                self.horizon = len(self._memo)
                 return self.digit_at(n)
             self._check_digit(d)
             self._memo.append(d)
@@ -223,9 +217,6 @@ class Interval:
     @property
     def width(self) -> Fraction:
         return self.hi - self.lo
-
-    def contains(self, value: Union[Fraction, int]) -> bool:
-        return self.lo <= value <= self.hi
 
     def add(self, other: "Interval") -> "Interval":
         return Interval(self.lo + other.lo, self.hi + other.hi)

@@ -1,7 +1,7 @@
 """Text file formats for languages, tables, machines, networks, and lattices.
 
 All files are UTF-8 text, one record per line; blank lines and lines
-starting with ``#`` are ignored.
+starting with ``#`` are ignored.  Every alphabet symbol is one character.
 
 Language files::
 

@@ -50,6 +50,8 @@ class Alphabet:
             raise AlphabetError("alphabet must be nonempty")
         if len(set(self.symbols)) != len(self.symbols):
             raise AlphabetError("alphabet symbols must be distinct")
+        if not all(isinstance(sym, str) and len(sym) == 1 for sym in self.symbols):
+            raise AlphabetError(f"alphabet symbols must be single characters: {self.symbols}")
 
     @classmethod
     def of(cls, symbols: Union[str, Iterable[str]]) -> "Alphabet":
@@ -155,7 +157,7 @@ def make_rule(alphabet: Alphabet, name: str, *params: str) -> Callable[[str], bo
         if len(params) != 1:
             raise ValueError("parity takes one symbol parameter")
         sym = params[0]
-        alphabet.check(sym)
+        alphabet.rank(sym)
         fn = lambda s: s.count(sym) % 2 == 0
     elif name == "anbn":
         a, b = _two_symbols(alphabet, name, params)
@@ -183,7 +185,8 @@ def _two_symbols(alphabet: Alphabet, name: str, params: tuple[str, ...]) -> tupl
     pair = params or alphabet.symbols[:2]
     if len(pair) != 2:
         raise ValueError(f"{name} takes two symbols, or none on an alphabet of two or more")
-    alphabet.check(pair[0] + pair[1])
+    for sym in pair:
+        alphabet.rank(sym)
     return pair
 
 
@@ -195,8 +198,9 @@ def _two_symbols(alphabet: Alphabet, name: str, params: tuple[str, ...]) -> tupl
 class OracleTable:
     """Finite truncated characteristic function: bit per string index.
 
-    ``bits[i - 1]`` answers index i; queries past the horizon raise
-    :class:`HorizonExceeded` rather than guessing.
+    ``bits[i - 1]`` answers index i.  Read a table through ``digit_view`` or
+    :func:`decode_membership`, which raise :class:`HorizonExceeded` past
+    the horizon rather than guessing.
     """
 
     bits: tuple[int, ...]
@@ -227,13 +231,6 @@ class OracleTable:
             bits[i - 1] = b
         return cls(tuple(bits))
 
-    def bit(self, index: int) -> int:
-        if index < 1:
-            raise ValueError("table indices are 1-based")
-        if index > self.horizon:
-            raise HorizonExceeded(f"index {index} beyond table horizon {self.horizon}")
-        return self.bits[index - 1]
-
     def digit_view(self, encoding: str) -> UnitReal:
         """Digit expansion of the packed table, strict past the horizon."""
         if encoding == BINARY:
@@ -242,7 +239,7 @@ class OracleTable:
             digits, base = tuple(2 * b + 1 for b in self.bits), 4
         else:
             raise ValueError(f"unknown encoding {encoding!r}")
-        return UnitReal(digits, base=base, horizon=self.horizon, strict_horizon=True)
+        return UnitReal(digits, base=base, strict_horizon=True)
 
 
 # ---------------------------------------------------------------------------

@@ -35,11 +35,9 @@ __all__ = [
     "IOTrace",
     "Network",
     "NetworkState",
-    "RecognitionReport",
     "RunResult",
     "TickRecord",
     "Verdict",
-    "recognizes",
     "run",
     "step",
     "zero_state",
@@ -535,55 +533,3 @@ def run(
                 verdict, tuple(records), ticks=t + 1, flagged=bool(flag_bit)
             )
     return RunResult(Verdict.TIMEOUT, tuple(records), ticks=budget)
-
-
-@dataclass(frozen=True)
-class RecognitionReport:
-    """Agreement tabulation between a network and a labeled sample."""
-
-    total: int
-    agreements: int
-    disagreements: tuple[tuple[str, int, Verdict], ...]
-    timeouts: tuple[str, ...]
-
-    @property
-    def all_agree(self) -> bool:
-        return self.agreements == self.total and not self.timeouts
-
-    def __str__(self) -> str:
-        base = f"{self.agreements}/{self.total} agree"
-        if self.timeouts:
-            base += f", {len(self.timeouts)} timeouts"
-        return base
-
-
-def recognizes(
-    net: Network,
-    language_sample: Iterable[tuple[str, int]],
-    budget: Union[int, "callable"],
-) -> RecognitionReport:
-    """Run each sample word and tabulate agreement with the expected bits.
-
-    ``budget`` may be a tick count or a function of the word.  A budget too
-    small to even present a word counts as a timeout for that word.
-    """
-    total = 0
-    agreements = 0
-    disagreements: list[tuple[str, int, Verdict]] = []
-    timeouts: list[str] = []
-    for word, expected in language_sample:
-        total += 1
-        ticks = budget(word) if callable(budget) else budget
-        if ticks < len(word) + 1:
-            timeouts.append(word)
-            continue
-        result = run(net, word, ticks, record_trace=False)
-        if result.verdict == Verdict.TIMEOUT:
-            timeouts.append(word)
-            continue
-        got = 1 if result.verdict == Verdict.ACCEPT else 0
-        if got == int(expected):
-            agreements += 1
-        else:
-            disagreements.append((word, int(expected), result.verdict))
-    return RecognitionReport(total, agreements, tuple(disagreements), tuple(timeouts))

@@ -9,6 +9,7 @@ import pytest
 from arnnlab import (
     CANTOR4,
     Alphabet,
+    AlphabetError,
     ConstructionError,
     Dfa,
     ExactScalar,
@@ -51,6 +52,7 @@ from conftest import (
     abstar_language,
     anbn_machine,
     copy_machine,
+    parity_dfa,
     words_up_to,
 )
 
@@ -107,6 +109,15 @@ def test_dfa_accept_all_single_state():
 def test_dfa_requires_total_transitions():
     with pytest.raises(ConstructionError):
         Dfa(("q",), AB, {("q", "a"): "q"}, "q", frozenset())
+
+
+def test_dfa_and_machine_reject_multi_character_symbols():
+    # a transition or a read on "ab" names no symbol that a word can carry
+    total = {("q", "a"): "q", ("q", "b"): "q"}
+    with pytest.raises(AlphabetError):
+        Dfa(("q",), AB, {**total, ("q", "ab"): "q"}, "q", frozenset())
+    with pytest.raises(AlphabetError):
+        TwoStackMachine(("S",), AB, (Rule("S", "ab", None, None, "S"),), "S", frozenset({"S"}))
 
 
 def test_parity_net_matches_dfa_exhaustively():
@@ -175,17 +186,11 @@ def test_anbn_net_examples():
 
 
 def test_anbn_sample_report():
-    from arnnlab import recognizes
-
     machine = anbn_machine()
     net = two_stack_to_net(machine)
-
-    def budget(w):
+    for w, want in [("ab", Verdict.ACCEPT), ("aab", Verdict.REJECT), ("aabb", Verdict.ACCEPT)]:
         _, steps = machine.execute(w, 1000)
-        return two_stack_budget(len(w), steps)
-
-    report = recognizes(net, [("ab", 1), ("aab", 0), ("aabb", 1)], budget)
-    assert report.all_agree and report.total == 3
+        assert run(net, w, two_stack_budget(len(w), steps)).verdict == want, w
 
 
 def test_anbn_net_matches_machine_medium_words():
@@ -369,6 +374,18 @@ def test_oracle_consult_timeout_is_run_timeout():
         oracle_consult(net, word, len(word) + 1)
 
 
+def test_oracle_consult_reads_any_net():
+    # a verdict is a bit, and no verdict within the budget is a RunTimeout
+    dfa = parity_dfa()
+    net = dfa_to_net(dfa)
+    for w in words_up_to(4):
+        bit, _ = oracle_consult(net, w, dfa_budget(len(w)))
+        assert bit == int(dfa.accepts(w)), w
+    dead = Network(1, 1, out_data=0, out_valid=0, input_symbols=("a",))
+    with pytest.raises(RunTimeout, match="timed out"):
+        oracle_consult(dead, "a", 8)
+
+
 def test_oracle_net_accepts_finite_stream():
     digits = OracleTable.from_language(abstar_language(), 12).digit_view(CANTOR4)
     stream = UnitReal.from_digits(digits.prefix(12), base=4, degree_label="0")
@@ -481,7 +498,7 @@ def identity_pass_net():
 
 
 def test_compose_identity_pass():
-    combined = compose_nets(identity_pass_net(), identity_pass_net())
+    combined = compose_nets(identity_pass_net(), identity_pass_net(), {0: "data"})
     state = (0,) * combined.n_neurons
     for _ in range(3):
         state = step(combined, state, (1,), 1)
@@ -492,8 +509,6 @@ def test_compose_identity_pass():
 def test_compose_mismatched_lines_is_shape_error():
     wide = Network(1, 2, out_data=0, out_valid=0)
     with pytest.raises(ShapeError):
-        compose_nets(identity_pass_net(), wide)
-    with pytest.raises(ShapeError):
         compose_nets(identity_pass_net(), wide, {0: "data"})
 
 
@@ -501,7 +516,7 @@ def test_compose_first_net_without_out_valid_is_shape_error():
     # the second net's validation column has no source to hand off from
     first = Network(1, 1, input_weights={(0, 0): ExactScalar.integer(1)}, out_data=0)
     with pytest.raises(ShapeError, match="no 'valid' output"):
-        compose_nets(first, identity_pass_net())
+        compose_nets(first, identity_pass_net(), {0: "data"})
 
 
 def test_compose_rejects_inexact_colliding_handoff_weight():

@@ -89,6 +89,10 @@ def test_language_file_errors(tmp_path):
         ("ab", ""),
         ("a", "anbn"),
         ("ab", "abstar a"),
+        # a symbol parameter is one symbol: "parity ab" would count a substring
+        ("ab", "parity ab"),
+        ("ab", "anbn ab b"),
+        ("ab", "abstar a ba"),
     ],
 )
 def test_language_bad_rule_is_format_error(tmp_path, alphabet, rule):
@@ -129,6 +133,13 @@ def test_dfa_file(tmp_path):
     )
     dfa = load_dfa(str(path))
     assert dfa.accepts("bb") and not dfa.accepts("b")
+
+
+def test_dfa_multi_character_symbol_is_format_error(tmp_path):
+    path = tmp_path / "wide.dfa"
+    path.write_text("state q start accept\ntrans q ab q\n", encoding="utf-8")
+    with pytest.raises(FormatError, match="single characters"):
+        load_dfa(str(path))
 
 
 def test_dfa_repeated_transition_is_format_error(tmp_path):
@@ -239,6 +250,14 @@ def test_two_stack_rule_format_error(tmp_path):
     path = tmp_path / "bad.m2"
     path.write_text("alphabet: ab\nstate S start\nrule S a - -> S 1 -\n", encoding="utf-8")
     with pytest.raises(FormatError):
+        load_two_stack(str(path))
+
+
+def test_two_stack_multi_character_read_is_format_error(tmp_path):
+    # a read of "ab" could never match the one character a machine reads
+    path = tmp_path / "wide.m2"
+    path.write_text("alphabet: ab\nstate S start accept\nrule S ab - - -> S - -\n", encoding="utf-8")
+    with pytest.raises(FormatError, match=re.escape(f"{path}: ")):
         load_two_stack(str(path))
 
 

@@ -52,6 +52,13 @@ def test_index_rejects_foreign_symbols():
         index_of_string("ax", AB)
 
 
+@pytest.mark.parametrize("symbols", [("ab",), ("a", "bc"), ("a", ""), ("a", 1)])
+def test_alphabet_symbols_are_single_characters(symbols):
+    # every consumer reads a word one character at a time
+    with pytest.raises(AlphabetError, match="single characters"):
+        Alphabet(symbols)
+
+
 def test_bijection_exhaustive_small():
     for alphabet in (AB, Alphabet.of("abc")):
         for s in words_up_to(8, alphabet.symbols):
@@ -141,9 +148,10 @@ def test_roundtrip_random_finite_languages(member_indices, n):
 def test_oracle_table_from_language():
     table = OracleTable.from_language(abstar_language(), 25)
     assert table.horizon == 25
-    assert [i for i in range(1, 26) if table.bit(i)] == [2, 5, 11, 23]
+    view = table.digit_view(BINARY)
+    assert [i for i in range(1, 26) if view.digit_at(i)] == [2, 5, 11, 23]
     with pytest.raises(HorizonExceeded):
-        table.bit(26)
+        view.digit_at(26)
 
 
 def test_oracle_table_from_entries_rejects_negative_horizon():

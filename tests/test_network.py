@@ -18,7 +18,6 @@ from arnnlab import (
     Verdict,
     dfa_budget,
     dfa_to_net,
-    recognizes,
     run,
     step,
     two_stack_budget,
@@ -92,7 +91,7 @@ def test_step_with_lazy_weight_interval_and_unknown_sign():
     from arnnlab import Interval
 
     assert isinstance(out[0], Interval)
-    assert out[0].contains(Fraction(1, 4))
+    assert out[0].lo <= Fraction(1, 4) <= out[0].hi
 
     sig_net = Network(
         2,
@@ -269,7 +268,7 @@ def finite_stream(rng):
     stream-weight oracle nets: an exact scalar, the rational of its digits."""
     horizon = rng.randint(1, 12)
     digits = [rng.randint(0, 1) for _ in range(horizon)]
-    return ExactScalar.from_stream(UnitReal(digits, horizon=horizon, strict_horizon=True))
+    return ExactScalar.from_stream(UnitReal(digits, strict_horizon=True))
 
 
 def test_lazy_step_matches_dense_sweep_on_random_nets():
@@ -403,8 +402,13 @@ def test_synchrony_evaluation_order_irrelevant():
 def test_weight_maps_are_read_only_and_caches_are_per_net():
     dfa = parity_dfa()
     net = dfa_to_net(dfa)
-    sample = [(w, 1 if dfa.accepts(w) else 0) for w in words_up_to(3)]
-    assert recognizes(net, sample, lambda w: dfa_budget(len(w))).all_agree
+    words = list(words_up_to(3))
+    want = [Verdict.ACCEPT if dfa.accepts(w) else Verdict.REJECT for w in words]
+
+    def verdicts(net):
+        return [run(net, w, dfa_budget(len(w))).verdict for w in words]
+
+    assert verdicts(net) == want
     key = next(iter(net.state_weights))
     for weights, k in ((net.state_weights, key), (net.input_weights, (0, 0)), (net.biases, 0)):
         with pytest.raises(TypeError):
@@ -425,7 +429,7 @@ def test_weight_maps_are_read_only_and_caches_are_per_net():
         input_symbols=net.input_symbols,
     )
     assert run(zeroed, "ab", dfa_budget(2)).verdict == Verdict.TIMEOUT
-    assert recognizes(net, sample, lambda w: dfa_budget(len(w))).all_agree
+    assert verdicts(net) == want
 
     lazy = random_stream(random.Random(1))
     copy = net.replace_state_weight(*key, lazy)
@@ -433,7 +437,7 @@ def test_weight_maps_are_read_only_and_caches_are_per_net():
     assert copy._compiled is not net._compiled
     assert (key[0], lazy) in copy._compiled.state_edges[key[1]]
     assert (key[0], lazy) not in net._compiled.state_edges[key[1]]
-    assert recognizes(net, sample, lambda w: dfa_budget(len(w))).all_agree
+    assert verdicts(net) == want
     assert net.replace_state_weight(*key, finite_stream(random.Random(1))).is_exact()
 
 
@@ -474,30 +478,6 @@ def test_run_deterministic():
     first = run(net, "abba", 32)
     second = run(net, "abba", 32)
     assert first == second
-
-
-def test_recognizes_report():
-    dfa = parity_dfa()
-    net = dfa_to_net(dfa)
-    sample = [(w, 1 if dfa.accepts(w) else 0) for w in words_up_to(4)]
-    report = recognizes(net, sample, lambda w: dfa_budget(len(w)))
-    assert report.total == 31
-    assert report.all_agree
-    assert "31/31" in str(report)
-
-
-def test_recognizes_budget_zero_all_timeout():
-    net = dfa_to_net(parity_dfa())
-    report = recognizes(net, [("a", 1), ("bb", 1)], 0)
-    assert report.timeouts == ("a", "bb")
-    assert report.agreements == 0 and not report.all_agree
-
-
-def test_recognizes_reports_timeouts_separately():
-    dead = Network(1, 1, out_data=0, out_valid=0, input_symbols=("a",))
-    report = recognizes(dead, [("a", 1), ("aa", 0)], 8)
-    assert report.timeouts == ("a", "aa")
-    assert report.agreements == 0
 
 
 def test_run_with_lazy_weight_decides_through_intervals():
