@@ -621,6 +621,16 @@ def compose_nets(first: Network, second: Network, handoff: dict[int, str]) -> Ne
     for line in range(second.n_inputs):
         if line not in handoff:
             raise ShapeError(f"second net line {line} is not mapped")
+    for line, name in handoff.items():
+        if line not in range(second.n_inputs):
+            raise ShapeError(
+                f"handoff key {line!r} is not one of the second net's "
+                f"{second.n_inputs} data lines"
+            )
+        if name not in source_of:
+            raise ShapeError(
+                f"handoff of line {line} is {name!r}, not 'data', 'valid' or 'flag'"
+            )
     offset = first.n_neurons
     state_weights = dict(first.state_weights)
     input_weights = dict(first.input_weights)

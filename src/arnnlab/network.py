@@ -119,6 +119,9 @@ class Network:
         if self.input_symbols is not None:
             if len(self.input_symbols) != n_inputs:
                 raise ShapeError("one symbol per data line required")
+            for symbol in self.input_symbols:
+                if not (isinstance(symbol, str) and len(symbol) == 1):
+                    raise ShapeError(f"input symbol {symbol!r} is not one character")
             if len(set(self.input_symbols)) != n_inputs:
                 raise ShapeError(f"input symbols {self.input_symbols} repeat a symbol")
         self.neuron_names = tuple(neuron_names) if neuron_names is not None else None
@@ -258,13 +261,15 @@ class _CompiledNet:
     arithmetic only, and ``step`` walks the same table on a lazy net,
     passing each integer ``w`` on as ``w / d``.
 
-    ``unit_memo`` caches the half of an exact tick that does not depend on
-    the shared denominator.  Its key is the tuple of sources at exactly 1,
-    in the state's iteration order, with the input bits and the validation
-    bit; its value maps each neuron those sources, the active lines or a
-    positive bias reach to its bias plus their weights, over ``d``.  The
-    net is read-only, so an entry never goes stale; the memo is emptied
-    whole when it reaches ``_UNIT_MEMO_CAP`` entries.
+    ``tick_plans`` maps the signature of an exact tick to its plan.  The
+    signature is the tuple of sources at exactly 1 and the tuple of
+    fractional sources, both in the state's iteration order, with the input
+    bits and the validation bit.  A signature met once maps to ``()``; from
+    its second sighting on it maps to a plan (see ``_plan``).  ``interned``
+    holds one copy of each plan's ``rows`` and ``tops`` tuples, which many
+    plans share.  The net is read-only, so a plan never goes stale; the
+    memo and the intern table are emptied together when the memo reaches
+    ``_TICK_PLAN_CAP`` entries.
 
     ``exact`` is False only when some scalar is a stream with no known
     horizon; a stream with a finite horizon is the rational of its digits
@@ -312,11 +317,16 @@ class _CompiledNet:
         self.sat_mask = [act == SAT for act in net.activations]
         # the smallest integer sum (over d) that sets a neuron to 1
         self.ceil = [d if act == SAT else 1 for act in net.activations]
-        self.unit_memo: dict[tuple, dict[int, int]] = {}
+        self.tick_plans: dict[tuple, tuple] = {}
+        self.interned: dict[tuple, tuple] = {}
 
-#: Entries at which a net's unit memo is emptied whole; in one cycle of the
-#: benchmark's workloads, no net meets more than 545 distinct keys.
-_UNIT_MEMO_CAP = 4096
+#: Entries at which a net's tick plans are emptied whole; in one cycle of
+#: the benchmark's workloads, no net meets more than 776 distinct signatures.
+_TICK_PLAN_CAP = 4096
+
+#: Bits by which ``_fast_step`` lets a state's denominator outgrow its size
+#: at the last reduction before it divides out the gcd again.
+_SLACK_BITS = 256
 
 
 def _compiled(net: Network) -> _CompiledNet:
@@ -329,16 +339,23 @@ class _IntState:
     """An exact state as integer numerators over one shared denominator.
 
     ``nz`` maps each nonzero neuron j to its numerator, so neuron j holds
-    ``nz.get(j, 0) / den``; ``_fast_step`` keeps only positive numerators.
-    Iteration gives the values themselves (0, 1 or a ``Fraction``).
+    ``nz.get(j, 0) / den``; ``_fast_step`` keeps only positive numerators,
+    and a neuron is at 1 exactly when its numerator equals ``den``.  ``den``
+    is not always the least common denominator: ``_fast_step`` divides out
+    the gcd only once the denominator reaches ``limit`` bits, and then sets
+    ``limit`` to the reduced size plus ``_SLACK_BITS``.  Iteration gives
+    the values themselves (0, 1 or a reduced ``Fraction``).
     """
 
-    __slots__ = ("n", "nz", "den")
+    __slots__ = ("n", "nz", "den", "limit")
 
-    def __init__(self, n: int, nz: dict[int, int], den: int) -> None:
+    def __init__(
+        self, n: int, nz: dict[int, int], den: int, limit: Optional[int] = None
+    ) -> None:
         self.n = n
         self.nz = nz
         self.den = den
+        self.limit = den.bit_length() + _SLACK_BITS if limit is None else limit
 
     @classmethod
     def of(cls, values: Sequence[Value]) -> "_IntState":
@@ -362,6 +379,104 @@ class _IntState:
         return (self._value(nz.get(j, 0)) for j in range(self.n))
 
 
+def _unit_sums(
+    cn: _CompiledNet, units: list[int], inputs: Sequence[int], validation: int
+) -> dict[int, int]:
+    """Bias plus the weights of the sources at 1 and the active lines, over
+    ``d``, for each neuron they reach and each neuron with a positive bias."""
+    bias, out = cn.biases, cn.state_edges
+    fixed = cn.raised.copy()
+    for j in units:
+        for i, w in out[j]:
+            fixed[i] = fixed.get(i, bias[i]) + w
+    for j, uj in enumerate(inputs):
+        if uj:
+            for i, w in cn.input_edges[j]:
+                fixed[i] = fixed.get(i, bias[i]) + w
+    if validation:
+        for i, w in cn.input_edges[-1]:
+            fixed[i] = fixed.get(i, bias[i]) + w
+    return fixed
+
+
+def _plain_tick(
+    cn: _CompiledNet,
+    fixed: dict[int, int],
+    fracs: list[int],
+    xs: list[int],
+    den: int,
+    top: int,
+) -> dict[int, int]:
+    """The new numerators over ``top = d * den``, summed edge by edge.
+
+    Neurons come in the order a replay of ``_plan(cn, fixed, fracs)``
+    gives them, so the next tick's signature does not depend on which of
+    the two computed this one.
+    """
+    bias, out, sat, ceil = cn.biases, cn.state_edges, cn.sat_mask, cn.ceil
+    frac: dict[int, int] = {}  # numerators over d * den from fractional sources
+    for j, x in zip(fracs, xs):
+        for i, w in out[j]:
+            frac[i] = frac.get(i, 0) + w * x
+    new = {}
+    for i, f in frac.items():
+        a = f + fixed.get(i, bias[i]) * den
+        if a > 0:
+            new[i] = top if a >= top or not sat[i] else a
+    scaled = []
+    for i, u in fixed.items():
+        if u > 0 and i not in frac:
+            if u >= ceil[i]:
+                new[i] = top
+            else:
+                scaled.append(i)
+    for i in scaled:
+        new[i] = fixed[i] * den
+    return new
+
+
+def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: list[int]) -> tuple:
+    """The tick of one signature, with every lookup done: ``(rows, tops, scaled)``.
+
+    ``rows`` holds ``(i, terms, base, sat)`` for each neuron a fractional
+    source reaches: ``terms`` pairs a position in ``fracs`` with its weight,
+    ``base`` is the unit sum ``fixed`` gives i (its bias when none) and
+    ``sat`` whether i saturates.  ``tops`` lists the other neurons whose unit
+    sum reaches ``ceil``, and ``scaled`` the others that are positive, each
+    with its unit sum.  ``rows`` and ``tops`` are interned in ``cn``.
+    """
+    bias, out, sat, ceil = cn.biases, cn.state_edges, cn.sat_mask, cn.ceil
+    terms: dict[int, tuple[tuple[int, int], ...]] = {}
+    for p, j in enumerate(fracs):
+        for i, w in out[j]:
+            ts = terms.get(i)
+            terms[i] = ((p, w),) if ts is None else ts + ((p, w),)
+    rows = tuple([(i, ts, fixed.get(i, bias[i]), sat[i]) for i, ts in terms.items()])
+    tops = []
+    scaled = []
+    for i, u in fixed.items():
+        if i not in terms:
+            if u >= ceil[i]:
+                tops.append(i)
+            elif u > 0:
+                scaled.append((i, u))
+    tops = tuple(tops)
+    interned = cn.interned
+    return interned.setdefault(rows, rows), interned.setdefault(tops, tops), tuple(scaled)
+
+
+def _reduced(cn: _CompiledNet, new: dict[int, int], top: int, limit: int) -> _IntState:
+    """The state ``new / top``, with the gcd divided out once ``top`` reaches
+    ``limit`` bits; a division re-arms the limit at the reduced size."""
+    if top.bit_length() >= limit:
+        g = gcd(top, *new.values())
+        if g > 1:
+            new = {i: x // g for i, x in new.items()}
+            top //= g
+        limit = top.bit_length() + _SLACK_BITS
+    return _IntState(cn.n, new, top, limit)
+
+
 def _fast_step(
     cn: _CompiledNet, state: Sequence[Value], inputs: Sequence[int], validation: int
 ) -> _IntState:
@@ -369,11 +484,15 @@ def _fast_step(
 
     With the state at ``X_j / den`` and weights ``W / d``, neuron i's sum is
     ``(sum_j W_ij X_j + (C_i + inputs_i) * den) / (d * den)``; the clamp
-    compares it with the new denominator ``d * den``, and their gcd is
-    divided out afterwards.  Only nonzero sources are visited.  Sources at
-    1, the input lines and the biases add integers that do not depend on
-    ``den``; their sums are looked up in ``cn.unit_memo`` by which sources
-    are at 1, and computed only on a miss.  Fractional sources add ``W·X``.
+    compares it with the new denominator ``d * den``.  Only nonzero sources
+    are visited.  Sources at 1, the input lines and the biases add integers
+    that do not depend on ``den``; fractional sources add ``W·X``.
+
+    The first tick of a signature (see ``_CompiledNet``) is summed edge by
+    edge; the second builds the signature's plan, and it and every later
+    one replay that plan.  The result is not reduced: its denominator is
+    ``d * den``, and the gcd is divided out only once that reaches
+    ``state.limit`` bits.
     """
     if not cn.exact:
         raise ValueError("network contains a lazily-known scalar")
@@ -382,49 +501,40 @@ def _fast_step(
     den = state.den
     units = []
     fracs = []
+    xs = []
     for j, x in state.nz.items():
         if x == den:
             units.append(j)
         else:
-            fracs.append((j, x))
-    key = (tuple(units), tuple(inputs), validation)
-    memo = cn.unit_memo
-    fixed = memo.get(key)  # bias plus unit sums, numerators over d
-    bias, out = cn.biases, cn.state_edges
-    if fixed is None:
-        fixed = cn.raised.copy()
-        for j in units:
-            for i, w in out[j]:
-                fixed[i] = fixed.get(i, bias[i]) + w
-        for j, uj in enumerate(inputs):
-            if uj:
-                for i, w in cn.input_edges[j]:
-                    fixed[i] = fixed.get(i, bias[i]) + w
-        if validation:
-            for i, w in cn.input_edges[-1]:
-                fixed[i] = fixed.get(i, bias[i]) + w
-        if len(memo) >= _UNIT_MEMO_CAP:
-            memo.clear()
-        memo[key] = fixed
-    frac = {}  # numerators over d * den from fractional sources
-    for j, x in fracs:
-        for i, w in out[j]:
-            frac[i] = frac.get(i, 0) + w * x
-    ceil, sat = cn.ceil, cn.sat_mask
+            fracs.append(j)
+            xs.append(x)
+    inputs = tuple(inputs)
+    key = (tuple(units), tuple(fracs), inputs, validation)
     top = cn.d * den
+    plans = cn.tick_plans
+    plan = plans.get(key)
+    if not plan:
+        fixed = _unit_sums(cn, units, inputs, validation)
+        if plan is None:  # a first sighting
+            if len(plans) >= _TICK_PLAN_CAP:
+                plans.clear()
+                cn.interned.clear()
+            plans[key] = ()
+            return _reduced(cn, _plain_tick(cn, fixed, fracs, xs, den, top), top, state.limit)
+        plan = plans[key] = _plan(cn, fixed, fracs)
+    rows, tops, scaled = plan
     new = {}
-    for i, f in frac.items():
-        a = f + fixed.get(i, bias[i]) * den
+    for i, terms, base, sat in rows:
+        a = base * den
+        for p, w in terms:
+            a += w * xs[p]
         if a > 0:
-            new[i] = top if a >= top or not sat[i] else a
-    for i, u in fixed.items():
-        if u > 0 and i not in frac:
-            new[i] = top if u >= ceil[i] else u * den
-    g = gcd(top, *new.values())
-    if g > 1:
-        new = {i: x // g for i, x in new.items()}
-        top //= g
-    return _IntState(cn.n, new, top)
+            new[i] = top if a >= top or not sat else a
+    for i in tops:
+        new[i] = top
+    for i, u in scaled:
+        new[i] = u * den
+    return _reduced(cn, new, top, state.limit)
 
 
 # ---------------------------------------------------------------------------

@@ -512,6 +512,15 @@ def test_compose_mismatched_lines_is_shape_error():
         compose_nets(identity_pass_net(), wide, {0: "data"})
 
 
+def test_compose_rejects_handoff_to_no_line_or_from_no_output():
+    for handoff, message in (
+        ({0: "data", 7: "flag", 3: "bogus"}, "handoff key 7 is not one of the second net's 1 data"),
+        ({0: "bogus"}, "handoff of line 0 is 'bogus', not 'data', 'valid' or 'flag'"),
+    ):
+        with pytest.raises(ShapeError, match=message):
+            compose_nets(identity_pass_net(), identity_pass_net(), handoff)
+
+
 def test_compose_first_net_without_out_valid_is_shape_error():
     # the second net's validation column has no source to hand off from
     first = Network(1, 1, input_weights={(0, 0): ExactScalar.integer(1)}, out_data=0)

@@ -3,6 +3,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 
@@ -68,6 +69,13 @@ def test_repeated_input_symbol_is_shape_error():
     with pytest.raises(ShapeError, match="repeat a symbol"):
         Network(1, 2, input_symbols=("a", "a"))
     assert Network(1, 2, input_symbols=("a", "b")).line_for_symbol("b") == 1
+
+
+def test_multi_character_input_symbol_is_shape_error():
+    with pytest.raises(ShapeError, match="input symbol 'ab' is not one character"):
+        Network(1, 1, out_data=0, out_valid=0, input_symbols=("ab",))
+    with pytest.raises(ShapeError, match="input symbol '' is not one character"):
+        Network(1, 2, input_symbols=("a", ""))
 
 
 def test_step_state_confinement_under_iteration():
@@ -176,7 +184,7 @@ def test_memoised_kernel_matches_fraction_recomputation():
         acts = tuple(rng.choice(["sat", "sig"]) for _ in range(n))
         net = Network(n, m, state_weights=sw, input_weights=iw, biases=bias, activations=acts)
         cn = _compiled(net)
-        # a short input period, repeated, so that the unit memo gets hits
+        # a short input period, repeated, so that signatures repeat and plans replay
         period = [
             (tuple(rng.randint(0, 1) for _ in range(m)), rng.randint(0, 1))
             for _ in range(rng.randint(1, 4))
@@ -195,12 +203,70 @@ def test_memoised_kernel_matches_fraction_recomputation():
             trajectories.append(trajectory)
             if len(trajectories) == 1:
                 ticks += len(schedule)
-                hits += len(schedule) - len(cn.unit_memo)
+                hits += len(schedule) - len(cn.tick_plans)
         assert trajectories[0] == trajectories[1], trial
     assert hits > ticks // 2
 
 
-def test_unit_memo_is_emptied_at_its_cap(monkeypatch):
+def test_kernel_matches_fractions_across_reductions():
+    """Long runs with denominators over 3, 6 and 4, so that the shared
+    denominator grows past the slack and is reduced again, several times."""
+    import arnnlab.network as network
+
+    rng = random.Random(23)
+    slack = network._SLACK_BITS
+    plans = reductions = 0
+    for trial in range(12):
+        n = rng.randint(2, 8)
+        m = rng.randint(1, 2)
+
+        def scalar(lo, hi):
+            return ExactScalar.rational(rng.randint(lo, hi), rng.choice([3, 6, 4]))
+
+        sw = {(i, j): scalar(-4, 4) for i in range(n) for j in range(n) if rng.random() < 0.4}
+        # a contracting self-loop keeps neuron 0 fractional, with a growing denominator
+        sw[(0, 0)] = ExactScalar.rational(1, 3)
+        iw = {(i, j): scalar(-2, 3) for i in range(n) for j in range(m + 1) if rng.random() < 0.4}
+        iw[(0, 0)] = ExactScalar.rational(1, 4)
+        bias = {i: scalar(-3, 3) for i in range(n) if rng.random() < 0.6}
+        bias[0] = ExactScalar.rational(1, 6)
+        acts = ("sat",) + tuple(rng.choice(["sat", "sig"]) for _ in range(n - 1))
+        net = Network(n, m, state_weights=sw, input_weights=iw, biases=bias, activations=acts)
+        cn = _compiled(net)
+        d_bits = cn.d.bit_length()
+        period = [
+            (tuple(rng.randint(0, 1) for _ in range(m)), rng.randint(0, 1))
+            for _ in range(rng.randint(1, 5))
+        ]
+        schedule = (period * 240)[:240]
+        start = [rng.choice([0, 0, 1, Fraction(1, 2), Fraction(1, 3)]) for _ in range(n)]
+        trajectories = []
+        for _ in range(2):  # a cold memo, then the warm one it left
+            state, ref, trajectory = start, list(start), []
+            den = lcm(*(Fraction(x).denominator for x in start))
+            floor = den.bit_length()
+            for bits, v in schedule:
+                state = _fast_step(cn, state, bits, v)
+                ref = fraction_tick(net, ref, bits, v)
+                got = [Fraction(x) for x in state]
+                assert got == ref, trial
+                least = lcm(*(x.denominator for x in ref))
+                if state.den != den * cn.d:  # the gcd was divided out, all of it
+                    assert state.den == least, trial
+                    reductions += 1
+                if state.den == least:
+                    floor = least.bit_length()
+                assert state.den.bit_length() <= floor + slack + d_bits, trial
+                den = state.den
+                trajectory.append((got, list(state.nz)))
+            trajectories.append(trajectory)
+        # a replayed plan orders the new state as the plain path did
+        assert trajectories[0] == trajectories[1], trial
+        plans += sum(bool(plan) for plan in cn.tick_plans.values())
+    assert plans > 0 and reductions > 12
+
+
+def test_tick_plans_are_emptied_at_their_cap(monkeypatch):
     import arnnlab.network as network
 
     word = "aaabbb"
@@ -216,16 +282,18 @@ def test_unit_memo_is_emptied_at_its_cap(monkeypatch):
                 bits = (0,) * net.n_inputs
             state = _fast_step(cn, state, bits, int(t < len(word)))
             out.append(tuple(Fraction(x) for x in state))
-            sizes.append(len(cn.unit_memo))
-            assert len(cn.unit_memo) <= cap
+            sizes.append((len(cn.tick_plans), len(cn.interned)))
+            assert len(cn.tick_plans) <= cap
         return out, sizes
 
-    reference, sizes = trajectory(two_stack_to_net(anbn_machine()), network._UNIT_MEMO_CAP)
-    assert max(sizes) > 5
-    monkeypatch.setattr(network, "_UNIT_MEMO_CAP", 5)
+    reference, sizes = trajectory(two_stack_to_net(anbn_machine()), network._TICK_PLAN_CAP)
+    assert max(sizes)[0] > 5 and max(interned for _, interned in sizes) > 0
+    monkeypatch.setattr(network, "_TICK_PLAN_CAP", 5)
     capped, sizes = trajectory(two_stack_to_net(anbn_machine()), 5)
     assert capped == reference
-    assert max(sizes) == 5 and 1 in sizes[5:]  # it filled up and was emptied
+    assert max(sizes)[0] == 5
+    # it filled up and was emptied, the intern table with it
+    assert (1, 0) in sizes[5:]
 
 
 def dense_step(net, state, inputs, validation, budget):
