@@ -13,11 +13,10 @@ and the operations below enclose it by its prefixes, refining as far as a
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import HorizonExceeded, ShapeError, UnknownSign
 
@@ -129,18 +128,6 @@ class UnitReal:
                 yield digit
 
         return cls(gen=longdiv(), base=base, degree_label=degree_label)
-
-    @classmethod
-    def from_function(
-        cls,
-        fn: Callable[[int], int],
-        *,
-        base: int = 2,
-        degree_label: Optional[str] = None,
-    ) -> "UnitReal":
-        """Expansion whose n-th digit (1-based) is ``fn(n)``."""
-        gen = (fn(n) for n in itertools.count(1))
-        return cls(gen=gen, base=base, degree_label=degree_label)
 
     # -- digit access ----------------------------------------------------
 

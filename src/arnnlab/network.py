@@ -175,8 +175,9 @@ class Network:
 
 Value = Union[int, Fraction, Interval]
 
-#: A network state: one value per neuron, each confined to [0, 1] (or an
-#: interval enclosure of such a value when lazy scalars are involved).
+#: A network state: one value per neuron, each in [0, 1] (or an interval
+#: enclosure of such a value when lazy scalars are involved).  ``step``
+#: raises ``ShapeError`` for an int or Fraction component outside [0, 1].
 NetworkState = tuple[Value, ...]
 
 
@@ -193,6 +194,11 @@ def step(
 ) -> tuple[Value, ...]:
     """One synchronous update; exact for integer/rational scalars.
 
+    Every int or Fraction state component must lie in [0, 1], the range
+    the activations map into; ``ShapeError`` names the first one that does
+    not.  The integer kernel's tick plans rely on that range (see
+    ``_plan``), so it is checked before a path is picked.
+
     An exact net with an all-rational state steps on the integer kernel,
     ``_fast_step``.  With lazy scalars (streams with no known horizon), or
     interval components in the state, a precision budget is required and
@@ -205,6 +211,9 @@ def step(
         raise ShapeError(f"{len(inputs)} inputs given, expected {net.n_inputs}")
     if any(u not in (0, 1) for u in (*inputs, validation)):
         raise ShapeError("input and validation lines carry bits, 0 or 1")
+    for j, x in enumerate(state):
+        if isinstance(x, (int, Fraction)) and not 0 <= x <= 1:
+            raise ShapeError(f"state component {j} is {x}, outside [0, 1]")
     cn = _compiled(net)
     if cn.exact and all(isinstance(x, (int, Fraction)) for x in state):
         return tuple(_fast_step(cn, state, inputs, validation))
@@ -260,6 +269,9 @@ class _CompiledNet:
     are dropped.  So on an exact net one tick of ``_fast_step`` is integer
     arithmetic only, and ``step`` walks the same table on a lazy net,
     passing each integer ``w`` on as ``w / d``.
+
+    The kernel takes states in [0, 1] only (``step`` checks, and ``run``
+    starts at 0), so a numerator is never above the state's denominator.
 
     ``tick_plans`` maps the signature of an exact tick to its plan.  The
     signature is the tuple of sources at exactly 1 and the tuple of
@@ -439,11 +451,25 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: list[int]) -> tuple:
     """The tick of one signature, with every lookup done: ``(rows, tops, scaled)``.
 
     ``rows`` holds ``(i, terms, base, sat)`` for each neuron a fractional
-    source reaches: ``terms`` pairs a position in ``fracs`` with its weight,
-    ``base`` is the unit sum ``fixed`` gives i (its bias when none) and
-    ``sat`` whether i saturates.  ``tops`` lists the other neurons whose unit
-    sum reaches ``ceil``, and ``scaled`` the others that are positive, each
-    with its unit sum.  ``rows`` and ``tops`` are interned in ``cn``.
+    source reaches and that can turn positive: ``terms`` pairs a position in
+    ``fracs`` with its weight, ``base`` is the unit sum ``fixed`` gives i
+    (its bias when none) and ``sat`` whether i saturates.  ``tops`` lists
+    the other neurons whose unit sum reaches ``ceil``, and ``scaled`` the
+    others that are positive, each with its unit sum.  ``rows`` and ``tops``
+    are interned in ``cn``.
+
+    A neuron that can never turn positive gets no row.  A fractional
+    source's numerator x satisfies ``0 < x < den``: ``step`` admits only
+    states in [0, 1], zeros are not kept, and ``x == den`` is a unit
+    source.  So each term ``w * x`` is strictly below ``w * den`` when
+    ``w > 0`` and strictly below 0 when ``w < 0``, and as a row has at
+    least one term, its numerator ``base * den + sum(w * x)`` is strictly
+    below ``(base + sum of its positive w) * den`` on every tick of this
+    signature.  When that bound is at most 0, the numerator is negative,
+    the neuron writes nothing on the plain path or on a replay, and
+    leaving it out changes neither the values nor their order.  This is
+    the common case of a gate held closed by its bias: a stack candidate
+    ``sigma(y + gate - 1)`` while ``gate`` is 0.
     """
     bias, out, sat, ceil = cn.biases, cn.state_edges, cn.sat_mask, cn.ceil
     terms: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -451,7 +477,12 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: list[int]) -> tuple:
         for i, w in out[j]:
             ts = terms.get(i)
             terms[i] = ((p, w),) if ts is None else ts + ((p, w),)
-    rows = tuple([(i, ts, fixed.get(i, bias[i]), sat[i]) for i, ts in terms.items()])
+    rows = []
+    for i, ts in terms.items():
+        base = fixed.get(i, bias[i])
+        if base + sum(w for _, w in ts if w > 0) > 0:
+            rows.append((i, ts, base, sat[i]))
+    rows = tuple(rows)
     tops = []
     scaled = []
     for i, u in fixed.items():

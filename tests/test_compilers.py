@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import cycle, product, repeat
 
 import pytest
 
@@ -434,7 +434,7 @@ def test_stream_oracle_net_decides_past_the_interval_precision():
 
 
 def test_oracle_net_rejects_infinite_stream():
-    stream = UnitReal.from_function(lambda n: 1, base=4)
+    stream = UnitReal(gen=repeat(1), base=4)
     with pytest.raises(ConstructionError):
         OracleNetSpec(ExactScalar.from_stream(stream), AB)
 
@@ -544,7 +544,7 @@ def test_compose_rejects_inexact_colliding_handoff_weight():
 
     table = OracleTable.from_language(abstar_language(), 8)
     for weight in (
-        ExactScalar.from_stream(UnitReal.from_function(lambda n: n % 2), "0'"),
+        ExactScalar.from_stream(UnitReal(gen=cycle([1, 0])), "0'"),
         ExactScalar.oracle(table, CANTOR4, "0''"),
         ExactScalar.from_stream(UnitReal.from_digits([1, 0, 1]), "0'"),
     ):

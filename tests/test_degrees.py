@@ -1,5 +1,6 @@
 """Degree orders, maximal elements, and the hierarchy classifier."""
 
+import itertools
 import random
 
 import pytest
@@ -108,7 +109,7 @@ def test_maximals_idempotent():
 
 def test_scalar_degree_examples():
     assert scalar_degree(ExactScalar.rational(3, 4)) == "0"
-    stream = UnitReal.from_function(lambda n: n % 2)
+    stream = UnitReal(gen=itertools.cycle([1, 0]))
     assert scalar_degree(ExactScalar.from_stream(stream)) == "0"
     table = OracleTable((1, 0, 1))
     assert scalar_degree(ExactScalar.oracle(table, CANTOR4, "0'")) == "0'"

@@ -68,7 +68,7 @@ def test_digit_memo_deterministic_and_order_independent():
 
     r = UnitReal(gen=gen(), base=2)
     out_of_order = [r.digit_at(6), r.digit_at(2), r.digit_at(6)]
-    in_order = [UnitReal.from_function(lambda n: (n - 1) % 2).digit_at(n) for n in (6, 2, 6)]
+    in_order = [UnitReal(gen=itertools.cycle([0, 1])).digit_at(n) for n in (6, 2, 6)]
     assert out_of_order == in_order
     assert r.digit_at(6) == out_of_order[0]
     assert len(pulled) == 6  # memoised, not re-pulled
@@ -108,7 +108,7 @@ def test_signal_is_binary(x):
 
 
 def test_signal_on_stream_needs_budget():
-    r = UnitReal.from_function(lambda n: 0)
+    r = UnitReal(gen=itertools.repeat(0))
     with pytest.raises(ValueError):
         signal(r)
 
@@ -119,7 +119,7 @@ def test_signal_on_lazy_stream():
     assert signal(positive, budget) == 1
     zero_finite = UnitReal.from_digits([0, 0, 0])
     assert signal(zero_finite, budget) == 0
-    dark = UnitReal.from_function(lambda n: 0)
+    dark = UnitReal(gen=itertools.repeat(0))
     with pytest.raises(UnknownSign):
         signal(dark, budget)
 
@@ -257,7 +257,7 @@ def test_stream_scalar_is_exact_iff_its_horizon_is_known():
     for strict in (False, True):
         real = UnitReal([1, 0, 1], strict_horizon=strict)
         assert ExactScalar.from_stream(real).exact_fraction() == Fraction(5, 8)
-    lazy = ExactScalar.from_stream(UnitReal.from_function(lambda n: n % 2))
+    lazy = ExactScalar.from_stream(UnitReal(gen=itertools.cycle([1, 0])))
     assert lazy.exact_fraction() is None
     # an infinite expansion of a known rational is lazy too: no horizon
     third = ExactScalar.from_stream(UnitReal.from_fraction(Fraction(1, 3)))

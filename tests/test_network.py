@@ -6,19 +6,27 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arnnlab import (
+    CANTOR4,
     ConfigError,
     ExactScalar,
     Interval,
     Network,
+    OracleNetSpec,
+    OracleTable,
     PrecisionBudget,
     ShapeError,
     UnitReal,
     UnknownSign,
     Verdict,
+    compose_nets,
+    composed_oracle_budget,
     dfa_budget,
     dfa_to_net,
+    oracle_net_parts,
     run,
     step,
     two_stack_budget,
@@ -28,7 +36,7 @@ from arnnlab import (
 from arnnlab.exact import ScalarKind, affine_combine, saturated_sigma, signal
 from arnnlab.network import _compiled, _fast_step
 
-from conftest import anbn_machine, parity_dfa, words_up_to
+from conftest import AB, abstar_language, anbn_machine, parity_dfa, words_up_to
 
 
 def one_neuron(a=0, c=0, act="sat"):
@@ -63,6 +71,21 @@ def test_step_shape_checks():
     for inputs, validation in (((2,), 0), ((1,), 2)):
         with pytest.raises(ShapeError, match="carry bits"):
             step(wired, (0,), inputs, validation)
+
+
+def test_step_rejects_state_outside_the_unit_interval():
+    # the integer kernel's tick plans assume every source lies in [0, 1]
+    net = Network(
+        2,
+        0,
+        state_weights={(1, 0): ExactScalar.integer(1)},
+        biases={1: ExactScalar.integer(-1)},
+    )
+    for state in ((2, 0), (Fraction(3, 2), 0), (0, -1), (Fraction(-1, 4), 1)):
+        with pytest.raises(ShapeError, match="outside \\[0, 1\\]"):
+            step(net, state)
+    assert step(net, (1, 0)) == (0, 0)
+    assert step(net, (Fraction(1, 2), 1)) == (0, 0)
 
 
 def test_repeated_input_symbol_is_shape_error():
@@ -264,6 +287,112 @@ def test_kernel_matches_fractions_across_reductions():
         assert trajectories[0] == trajectories[1], trial
         plans += sum(bool(plan) for plan in cn.tick_plans.values())
     assert plans > 0 and reductions > 12
+
+
+def reached_and_rows(cn):
+    """For each built plan, the neurons its fractional sources reach and
+    the rows it kept."""
+    return [
+        (len({i for j in key[1] for i, _ in cn.state_edges[j]}), len(plan[0]))
+        for key, plan in cn.tick_plans.items()
+        if plan
+    ]
+
+
+@st.composite
+def gated_nets(draw):
+    """A random exact net with a closed gate, and a state in [0, 1].
+
+    Neurons 0..n-1 are wired at random; then come a source y held strictly
+    between 0 and 1, a gate at 0 and a candidate sigma(y + gate - 1), the
+    gadget by which compiled nets read and write their stacks."""
+    n = draw(st.integers(1, 6))
+    m = draw(st.integers(0, 2))
+    scalar = st.fractions(-2, 2, max_denominator=6).map(ExactScalar.from_fraction)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+    sw = draw(st.dictionaries(pairs, scalar, max_size=3 * n))
+    y, gate, cand = n, n + 1, n + 2
+    sw[(cand, y)] = sw[(cand, gate)] = ExactScalar.integer(1)
+    iw = draw(st.dictionaries(st.tuples(st.integers(0, n - 1), st.integers(0, m)), scalar))
+    bias = draw(st.dictionaries(st.integers(0, n - 1), scalar))
+    bias[cand] = ExactScalar.integer(-1)
+    acts = draw(st.lists(st.sampled_from(["sat", "sig"]), min_size=n + 3, max_size=n + 3))
+    net = Network(n + 3, m, state_weights=sw, input_weights=iw, biases=bias, activations=acts)
+    unit = st.one_of(st.sampled_from([0, 1]), st.fractions(0, 1, max_denominator=12))
+    state = draw(st.lists(unit, min_size=n, max_size=n))
+    y_value = draw(st.fractions(0, 1, max_denominator=12).filter(lambda x: 0 < x < 1))
+    state += [y_value, 0, draw(unit)]
+    bits = tuple(draw(st.lists(st.integers(0, 1), min_size=m, max_size=m)))
+    return net, state, bits, draw(st.integers(0, 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(gated_nets())
+def test_plain_plan_and_replay_ticks_match_fractions(case):
+    """One signature three times on a fresh net: its first sighting takes
+    the plain path, the second builds the plan and the third replays it."""
+    net, state, bits, v = case
+    cn = _compiled(net)
+    want = fraction_tick(net, state, bits, v)
+    orders = []
+    for _ in range(3):
+        got = _fast_step(cn, state, bits, v)
+        assert [Fraction(x) for x in got] == want
+        orders.append(list(got.nz))
+    assert orders[0] == orders[1] == orders[2]
+    # the candidate behind the closed gate is reached but gets no row
+    [(reached, rows)] = reached_and_rows(cn)
+    assert rows < reached
+
+
+def lockstep(net, word, budget):
+    """Run ``word`` tick by tick on ``_fast_step`` and ``fraction_tick``,
+    on a cold plan memo and then on the warm one it left, until the output
+    validation line rises; return the ticks."""
+    cn = _compiled(net)
+    ref = [Fraction(0)] * net.n_neurons
+    trajectory = []
+    for t in range(budget):
+        line = net.line_for_symbol(word[t]) if t < len(word) else None
+        bits = tuple(int(j == line) for j in range(net.n_inputs))
+        v = int(t < len(word))
+        ref = fraction_tick(net, ref, bits, v)
+        trajectory.append((bits, v, ref))
+        if ref[net.out_valid]:
+            break
+    passes = []
+    for _ in range(2):  # a cold memo, then the warm one it left
+        state, orders = [0] * net.n_neurons, []
+        for bits, v, want in trajectory:
+            state = _fast_step(cn, state, bits, v)
+            assert [Fraction(x) for x in state] == want, (word, len(orders))
+            orders.append(list(state.nz))
+        passes.append(orders)
+    # a replayed plan orders the new state as the plain path did
+    assert passes[0] == passes[1], word
+    return len(trajectory)
+
+
+def test_pruned_plans_match_fractions_on_compiled_words():
+    machine = anbn_machine()
+    table = OracleTable.from_language(abstar_language(), 25)
+    spec = OracleNetSpec(ExactScalar.oracle(table, CANTOR4, "0'"), AB)
+    cases = [
+        ("anbn", two_stack_to_net(machine), word,
+         two_stack_budget(len(word), machine.execute(word, 10_000)[1]))
+        for word in ("", "ab", "aabb", "aab", "abab", "aaabbb")
+    ]
+    cases += [
+        ("composed", compose_nets(*oracle_net_parts(spec)), word, composed_oracle_budget(word, AB))
+        for word in ("", "a")
+    ]
+    pruned = set()
+    for kind, net, word, budget in cases:  # a fresh net, so a cold memo, per word
+        assert lockstep(net, word, budget) == run(net, word, budget).ticks
+        if any(rows < reached for reached, rows in reached_and_rows(_compiled(net))):
+            pruned.add(kind)
+    # closed gates really are left out of replayed plans, on both kinds of net
+    assert pruned == {"anbn", "composed"}
 
 
 def test_tick_plans_are_emptied_at_their_cap(monkeypatch):
