@@ -274,14 +274,14 @@ class _CompiledNet:
     starts at 0), so a numerator is never above the state's denominator.
 
     ``tick_plans`` maps the signature of an exact tick to its plan.  The
-    signature is the tuple of sources at exactly 1 and the tuple of
-    fractional sources, both in the state's iteration order, with the input
-    bits and the validation bit.  A signature met once maps to ``()``; from
-    its second sighting on it maps to a plan (see ``_plan``).  ``interned``
-    holds one copy of each plan's ``rows`` and ``tops`` tuples, which many
-    plans share.  The net is read-only, so a plan never goes stale; the
-    memo and the intern table are emptied together when the memo reaches
-    ``_TICK_PLAN_CAP`` entries.
+    signature is the state's ``units`` and ``fracs`` (the tuples of sources
+    at exactly 1 and of fractional sources, see ``_IntState``), with the
+    input bits and the validation bit.  A signature met once maps to
+    ``()``; from its second sighting on it maps to a plan (see ``_plan``).
+    ``interned`` holds one copy of each plan's ``rows`` and ``tops`` tuples,
+    which many plans share.  The net is read-only, so a plan never goes
+    stale; the memo and the intern table are emptied together when the memo
+    reaches ``_TICK_PLAN_CAP`` entries.
 
     ``exact`` is False only when some scalar is a stream with no known
     horizon; a stream with a finite horizon is the rational of its digits
@@ -348,51 +348,63 @@ def _compiled(net: Network) -> _CompiledNet:
 
 
 class _IntState:
-    """An exact state as integer numerators over one shared denominator.
+    """An exact state in the form of its tick signature.
 
-    ``nz`` maps each nonzero neuron j to its numerator, so neuron j holds
-    ``nz.get(j, 0) / den``; ``_fast_step`` keeps only positive numerators,
-    and a neuron is at 1 exactly when its numerator equals ``den``.  ``den``
-    is not always the least common denominator: ``_fast_step`` divides out
-    the gcd only once the denominator reaches ``limit`` bits, and then sets
+    ``units`` lists the neurons at exactly 1 and ``fracs`` the neurons
+    strictly between 0 and 1; ``xs`` holds the numerators of ``fracs``
+    over ``den``, so ``0 < x < den`` for each, and every other neuron is 0.
+    ``(units, fracs)`` is the state's half of a tick's signature (see
+    ``_CompiledNet``), so ``_fast_step`` looks a plan up with no pass over
+    the state.  ``of`` lists both in index order, and a tick lists them in
+    the order a replay of its plan writes them (see ``_plan``).  ``den`` is
+    not always the least common denominator: ``_fast_step`` divides out the
+    gcd only once the denominator reaches ``limit`` bits, and then sets
     ``limit`` to the reduced size plus ``_SLACK_BITS``.  Iteration gives
     the values themselves (0, 1 or a reduced ``Fraction``).
     """
 
-    __slots__ = ("n", "nz", "den", "limit")
+    __slots__ = ("n", "units", "fracs", "xs", "den", "limit")
 
     def __init__(
-        self, n: int, nz: dict[int, int], den: int, limit: Optional[int] = None
+        self,
+        n: int,
+        units: tuple[int, ...],
+        fracs: tuple[int, ...],
+        xs: list[int],
+        den: int,
+        limit: Optional[int] = None,
     ) -> None:
         self.n = n
-        self.nz = nz
+        self.units = units
+        self.fracs = fracs
+        self.xs = xs
         self.den = den
         self.limit = den.bit_length() + _SLACK_BITS if limit is None else limit
 
     @classmethod
     def of(cls, values: Sequence[Value]) -> "_IntState":
-        fracs = [Fraction(x) for x in values]
-        den = lcm(*(f.denominator for f in fracs))
-        nz = {j: f.numerator * (den // f.denominator) for j, f in enumerate(fracs) if f}
-        return cls(len(fracs), nz, den)
-
-    def _value(self, x: int) -> Union[int, Fraction]:
-        if x == 0:
-            return 0
-        if x == self.den:
-            return 1
-        return Fraction(x, self.den)
+        """The state of ``values``, each in [0, 1]."""
+        values = [Fraction(x) for x in values]
+        den = lcm(*(f.denominator for f in values))
+        units = tuple(j for j, f in enumerate(values) if f == 1)
+        fracs = tuple(j for j, f in enumerate(values) if 0 < f < 1)
+        xs = [values[j].numerator * (den // values[j].denominator) for j in fracs]
+        return cls(len(values), units, fracs, xs, den)
 
     def __len__(self) -> int:
         return self.n
 
     def __iter__(self):
-        nz = self.nz
-        return (self._value(nz.get(j, 0)) for j in range(self.n))
+        values: list[Union[int, Fraction]] = [0] * self.n
+        for j in self.units:
+            values[j] = 1
+        for j, x in zip(self.fracs, self.xs):
+            values[j] = Fraction(x, self.den)
+        return iter(values)
 
 
 def _unit_sums(
-    cn: _CompiledNet, units: list[int], inputs: Sequence[int], validation: int
+    cn: _CompiledNet, units: Sequence[int], inputs: Sequence[int], validation: int
 ) -> dict[int, int]:
     """Bias plus the weights of the sources at 1 and the active lines, over
     ``d``, for each neuron they reach and each neuron with a positive bias."""
@@ -414,57 +426,65 @@ def _unit_sums(
 def _plain_tick(
     cn: _CompiledNet,
     fixed: dict[int, int],
-    fracs: list[int],
-    xs: list[int],
+    fracs: Sequence[int],
+    xs: Sequence[int],
     den: int,
     top: int,
-) -> dict[int, int]:
-    """The new numerators over ``top = d * den``, summed edge by edge.
+) -> tuple[list[int], list[int], list[int]]:
+    """The next ``units``, ``fracs`` and ``xs`` (numerators over
+    ``top = d * den``), summed edge by edge.
 
-    Neurons come in the order a replay of ``_plan(cn, fixed, fracs)``
-    gives them, so the next tick's signature does not depend on which of
-    the two computed this one.
+    Each list comes in the order a replay of ``_plan(cn, fixed, fracs)``
+    writes it: first the neurons a fractional source reaches, then the
+    others in ``fixed``.  So the next tick's signature does not depend on
+    which of the two computed this one.
     """
     bias, out, sat, ceil = cn.biases, cn.state_edges, cn.sat_mask, cn.ceil
     frac: dict[int, int] = {}  # numerators over d * den from fractional sources
     for j, x in zip(fracs, xs):
         for i, w in out[j]:
             frac[i] = frac.get(i, 0) + w * x
-    new = {}
+    units, new_fracs, new_xs = [], [], []
     for i, f in frac.items():
         a = f + fixed.get(i, bias[i]) * den
         if a > 0:
-            new[i] = top if a >= top or not sat[i] else a
-    scaled = []
+            if a >= top or not sat[i]:
+                units.append(i)
+            else:
+                new_fracs.append(i)
+                new_xs.append(a)
     for i, u in fixed.items():
         if u > 0 and i not in frac:
             if u >= ceil[i]:
-                new[i] = top
+                units.append(i)
             else:
-                scaled.append(i)
-    for i in scaled:
-        new[i] = fixed[i] * den
-    return new
+                new_fracs.append(i)
+                new_xs.append(u * den)
+    return units, new_fracs, new_xs
 
 
-def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: list[int]) -> tuple:
+def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> tuple:
     """The tick of one signature, with every lookup done: ``(rows, tops, scaled)``.
 
-    ``rows`` holds ``(i, terms, base, sat)`` for each neuron a fractional
-    source reaches and that can turn positive: ``terms`` pairs a position in
-    ``fracs`` with its weight, ``base`` is the unit sum ``fixed`` gives i
-    (its bias when none) and ``sat`` whether i saturates.  ``tops`` lists
-    the other neurons whose unit sum reaches ``ceil``, and ``scaled`` the
-    others that are positive, each with its unit sum.  ``rows`` and ``tops``
-    are interned in ``cn``.
+    ``rows`` holds ``(i, p, w, base, sat, more)`` for each neuron a
+    fractional source reaches and that can turn positive: ``p`` is the
+    position in ``fracs`` of its first such source and ``w`` that source's
+    weight, ``more`` pairs the position and weight of each further one
+    (most rows have none), ``base`` is the unit sum ``fixed`` gives i (its
+    bias when none) and ``sat`` whether i saturates.  ``tops`` lists the
+    other neurons whose unit sum reaches ``ceil``, and ``scaled`` the
+    others that are positive, each with its unit sum.  A replay writes the
+    next ``units`` as its rows at 1, then ``tops``; and the next ``fracs``
+    as its fractional rows, then ``scaled``.  ``rows`` and ``tops`` are
+    interned in ``cn``.
 
     A neuron that can never turn positive gets no row.  A fractional
     source's numerator x satisfies ``0 < x < den``: ``step`` admits only
-    states in [0, 1], zeros are not kept, and ``x == den`` is a unit
-    source.  So each term ``w * x`` is strictly below ``w * den`` when
-    ``w > 0`` and strictly below 0 when ``w < 0``, and as a row has at
-    least one term, its numerator ``base * den + sum(w * x)`` is strictly
-    below ``(base + sum of its positive w) * den`` on every tick of this
+    states in [0, 1], and a source at 0 or 1 is not in ``fracs``.  So each
+    term ``w * x`` is strictly below ``w * den`` when ``w > 0`` and
+    strictly below 0 when ``w < 0``, and as a row has at least one term,
+    its numerator ``base * den + sum(w * x)`` is strictly below
+    ``(base + sum of its positive w) * den`` on every tick of this
     signature.  When that bound is at most 0, the numerator is negative,
     the neuron writes nothing on the plain path or on a replay, and
     leaving it out changes neither the values nor their order.  This is
@@ -481,7 +501,7 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: list[int]) -> tuple:
     for i, ts in terms.items():
         base = fixed.get(i, bias[i])
         if base + sum(w for _, w in ts if w > 0) > 0:
-            rows.append((i, ts, base, sat[i]))
+            rows.append((i, *ts[0], base, sat[i], ts[1:]))
     rows = tuple(rows)
     tops = []
     scaled = []
@@ -496,16 +516,25 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: list[int]) -> tuple:
     return interned.setdefault(rows, rows), interned.setdefault(tops, tops), tuple(scaled)
 
 
-def _reduced(cn: _CompiledNet, new: dict[int, int], top: int, limit: int) -> _IntState:
-    """The state ``new / top``, with the gcd divided out once ``top`` reaches
-    ``limit`` bits; a division re-arms the limit at the reduced size."""
+def _reduced(
+    cn: _CompiledNet,
+    units: Sequence[int],
+    fracs: Sequence[int],
+    xs: list[int],
+    top: int,
+    limit: int,
+) -> _IntState:
+    """The state with ``xs`` over ``top``, with the gcd divided out once
+    ``top`` reaches ``limit`` bits; a division re-arms the limit at the
+    reduced size.  A unit's numerator is ``top`` itself, so only ``xs``
+    join the gcd, and with no fractional neuron the denominator becomes 1."""
     if top.bit_length() >= limit:
-        g = gcd(top, *new.values())
+        g = gcd(top, *xs)
         if g > 1:
-            new = {i: x // g for i, x in new.items()}
+            xs = [x // g for x in xs]
             top //= g
         limit = top.bit_length() + _SLACK_BITS
-    return _IntState(cn.n, new, top, limit)
+    return _IntState(cn.n, tuple(units), tuple(fracs), xs, top, limit)
 
 
 def _fast_step(
@@ -519,53 +548,53 @@ def _fast_step(
     are visited.  Sources at 1, the input lines and the biases add integers
     that do not depend on ``den``; fractional sources add ``W·X``.
 
-    The first tick of a signature (see ``_CompiledNet``) is summed edge by
-    edge; the second builds the signature's plan, and it and every later
-    one replay that plan.  The result is not reduced: its denominator is
-    ``d * den``, and the gcd is divided out only once that reaches
-    ``state.limit`` bits.
+    The state carries its own signature, ``state.units`` and
+    ``state.fracs``, so the plan lookup makes no pass over it.  The first
+    tick of a signature (see ``_CompiledNet``) is summed edge by edge; the
+    second builds the signature's plan, and it and every later one replay
+    that plan.  Either way the tick writes the next state straight into
+    its ``units``, ``fracs`` and ``xs``.  The result is not reduced: its
+    denominator is ``d * den``, and the gcd is divided out only once that
+    reaches ``state.limit`` bits.
     """
     if not cn.exact:
         raise ValueError("network contains a lazily-known scalar")
     if not isinstance(state, _IntState):
         state = _IntState.of(state)
-    den = state.den
-    units = []
-    fracs = []
-    xs = []
-    for j, x in state.nz.items():
-        if x == den:
-            units.append(j)
-        else:
-            fracs.append(j)
-            xs.append(x)
+    den, fracs, xs = state.den, state.fracs, state.xs
     inputs = tuple(inputs)
-    key = (tuple(units), tuple(fracs), inputs, validation)
+    key = (state.units, fracs, inputs, validation)
     top = cn.d * den
     plans = cn.tick_plans
     plan = plans.get(key)
     if not plan:
-        fixed = _unit_sums(cn, units, inputs, validation)
+        fixed = _unit_sums(cn, state.units, inputs, validation)
         if plan is None:  # a first sighting
             if len(plans) >= _TICK_PLAN_CAP:
                 plans.clear()
                 cn.interned.clear()
             plans[key] = ()
-            return _reduced(cn, _plain_tick(cn, fixed, fracs, xs, den, top), top, state.limit)
+            new = _plain_tick(cn, fixed, fracs, xs, den, top)
+            return _reduced(cn, *new, top, state.limit)
         plan = plans[key] = _plan(cn, fixed, fracs)
     rows, tops, scaled = plan
-    new = {}
-    for i, terms, base, sat in rows:
-        a = base * den
-        for p, w in terms:
-            a += w * xs[p]
+    new_units, new_fracs, new_xs = [], [], []
+    for i, p, w, base, sat, more in rows:
+        a = base * den + w * xs[p]
+        if more:
+            for p, w in more:
+                a += w * xs[p]
         if a > 0:
-            new[i] = top if a >= top or not sat else a
-    for i in tops:
-        new[i] = top
+            if a >= top or not sat:
+                new_units.append(i)
+            else:
+                new_fracs.append(i)
+                new_xs.append(a)
+    new_units += tops
     for i, u in scaled:
-        new[i] = u * den
-    return _reduced(cn, new, top, state.limit)
+        new_fracs.append(i)
+        new_xs.append(u * den)
+    return _reduced(cn, new_units, new_fracs, new_xs, top, state.limit)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +664,7 @@ def run(
 
     cn = _compiled(net)
     if cn.exact:
-        state: Sequence[Value] = _IntState(net.n_neurons, {}, 1)
+        state: Sequence[Value] = _IntState(net.n_neurons, (), (), [], 1)
     else:
         state = zero_state(net)
 
@@ -653,12 +682,14 @@ def run(
             inputs = zeros
             validation = 0
         if cn.exact:
-            # every numerator kept in nz is positive, so a bit is membership
+            # a neuron is positive exactly when it is in units or fracs
             state = _fast_step(cn, state, inputs, validation)
-            nz = state.nz
-            data_bit = 1 if data in nz else 0
-            valid_bit = 1 if valid in nz else 0
-            flag_bit = (1 if flag in nz else 0) if flag is not None else None
+            units, fracs = state.units, state.fracs
+            data_bit = 1 if data in units or data in fracs else 0
+            valid_bit = 1 if valid in units or valid in fracs else 0
+            flag_bit = (
+                (1 if flag in units or flag in fracs else 0) if flag is not None else None
+            )
         else:
             state = step(net, state, inputs, validation, budget=_LAZY_BUDGET)
             data_bit = _out_bit(state[data])

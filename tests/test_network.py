@@ -34,7 +34,7 @@ from arnnlab import (
     zero_state,
 )
 from arnnlab.exact import ScalarKind, affine_combine, saturated_sigma, signal
-from arnnlab.network import _compiled, _fast_step
+from arnnlab.network import _IntState, _compiled, _fast_step
 
 from conftest import AB, abstar_language, anbn_machine, parity_dfa, words_up_to
 
@@ -281,12 +281,83 @@ def test_kernel_matches_fractions_across_reductions():
                     floor = least.bit_length()
                 assert state.den.bit_length() <= floor + slack + d_bits, trial
                 den = state.den
-                trajectory.append((got, list(state.nz)))
+                trajectory.append((got, state.units, state.fracs))
             trajectories.append(trajectory)
         # a replayed plan orders the new state as the plain path did
         assert trajectories[0] == trajectories[1], trial
         plans += sum(bool(plan) for plan in cn.tick_plans.values())
     assert plans > 0 and reductions > 12
+
+
+unit_values = st.one_of(st.sampled_from([0, 1]), st.fractions(0, 1, max_denominator=30))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(unit_values, min_size=1, max_size=12))
+def test_int_state_is_its_signature(values):
+    state = _IntState.of(values)
+    assert list(state) == values
+    assert state.units == tuple(j for j, x in enumerate(values) if x == 1)
+    assert state.fracs == tuple(j for j, x in enumerate(values) if 0 < x < 1)
+    assert len(state.xs) == len(state.fracs)
+    assert all(0 < x < state.den for x in state.xs)
+
+
+@pytest.mark.parametrize("w0, w1, c, act", [
+    (Fraction(1, 2), Fraction(1, 2), 0, "sat"),
+    (Fraction(3, 2), -1, Fraction(1, 4), "sat"),
+    (-2, 3, Fraction(-1, 2), "sig"),
+    (1, 1, 0, "sig"),
+])
+def test_row_with_two_fractional_sources(w0, w1, c, act):
+    """Neuron 2 is reached by both fractional sources, so its plan row
+    carries a second term in ``more``."""
+    weights = {(2, 0): w0, (2, 1): w1, (0, 0): Fraction(1, 2)}
+    net = Network(
+        3,
+        0,
+        state_weights={k: ExactScalar.from_fraction(Fraction(w)) for k, w in weights.items()},
+        biases={2: ExactScalar.from_fraction(Fraction(c))} if c else {},
+        activations=("sat", "sat", act),
+    )
+    cn = _compiled(net)
+    state = [Fraction(1, 3), Fraction(3, 4), Fraction(1, 5)]
+    want = fraction_tick(net, state, (), 0)
+    orders = []
+    for _ in range(3):  # plain path, plan build, replay
+        got = _fast_step(cn, state, (), 0)
+        assert [Fraction(x) for x in got] == want
+        orders.append((got.units, got.fracs))
+    assert orders[0] == orders[1] == orders[2]
+    [(rows, _, _)] = [plan for plan in cn.tick_plans.values() if plan]
+    [(i, p, w, base, sat, more)] = [row for row in rows if row[0] == 2]
+    assert (p, len(more)) == (0, 1) and more[0][0] == 1
+    assert sat == (act == "sat")
+
+
+def test_reduction_with_no_fractional_neuron():
+    """Once the gcd runs on a state of 0s and 1s only, its denominator is 1."""
+    net = Network(
+        3,
+        0,
+        state_weights={
+            (0, 0): ExactScalar.integer(3),
+            (1, 1): ExactScalar.integer(2),
+            (2, 0): ExactScalar.integer(-1),
+        },
+        activations=("sat", "sig", "sat"),
+    )
+    cn = _compiled(net)
+    start = [Fraction(1, 3), Fraction(1, 4), 0]
+    want = fraction_tick(net, start, (), 0)
+    assert want == [1, 1, 0]
+    for limit, den in ((None, 12), (0, 1)):  # unreduced, then the gcd forced
+        state = _IntState.of(start)
+        if limit is not None:
+            state.limit = limit
+        got = _fast_step(cn, state, (), 0)
+        assert [Fraction(x) for x in got] == want
+        assert (got.units, got.fracs, got.xs, got.den) == ((0, 1), (), [], den)
 
 
 def reached_and_rows(cn):
@@ -338,7 +409,7 @@ def test_plain_plan_and_replay_ticks_match_fractions(case):
     for _ in range(3):
         got = _fast_step(cn, state, bits, v)
         assert [Fraction(x) for x in got] == want
-        orders.append(list(got.nz))
+        orders.append((got.units, got.fracs))
     assert orders[0] == orders[1] == orders[2]
     # the candidate behind the closed gate is reached but gets no row
     [(reached, rows)] = reached_and_rows(cn)
@@ -366,7 +437,7 @@ def lockstep(net, word, budget):
         for bits, v, want in trajectory:
             state = _fast_step(cn, state, bits, v)
             assert [Fraction(x) for x in state] == want, (word, len(orders))
-            orders.append(list(state.nz))
+            orders.append((state.units, state.fracs))
         passes.append(orders)
     # a replayed plan orders the new state as the plain path did
     assert passes[0] == passes[1], word
