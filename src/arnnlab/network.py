@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain, repeat, tee
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
@@ -266,9 +267,11 @@ class _CompiledNet:
     of neuron j and input line j, and ``biases[i]`` is neuron i's bias.  An
     exact scalar is kept as its integer numerator over ``d``, the lcm of all
     exact denominators, and a lazy one as its ``ExactScalar``; zero weights
-    are dropped.  So on an exact net one tick of ``_fast_step`` is integer
+    are dropped.  So on an exact net one tick of ``_ticks`` is integer
     arithmetic only, and ``step`` walks the same table on a lazy net,
-    passing each integer ``w`` on as ``w / d``.
+    passing each integer ``w`` on as ``w / d``.  Only a signature's first
+    sighting ticks over ``d``; its plan rescales what it reads to its own
+    ``scale``, which leaves out every weight the tick does not read.
 
     The kernel takes states in [0, 1] only (``step`` checks, and ``run``
     starts at 0), so a numerator is never above the state's denominator.
@@ -336,7 +339,7 @@ class _CompiledNet:
 #: the benchmark's workloads, no net meets more than 776 distinct signatures.
 _TICK_PLAN_CAP = 4096
 
-#: Bits by which ``_fast_step`` lets a state's denominator outgrow its size
+#: Bits by which ``_ticks`` lets a state's denominator outgrow its size
 #: at the last reduction before it divides out the gcd again.
 _SLACK_BITS = 256
 
@@ -354,13 +357,15 @@ class _IntState:
     strictly between 0 and 1; ``xs`` holds the numerators of ``fracs``
     over ``den``, so ``0 < x < den`` for each, and every other neuron is 0.
     ``(units, fracs)`` is the state's half of a tick's signature (see
-    ``_CompiledNet``), so ``_fast_step`` looks a plan up with no pass over
+    ``_CompiledNet``), so ``_ticks`` looks a plan up with no pass over
     the state.  ``of`` lists both in index order, and a tick lists them in
-    the order a replay of its plan writes them (see ``_plan``).  ``den`` is
-    not always the least common denominator: ``_fast_step`` divides out the
-    gcd only once the denominator reaches ``limit`` bits, and then sets
-    ``limit`` to the reduced size plus ``_SLACK_BITS``.  Iteration gives
-    the values themselves (0, 1 or a reduced ``Fraction``).
+    the order a replay of its plan writes them (see ``_plan``).  A tick
+    multiplies ``den`` by ``d`` on a first sighting and by the plan's
+    ``scale`` on a replay, so ``den`` is not always the least common
+    denominator: ``_ticks`` divides out the gcd only once the denominator
+    reaches ``limit`` bits, and then sets ``limit`` to the reduced size
+    plus ``_SLACK_BITS``.  Iteration gives the values themselves (0, 1 or a
+    reduced ``Fraction``).
     """
 
     __slots__ = ("n", "units", "fracs", "xs", "den", "limit")
@@ -464,7 +469,8 @@ def _plain_tick(
 
 
 def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> tuple:
-    """The tick of one signature, with every lookup done: ``(rows, tops, scaled)``.
+    """The tick of one signature, with every lookup done:
+    ``(rows, tops, scaled, scale)``.
 
     ``rows`` holds ``(i, p, w, base, sat, more)`` for each neuron a
     fractional source reaches and that can turn positive: ``p`` is the
@@ -477,6 +483,12 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> tupl
     next ``units`` as its rows at 1, then ``tops``; and the next ``fracs``
     as its fractional rows, then ``scaled``.  ``rows`` and ``tops`` are
     interned in ``cn``.
+
+    Every base, weight and unit sum is over ``scale`` rather than ``d``:
+    all of them and ``d`` are divided by their gcd, so ``scale`` divides
+    ``d`` and is the least common denominator of the values this plan
+    reads.  A replay's denominator is ``scale * den``, so a tick that reads
+    only integer weights leaves it as it was.
 
     A neuron that can never turn positive gets no row.  A fractional
     source's numerator x satisfies ``0 < x < den``: ``step`` admits only
@@ -502,7 +514,6 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> tupl
         base = fixed.get(i, bias[i])
         if base + sum(w for _, w in ts if w > 0) > 0:
             rows.append((i, *ts[0], base, sat[i], ts[1:]))
-    rows = tuple(rows)
     tops = []
     scaled = []
     for i, u in fixed.items():
@@ -511,36 +522,29 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> tupl
                 tops.append(i)
             elif u > 0:
                 scaled.append((i, u))
+    g = gcd(cn.d, *[u for _, u in scaled], *[v for row in rows for v in row[2:4]],
+            *[w for row in rows for _, w in row[5]])
+    if g > 1:
+        rows = [
+            (i, p, w // g, base // g, s, tuple([(q, v // g) for q, v in more]) if more else ())
+            for i, p, w, base, s, more in rows
+        ]
+        scaled = [(i, u // g) for i, u in scaled]
+    rows = tuple(rows)
     tops = tuple(tops)
     interned = cn.interned
-    return interned.setdefault(rows, rows), interned.setdefault(tops, tops), tuple(scaled)
+    return (
+        interned.setdefault(rows, rows),
+        interned.setdefault(tops, tops),
+        tuple(scaled),
+        cn.d // g,
+    )
 
 
-def _reduced(
-    cn: _CompiledNet,
-    units: Sequence[int],
-    fracs: Sequence[int],
-    xs: list[int],
-    top: int,
-    limit: int,
-) -> _IntState:
-    """The state with ``xs`` over ``top``, with the gcd divided out once
-    ``top`` reaches ``limit`` bits; a division re-arms the limit at the
-    reduced size.  A unit's numerator is ``top`` itself, so only ``xs``
-    join the gcd, and with no fractional neuron the denominator becomes 1."""
-    if top.bit_length() >= limit:
-        g = gcd(top, *xs)
-        if g > 1:
-            xs = [x // g for x in xs]
-            top //= g
-        limit = top.bit_length() + _SLACK_BITS
-    return _IntState(cn.n, tuple(units), tuple(fracs), xs, top, limit)
-
-
-def _fast_step(
-    cn: _CompiledNet, state: Sequence[Value], inputs: Sequence[int], validation: int
-) -> _IntState:
-    """One exact tick of a compiled net, in integers.
+def _ticks(cn: _CompiledNet, state: _IntState, feed: Iterable[tuple[tuple[int, ...], int]]):
+    """Exact ticks of a compiled net from ``state``, one per ``(inputs,
+    validation)`` of ``feed``, in integers; yields each tick's ``(units,
+    fracs, xs, den, limit)`` (see ``_IntState``).
 
     With the state at ``X_j / den`` and weights ``W / d``, neuron i's sum is
     ``(sum_j W_ij X_j + (C_i + inputs_i) * den) / (d * den)``; the clamp
@@ -548,53 +552,73 @@ def _fast_step(
     are visited.  Sources at 1, the input lines and the biases add integers
     that do not depend on ``den``; fractional sources add ``W·X``.
 
-    The state carries its own signature, ``state.units`` and
-    ``state.fracs``, so the plan lookup makes no pass over it.  The first
-    tick of a signature (see ``_CompiledNet``) is summed edge by edge; the
-    second builds the signature's plan, and it and every later one replay
-    that plan.  Either way the tick writes the next state straight into
-    its ``units``, ``fracs`` and ``xs``.  The result is not reduced: its
-    denominator is ``d * den``, and the gcd is divided out only once that
-    reaches ``state.limit`` bits.
+    The state is kept as its own signature, ``units`` and ``fracs``, so the
+    plan lookup makes no pass over it.  The first tick of a signature (see
+    ``_CompiledNet``) is summed edge by edge over ``d``; the second builds
+    the signature's plan, and it and every later one replay that plan over
+    the plan's own ``scale``.  Either way the tick writes the next
+    ``units``, ``fracs`` and ``xs`` directly.  The denominator is not
+    reduced on every tick: the gcd is divided out only once it reaches
+    ``limit`` bits, and ``limit`` is then set to the reduced size plus
+    ``_SLACK_BITS``.  A unit's numerator is the denominator itself, so only
+    ``xs`` join the gcd, and with no fractional neuron it becomes 1.
     """
+    units, fracs, xs, den, limit = state.units, state.fracs, state.xs, state.den, state.limit
+    plans = cn.tick_plans
+    for inputs, validation in feed:
+        key = (units, fracs, inputs, validation)
+        plan = plans.get(key)
+        if not plan:
+            fixed = _unit_sums(cn, units, inputs, validation)
+            if plan is None:  # a first sighting
+                if len(plans) >= _TICK_PLAN_CAP:
+                    plans.clear()
+                    cn.interned.clear()
+                plans[key] = ()
+                top = cn.d * den
+                new_units, new_fracs, xs = _plain_tick(cn, fixed, fracs, xs, den, top)
+            else:
+                plan = plans[key] = _plan(cn, fixed, fracs)
+        if plan:
+            rows, tops, scaled, scale = plan
+            top = scale * den
+            new_units, new_fracs, new_xs = [], [], []
+            for i, p, w, base, sat, more in rows:
+                a = base * den + w * xs[p]
+                if more:
+                    for p, w in more:
+                        a += w * xs[p]
+                if a > 0:
+                    if a >= top or not sat:
+                        new_units.append(i)
+                    else:
+                        new_fracs.append(i)
+                        new_xs.append(a)
+            new_units += tops
+            for i, u in scaled:
+                new_fracs.append(i)
+                new_xs.append(u * den)
+            xs = new_xs
+        if top.bit_length() >= limit:
+            g = gcd(top, *xs)
+            if g > 1:
+                xs = [x // g for x in xs]
+                top //= g
+            limit = top.bit_length() + _SLACK_BITS
+        units, fracs, den = tuple(new_units), tuple(new_fracs), top
+        yield units, fracs, xs, den, limit
+
+
+def _fast_step(
+    cn: _CompiledNet, state: Sequence[Value], inputs: Sequence[int], validation: int
+) -> _IntState:
+    """One tick of ``_ticks``, from and to an ``_IntState``; ``state`` may
+    also be any sequence of values in [0, 1]."""
     if not cn.exact:
         raise ValueError("network contains a lazily-known scalar")
     if not isinstance(state, _IntState):
         state = _IntState.of(state)
-    den, fracs, xs = state.den, state.fracs, state.xs
-    inputs = tuple(inputs)
-    key = (state.units, fracs, inputs, validation)
-    top = cn.d * den
-    plans = cn.tick_plans
-    plan = plans.get(key)
-    if not plan:
-        fixed = _unit_sums(cn, state.units, inputs, validation)
-        if plan is None:  # a first sighting
-            if len(plans) >= _TICK_PLAN_CAP:
-                plans.clear()
-                cn.interned.clear()
-            plans[key] = ()
-            new = _plain_tick(cn, fixed, fracs, xs, den, top)
-            return _reduced(cn, *new, top, state.limit)
-        plan = plans[key] = _plan(cn, fixed, fracs)
-    rows, tops, scaled = plan
-    new_units, new_fracs, new_xs = [], [], []
-    for i, p, w, base, sat, more in rows:
-        a = base * den + w * xs[p]
-        if more:
-            for p, w in more:
-                a += w * xs[p]
-        if a > 0:
-            if a >= top or not sat:
-                new_units.append(i)
-            else:
-                new_fracs.append(i)
-                new_xs.append(a)
-    new_units += tops
-    for i, u in scaled:
-        new_fracs.append(i)
-        new_xs.append(u * den)
-    return _reduced(cn, new_units, new_fracs, new_xs, top, state.limit)
+    return _IntState(cn.n, *next(_ticks(cn, state, [(tuple(inputs), validation)])))
 
 
 # ---------------------------------------------------------------------------
@@ -660,48 +684,38 @@ def run(
         raise ConfigError(
             f"budget {budget} is too small for a {len(word)}-symbol word"
         )
-    lines = [net.line_for_symbol(ch) for ch in word] if word else []
-
-    cn = _compiled(net)
-    if cn.exact:
-        state: Sequence[Value] = _IntState(net.n_neurons, (), (), [], 1)
-    else:
-        state = zero_state(net)
-
-    records: list[TickRecord] = []
     m = net.n_inputs
     onehot = [tuple(1 if j == k else 0 for j in range(m)) for k in range(m)]
-    shown = [onehot[k] for k in lines]
-    zeros = (0,) * m
+    shown = [(onehot[net.line_for_symbol(ch)], 1) for ch in word]
+    feed, echo = tee(chain(shown, repeat(((0,) * m, 0), budget - len(shown))))
     data, valid, flag = net.out_data, net.out_valid, net.out_flag
-    for t in range(budget):
-        if t < len(shown):
-            inputs = shown[t]
-            validation = 1
-        else:
-            inputs = zeros
-            validation = 0
-        if cn.exact:
-            # a neuron is positive exactly when it is in units or fracs
-            state = _fast_step(cn, state, inputs, validation)
-            units, fracs = state.units, state.fracs
-            data_bit = 1 if data in units or data in fracs else 0
-            valid_bit = 1 if valid in units or valid in fracs else 0
-            flag_bit = (
-                (1 if flag in units or flag in fracs else 0) if flag is not None else None
-            )
-        else:
-            state = step(net, state, inputs, validation, budget=_LAZY_BUDGET)
-            data_bit = _out_bit(state[data])
-            valid_bit = _out_bit(state[valid])
-            flag_bit = _out_bit(state[flag]) if flag is not None else None
+    cn = _compiled(net)
+    if cn.exact:
+        ticks = _ticks(cn, _IntState(net.n_neurons, (), (), [], 1), feed)
+    else:
+        ticks = _lazy_ticks(net, feed, [i for i in (data, valid, flag) if i is not None])
+
+    records: list[TickRecord] = []
+    # a neuron is positive exactly when it is in units or fracs
+    for t, ((inputs, validation), (units, fracs, *_)) in enumerate(zip(echo, ticks), 1):
+        data_bit = 1 if data in units or data in fracs else 0
+        valid_bit = 1 if valid in units or valid in fracs else 0
+        flag_bit = (1 if flag in units or flag in fracs else 0) if flag is not None else None
         if record_trace:
             records.append(
                 TickRecord(inputs, validation, data_bit, valid_bit, flag_bit)
             )
         if valid_bit:
             verdict = Verdict.ACCEPT if data_bit else Verdict.REJECT
-            return RunResult(
-                verdict, tuple(records), ticks=t + 1, flagged=bool(flag_bit)
-            )
+            return RunResult(verdict, tuple(records), ticks=t, flagged=bool(flag_bit))
     return RunResult(Verdict.TIMEOUT, tuple(records), ticks=budget)
+
+
+def _lazy_ticks(net: Network, feed: Iterable[tuple[tuple[int, ...], int]], outs: list[int]):
+    """``step`` on interval enclosures, one tick per item of ``feed``;
+    yields the output neurons among ``outs`` that are positive, as ``units``
+    with no ``fracs``."""
+    state: Sequence[Value] = zero_state(net)
+    for inputs, validation in feed:
+        state = step(net, state, inputs, validation, budget=_LAZY_BUDGET)
+        yield tuple(i for i in outs if _out_bit(state[i])), ()

@@ -433,6 +433,22 @@ def test_stream_oracle_net_decides_past_the_interval_precision():
     assert lazy.is_exact()
 
 
+def test_oracle_net_on_a_long_table():
+    # the horizon-255 table's weight has a 511-bit denominator, read on one
+    # tick of the run; every other tick replays without it
+    language = Language.from_rule(AB, "parity", "a")
+    table = OracleTable.from_language(language, 255)
+    net = oracle_net(OracleNetSpec(ExactScalar.oracle(table, CANTOR4, "0'"), AB))
+    word = "b" * 7
+    assert string_of_index(255, AB) == word
+    bit, result = oracle_consult(net, word, oracle_budget(word, AB))
+    assert bit == decode_membership(encode_language(language, 255), word, AB)
+    assert result.ticks == 9_054
+    word = string_of_index(256, AB)
+    with pytest.raises(HorizonExceeded):
+        oracle_consult(net, word, oracle_budget(word, AB))
+
+
 def test_oracle_net_rejects_infinite_stream():
     stream = UnitReal(gen=repeat(1), base=4)
     with pytest.raises(ConstructionError):

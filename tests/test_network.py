@@ -269,12 +269,16 @@ def test_kernel_matches_fractions_across_reductions():
             den = lcm(*(Fraction(x).denominator for x in start))
             floor = den.bit_length()
             for bits, v in schedule:
+                sig = _IntState.of(state) if isinstance(state, list) else state
                 state = _fast_step(cn, state, bits, v)
                 ref = fraction_tick(net, ref, bits, v)
                 got = [Fraction(x) for x in state]
                 assert got == ref, trial
                 least = lcm(*(x.denominator for x in ref))
-                if state.den != den * cn.d:  # the gcd was divided out, all of it
+                # a replay scales by its plan's scale, a first sighting by d
+                plan = cn.tick_plans.get((sig.units, sig.fracs, bits, v))
+                scale = plan[3] if plan else cn.d
+                if state.den != den * scale:  # the gcd was divided out, all of it
                     assert state.den == least, trial
                     reductions += 1
                 if state.den == least:
@@ -329,7 +333,7 @@ def test_row_with_two_fractional_sources(w0, w1, c, act):
         assert [Fraction(x) for x in got] == want
         orders.append((got.units, got.fracs))
     assert orders[0] == orders[1] == orders[2]
-    [(rows, _, _)] = [plan for plan in cn.tick_plans.values() if plan]
+    [(rows, _, _, _)] = [plan for plan in cn.tick_plans.values() if plan]
     [(i, p, w, base, sat, more)] = [row for row in rows if row[0] == 2]
     assert (p, len(more)) == (0, 1) and more[0][0] == 1
     assert sat == (act == "sat")
@@ -414,6 +418,117 @@ def test_plain_plan_and_replay_ticks_match_fractions(case):
     # the candidate behind the closed gate is reached but gets no row
     [(reached, rows)] = reached_and_rows(cn)
     assert rows < reached
+
+
+@settings(max_examples=150, deadline=None)
+@given(gated_nets())
+def test_plan_scale_is_the_least_denominator_it_reads(case):
+    """A plan's ``scale`` divides ``d`` and is the least common
+    denominator of its bases, term weights and scaled unit sums."""
+    net, state, bits, v = case
+    cn = _compiled(net)
+    want = fraction_tick(net, state, bits, v)
+    for _ in range(2):  # plain path, then plan build and replay
+        assert [Fraction(x) for x in _fast_step(cn, state, bits, v)] == want
+    [(rows, _, scaled, scale)] = [plan for plan in cn.tick_plans.values() if plan]
+    assert cn.d % scale == 0
+    values = [u for _, u in scaled]
+    for _, _, w, base, _, more in rows:
+        values += [w, base, *(w for _, w in more)]
+    assert lcm(*(Fraction(x, scale).denominator for x in values)) == scale
+
+
+def test_plan_leaves_out_weights_it_does_not_read():
+    """Neuron 0 holds 1/2 on a self-loop of weight 1; the 1/3 edge out of
+    neuron 2 is read only while neuron 2 is not 0, and it stays at 0."""
+    net = Network(
+        3,
+        0,
+        state_weights={(0, 0): ExactScalar.integer(1), (1, 2): ExactScalar.rational(1, 3)},
+    )
+    cn = _compiled(net)
+    assert cn.d == 3
+    state, dens = _IntState.of([Fraction(1, 2), 0, 0]), []
+    for _ in range(3):  # plain path, plan build, replay
+        state = _fast_step(cn, state, (), 0)
+        assert list(state) == [Fraction(1, 2), 0, 0]
+        dens.append(state.den)
+    [(_, _, _, scale)] = [plan for plan in cn.tick_plans.values() if plan]
+    # the first sighting multiplies den by d, a replay by its scale
+    assert scale == 1 and dens == [6, 6, 6]
+
+
+@st.composite
+def word_nets(draw):
+    """A random exact net with output lines and input symbols, a word over
+    those symbols and a budget."""
+    n = draw(st.integers(2, 7))
+    m = draw(st.integers(1, 2))
+    scalar = st.fractions(-2, 2, max_denominator=6).map(ExactScalar.from_fraction)
+    neuron = st.integers(0, n - 1)
+    iw = draw(st.dictionaries(st.tuples(neuron, st.integers(0, m)), scalar))
+    bias = draw(st.dictionaries(neuron, scalar))
+    valid = draw(neuron)
+    if draw(st.booleans()):  # out_valid tends to rise once the word ends
+        iw[(valid, m)], bias[valid] = ExactScalar.integer(-1), ExactScalar.rational(1, 2)
+    net = Network(
+        n,
+        m,
+        state_weights=draw(st.dictionaries(st.tuples(neuron, neuron), scalar, max_size=3 * n)),
+        input_weights=iw,
+        biases=bias,
+        activations=draw(st.lists(st.sampled_from(["sat", "sig"]), min_size=n, max_size=n)),
+        out_data=draw(neuron),
+        out_valid=valid,
+        out_flag=draw(st.none() | neuron),
+        input_symbols="ab"[:m],
+    )
+    word = draw(st.text("ab"[:m], max_size=6))
+    return net, word, draw(st.integers(len(word) + 1, len(word) + 30))
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_nets())
+def test_run_matches_a_loop_of_fast_step(case):
+    """``run`` steps one kernel loop; ticking the same word one
+    ``_fast_step`` at a time, on the plan memo that ``run`` left, gives
+    the same ``(units, fracs)`` and values per tick, trace, verdict and
+    ticks."""
+    import arnnlab.network as network
+
+    net, word, budget = case
+    kernel, seen = network._ticks, []
+
+    def recorded(*args):
+        for tick in kernel(*args):
+            seen.append(_IntState(net.n_neurons, *tick))
+            yield tick
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_ticks", recorded)
+        result = run(net, word, budget)
+    cn = _compiled(net)
+    state, records, verdict, flagged = [0] * net.n_neurons, [], Verdict.TIMEOUT, False
+    for t in range(budget):
+        line = net.line_for_symbol(word[t]) if t < len(word) else None
+        bits = tuple(int(j == line) for j in range(net.n_inputs))
+        v = int(t < len(word))
+        state = _fast_step(cn, state, bits, v)
+        assert (state.units, state.fracs) == (seen[t].units, seen[t].fracs), t
+        assert list(state) == list(seen[t]), t
+        values = list(state)
+        data, valid = (int(values[i] > 0) for i in (net.out_data, net.out_valid))
+        flag = None if net.out_flag is None else int(values[net.out_flag] > 0)
+        records.append((bits, v, data, valid, flag))
+        if valid:
+            verdict = Verdict.ACCEPT if data else Verdict.REJECT
+            flagged = bool(flag)
+            break
+    assert len(seen) == len(records) == result.ticks
+    assert [
+        (r.inputs, r.validation, r.out_data, r.out_valid, r.out_flag) for r in result.trace
+    ] == records
+    assert (result.verdict, result.flagged) == (verdict, flagged)
 
 
 def lockstep(net, word, budget):
