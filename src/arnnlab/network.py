@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, repeat, tee
+from itertools import chain, repeat
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
@@ -286,6 +286,9 @@ class _CompiledNet:
     stale; the memo and the intern table are emptied together when the memo
     reaches ``_TICK_PLAN_CAP`` entries.
 
+    ``out_valid`` is the net's output validation neuron, the one ``_ticks``
+    watches; each plan records whether it can write that neuron.
+
     ``exact`` is False only when some scalar is a stream with no known
     horizon; a stream with a finite horizon is the rational of its digits
     (see ``ExactScalar.exact_fraction``) and is scaled like any other.
@@ -332,6 +335,7 @@ class _CompiledNet:
         self.sat_mask = [act == SAT for act in net.activations]
         # the smallest integer sum (over d) that sets a neuron to 1
         self.ceil = [d if act == SAT else 1 for act in net.activations]
+        self.out_valid = net.out_valid
         self.tick_plans: dict[tuple, tuple] = {}
         self.interned: dict[tuple, tuple] = {}
 
@@ -366,6 +370,10 @@ class _IntState:
     reaches ``limit`` bits, and then sets ``limit`` to the reduced size
     plus ``_SLACK_BITS``.  Iteration gives the values themselves (0, 1 or a
     reduced ``Fraction``).
+
+    ``_ticks`` ticks a state in place: it rebinds all five fields but never
+    mutates the tuples or the ``xs`` list they held, so a copy that shares
+    them, as ``_fast_step`` makes, is independent of the original.
     """
 
     __slots__ = ("n", "units", "fracs", "xs", "den", "limit")
@@ -470,7 +478,7 @@ def _plain_tick(
 
 def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> tuple:
     """The tick of one signature, with every lookup done:
-    ``(rows, tops, scaled, scale)``.
+    ``(rows, tops, scaled, scale, fires)``.
 
     ``rows`` holds ``(i, p, w, base, sat, more)`` for each neuron a
     fractional source reaches and that can turn positive: ``p`` is the
@@ -489,6 +497,10 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> tupl
     ``d`` and is the least common denominator of the values this plan
     reads.  A replay's denominator is ``scale * den``, so a tick that reads
     only integer weights leaves it as it was.
+
+    ``fires`` is whether the net's ``out_valid`` is among the neurons the
+    plan writes: a row's target, in ``tops`` or in ``scaled``.  Only then
+    can a replay set it positive, so only then does ``_ticks`` test it.
 
     A neuron that can never turn positive gets no row.  A fractional
     source's numerator x satisfies ``0 < x < den``: ``step`` admits only
@@ -532,19 +544,23 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> tupl
         scaled = [(i, u // g) for i, u in scaled]
     rows = tuple(rows)
     tops = tuple(tops)
+    valid = cn.out_valid
     interned = cn.interned
     return (
         interned.setdefault(rows, rows),
         interned.setdefault(tops, tops),
         tuple(scaled),
         cn.d // g,
+        valid in tops or any(i == valid for i, *_ in (*rows, *scaled)),
     )
 
 
-def _ticks(cn: _CompiledNet, state: _IntState, feed: Iterable[tuple[tuple[int, ...], int]]):
-    """Exact ticks of a compiled net from ``state``, one per ``(inputs,
-    validation)`` of ``feed``, in integers; yields each tick's ``(units,
-    fracs, xs, den, limit)`` (see ``_IntState``).
+def _ticks(
+    cn: _CompiledNet, state: _IntState, feed: Iterable[tuple[tuple[int, ...], int]]
+) -> int:
+    """Tick ``state`` in place, one exact tick per ``(inputs, validation)``
+    of ``feed``, in integers, until the net's ``out_valid`` is positive or
+    the feed ends; return the number of ticks taken.
 
     With the state at ``X_j / den`` and weights ``W / d``, neuron i's sum is
     ``(sum_j W_ij X_j + (C_i + inputs_i) * den) / (d * den)``; the clamp
@@ -562,10 +578,18 @@ def _ticks(cn: _CompiledNet, state: _IntState, feed: Iterable[tuple[tuple[int, .
     ``limit`` bits, and ``limit`` is then set to the reduced size plus
     ``_SLACK_BITS``.  A unit's numerator is the denominator itself, so only
     ``xs`` join the gcd, and with no fractional neuron it becomes 1.
+
+    A first sighting always tests whether ``out_valid`` is positive; a
+    replay tests it only when its plan can write it (``fires``, see
+    ``_plan``).  The state is kept in local variables from tick to tick and
+    written back to ``state`` once, at the end.
     """
     units, fracs, xs, den, limit = state.units, state.fracs, state.xs, state.den, state.limit
     plans = cn.tick_plans
+    valid = cn.out_valid
+    t = 0
     for inputs, validation in feed:
+        t += 1
         key = (units, fracs, inputs, validation)
         plan = plans.get(key)
         if not plan:
@@ -577,10 +601,11 @@ def _ticks(cn: _CompiledNet, state: _IntState, feed: Iterable[tuple[tuple[int, .
                 plans[key] = ()
                 top = cn.d * den
                 new_units, new_fracs, xs = _plain_tick(cn, fixed, fracs, xs, den, top)
+                fires = True
             else:
                 plan = plans[key] = _plan(cn, fixed, fracs)
         if plan:
-            rows, tops, scaled, scale = plan
+            rows, tops, scaled, scale, fires = plan
             top = scale * den
             new_units, new_fracs, new_xs = [], [], []
             for i, p, w, base, sat, more in rows:
@@ -606,19 +631,27 @@ def _ticks(cn: _CompiledNet, state: _IntState, feed: Iterable[tuple[tuple[int, .
                 top //= g
             limit = top.bit_length() + _SLACK_BITS
         units, fracs, den = tuple(new_units), tuple(new_fracs), top
-        yield units, fracs, xs, den, limit
+        if fires and (valid in units or valid in fracs):
+            break
+    state.units, state.fracs, state.xs, state.den, state.limit = units, fracs, xs, den, limit
+    return t
 
 
 def _fast_step(
     cn: _CompiledNet, state: Sequence[Value], inputs: Sequence[int], validation: int
 ) -> _IntState:
-    """One tick of ``_ticks``, from and to an ``_IntState``; ``state`` may
-    also be any sequence of values in [0, 1]."""
+    """One tick of ``_ticks`` on a copy of ``state``, returned as a new
+    ``_IntState``; ``state`` itself is left as it was, and may also be any
+    sequence of values in [0, 1].  On a one-tick feed the watch on
+    ``out_valid`` changes nothing."""
     if not cn.exact:
         raise ValueError("network contains a lazily-known scalar")
-    if not isinstance(state, _IntState):
+    if isinstance(state, _IntState):
+        state = _IntState(cn.n, state.units, state.fracs, state.xs, state.den, state.limit)
+    else:
         state = _IntState.of(state)
-    return _IntState(cn.n, *next(_ticks(cn, state, [(tuple(inputs), validation)])))
+    _ticks(cn, state, ((tuple(inputs), validation),))
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -647,10 +680,15 @@ class RunResult:
     flagged: bool = False
 
 
-def _out_bit(value: Value) -> int:
-    if isinstance(value, Interval):
-        return signal(value)
-    return 1 if value > 0 else 0
+def _lines(net: Network, state: Union[_IntState, list[Value]]) -> tuple[int, int, Optional[int]]:
+    """The output data, validation and flag bits of ``state``; the flag bit
+    is None when the net has no ``out_flag``."""
+    if isinstance(state, _IntState):
+        on = lambda i: 1 if i in state.units or i in state.fracs else 0
+    else:
+        on = lambda i: signal(state[i])
+    flag = net.out_flag
+    return on(net.out_data), on(net.out_valid), None if flag is None else on(flag)
 
 
 #: How far ``run`` refines lazy scalars before a sign counts as undecidable,
@@ -677,6 +715,11 @@ def run(
     oracle net.  A net that carries a stream with no known horizon steps
     through ``step`` on interval enclosures refined to at most 128 digits,
     and a sign they cannot decide raises ``UnknownSign``.
+
+    Either way the run is one call of the kernel (``_ticks`` or
+    ``_lazy_ticks``), which stops on the verdict tick, and the output lines
+    are read once from the state it leaves.  With ``record_trace`` the same
+    kernel is called once per tick, and the lines are read after each.
     """
     if net.out_data is None or net.out_valid is None:
         raise ConfigError("network has no designated output lines")
@@ -687,35 +730,44 @@ def run(
     m = net.n_inputs
     onehot = [tuple(1 if j == k else 0 for j in range(m)) for k in range(m)]
     shown = [(onehot[net.line_for_symbol(ch)], 1) for ch in word]
-    feed, echo = tee(chain(shown, repeat(((0,) * m, 0), budget - len(shown))))
-    data, valid, flag = net.out_data, net.out_valid, net.out_flag
+    feed = chain(shown, repeat(((0,) * m, 0), budget - len(shown)))
     cn = _compiled(net)
     if cn.exact:
-        ticks = _ticks(cn, _IntState(net.n_neurons, (), (), [], 1), feed)
+        state = _IntState(net.n_neurons, (), (), [], 1)
+        advance = lambda items: _ticks(cn, state, items)
     else:
-        ticks = _lazy_ticks(net, feed, [i for i in (data, valid, flag) if i is not None])
+        state = list(zero_state(net))
+        advance = lambda items: _lazy_ticks(net, state, items)
 
     records: list[TickRecord] = []
-    # a neuron is positive exactly when it is in units or fracs
-    for t, ((inputs, validation), (units, fracs, *_)) in enumerate(zip(echo, ticks), 1):
-        data_bit = 1 if data in units or data in fracs else 0
-        valid_bit = 1 if valid in units or valid in fracs else 0
-        flag_bit = (1 if flag in units or flag in fracs else 0) if flag is not None else None
-        if record_trace:
-            records.append(
-                TickRecord(inputs, validation, data_bit, valid_bit, flag_bit)
-            )
-        if valid_bit:
-            verdict = Verdict.ACCEPT if data_bit else Verdict.REJECT
-            return RunResult(verdict, tuple(records), ticks=t, flagged=bool(flag_bit))
-    return RunResult(Verdict.TIMEOUT, tuple(records), ticks=budget)
+    if record_trace:
+        for item in feed:
+            advance((item,))
+            records.append(TickRecord(*item, *_lines(net, state)))
+            if records[-1].out_valid:
+                break
+        ticks = len(records)
+    else:
+        ticks = advance(feed)
+    data_bit, valid_bit, flag_bit = _lines(net, state)
+    if not valid_bit:
+        return RunResult(Verdict.TIMEOUT, tuple(records), ticks=budget)
+    verdict = Verdict.ACCEPT if data_bit else Verdict.REJECT
+    return RunResult(verdict, tuple(records), ticks=ticks, flagged=bool(flag_bit))
 
 
-def _lazy_ticks(net: Network, feed: Iterable[tuple[tuple[int, ...], int]], outs: list[int]):
-    """``step`` on interval enclosures, one tick per item of ``feed``;
-    yields the output neurons among ``outs`` that are positive, as ``units``
-    with no ``fracs``."""
-    state: Sequence[Value] = zero_state(net)
+def _lazy_ticks(
+    net: Network, state: list[Value], feed: Iterable[tuple[tuple[int, ...], int]]
+) -> int:
+    """``step`` on interval enclosures, ticking the list ``state`` in place
+    one tick per item of ``feed``, until ``out_valid`` is positive or the
+    feed ends; returns the number of ticks taken, as ``_ticks`` does."""
+    t = 0
     for inputs, validation in feed:
-        state = step(net, state, inputs, validation, budget=_LAZY_BUDGET)
-        yield tuple(i for i in outs if _out_bit(state[i])), ()
+        t += 1
+        state[:] = step(net, state, inputs, validation, budget=_LAZY_BUDGET)
+        # all three lines, as a traced run reads them, so that an output
+        # sign the enclosures cannot decide raises on the same tick either way
+        if _lines(net, state)[1]:
+            break
+    return t

@@ -333,7 +333,7 @@ def test_row_with_two_fractional_sources(w0, w1, c, act):
         assert [Fraction(x) for x in got] == want
         orders.append((got.units, got.fracs))
     assert orders[0] == orders[1] == orders[2]
-    [(rows, _, _, _)] = [plan for plan in cn.tick_plans.values() if plan]
+    [(rows, _, _, _, _)] = [plan for plan in cn.tick_plans.values() if plan]
     [(i, p, w, base, sat, more)] = [row for row in rows if row[0] == 2]
     assert (p, len(more)) == (0, 1) and more[0][0] == 1
     assert sat == (act == "sat")
@@ -430,7 +430,7 @@ def test_plan_scale_is_the_least_denominator_it_reads(case):
     want = fraction_tick(net, state, bits, v)
     for _ in range(2):  # plain path, then plan build and replay
         assert [Fraction(x) for x in _fast_step(cn, state, bits, v)] == want
-    [(rows, _, scaled, scale)] = [plan for plan in cn.tick_plans.values() if plan]
+    [(rows, _, scaled, scale, _)] = [plan for plan in cn.tick_plans.values() if plan]
     assert cn.d % scale == 0
     values = [u for _, u in scaled]
     for _, _, w, base, _, more in rows:
@@ -453,7 +453,7 @@ def test_plan_leaves_out_weights_it_does_not_read():
         state = _fast_step(cn, state, (), 0)
         assert list(state) == [Fraction(1, 2), 0, 0]
         dens.append(state.den)
-    [(_, _, _, scale)] = [plan for plan in cn.tick_plans.values() if plan]
+    [(_, _, _, scale, _)] = [plan for plan in cn.tick_plans.values() if plan]
     # the first sighting multiplies den by d, a replay by its scale
     assert scale == 1 and dens == [6, 6, 6]
 
@@ -490,23 +490,27 @@ def word_nets(draw):
 @settings(max_examples=150, deadline=None)
 @given(word_nets())
 def test_run_matches_a_loop_of_fast_step(case):
-    """``run`` steps one kernel loop; ticking the same word one
-    ``_fast_step`` at a time, on the plan memo that ``run`` left, gives
-    the same ``(units, fracs)`` and values per tick, trace, verdict and
-    ticks."""
+    """``run`` makes one kernel call, or one per tick with a trace; ticking
+    the same word one ``_fast_step`` at a time, on the plan memo that
+    ``run`` left, gives the same ``(units, fracs)`` and values per tick (as
+    a traced run leaves them) and at the end (as a plain run leaves them),
+    and the same trace, verdict and ticks."""
     import arnnlab.network as network
 
     net, word, budget = case
     kernel, seen = network._ticks, []
 
-    def recorded(*args):
-        for tick in kernel(*args):
-            seen.append(_IntState(net.n_neurons, *tick))
-            yield tick
+    def recorded(cn, state, feed):
+        ticks = kernel(cn, state, feed)
+        seen.append(_IntState(state.n, state.units, state.fracs, state.xs, state.den))
+        return ticks
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "_ticks", recorded)
         result = run(net, word, budget)
+        traced = seen[:]
+        plain = run(net, word, budget, record_trace=False)
+    [final] = seen[len(traced):]
     cn = _compiled(net)
     state, records, verdict, flagged = [0] * net.n_neurons, [], Verdict.TIMEOUT, False
     for t in range(budget):
@@ -514,8 +518,8 @@ def test_run_matches_a_loop_of_fast_step(case):
         bits = tuple(int(j == line) for j in range(net.n_inputs))
         v = int(t < len(word))
         state = _fast_step(cn, state, bits, v)
-        assert (state.units, state.fracs) == (seen[t].units, seen[t].fracs), t
-        assert list(state) == list(seen[t]), t
+        assert (state.units, state.fracs) == (traced[t].units, traced[t].fracs), t
+        assert list(state) == list(traced[t]), t
         values = list(state)
         data, valid = (int(values[i] > 0) for i in (net.out_data, net.out_valid))
         flag = None if net.out_flag is None else int(values[net.out_flag] > 0)
@@ -524,11 +528,143 @@ def test_run_matches_a_loop_of_fast_step(case):
             verdict = Verdict.ACCEPT if data else Verdict.REJECT
             flagged = bool(flag)
             break
-    assert len(seen) == len(records) == result.ticks
+    assert (state.units, state.fracs) == (final.units, final.fracs)
+    assert list(state) == list(final)
+    assert len(traced) == len(records) == result.ticks == plain.ticks
     assert [
         (r.inputs, r.validation, r.out_data, r.out_valid, r.out_flag) for r in result.trace
     ] == records
-    assert (result.verdict, result.flagged) == (verdict, flagged)
+    assert plain.trace == ()
+    assert (result.verdict, result.flagged) == (plain.verdict, plain.flagged) == (verdict, flagged)
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_nets())
+def test_tracing_does_not_change_a_run(case):
+    """With or without a trace, a run gives the same verdict, ticks and
+    flag; a traced verdict is read on the one tick whose record has
+    ``out_valid``, its last."""
+    net, word, budget = case
+    traced = run(net, word, budget)
+    plain = run(net, word, budget, record_trace=False)
+    assert (traced.verdict, traced.ticks, traced.flagged) == (
+        plain.verdict, plain.ticks, plain.flagged
+    )
+    valid = [record.out_valid for record in traced.trace]
+    assert len(valid) == traced.ticks
+    if traced.verdict == Verdict.TIMEOUT:
+        assert not any(valid)
+    else:
+        assert valid[-1] == 1 and not any(valid[:-1])
+
+
+def test_tracing_does_not_change_a_lazy_run():
+    """The same on nets with a stream of no known horizon, which run on
+    interval enclosures: one reaches its verdict once the word ends, on a
+    flagged tick; the other never raises ``out_valid``."""
+    for valid_bias, want in ((Fraction(1, 2), Verdict.ACCEPT), (-1, Verdict.TIMEOUT)):
+        stream = UnitReal(gen=iter([1] + [0] * 500), base=2)
+        net = Network(
+            3,
+            1,
+            state_weights={(2, 0): ExactScalar.integer(1)},
+            input_weights={(1, 1): ExactScalar.integer(-1)},
+            biases={0: ExactScalar.from_stream(stream),
+                    1: ExactScalar.from_fraction(Fraction(valid_bias))},
+            activations=("sat", "sig", "sat"),
+            out_data=0,
+            out_valid=1,
+            out_flag=2,
+            input_symbols=("a",),
+        )
+        assert not net.is_exact()
+        traced = run(net, "aa", 6)
+        plain = run(net, "aa", 6, record_trace=False)
+        assert (traced.verdict, traced.ticks, traced.flagged) == (
+            plain.verdict, plain.ticks, plain.flagged
+        )
+        assert traced.verdict == want
+        valid = [record.out_valid for record in traced.trace]
+        if want == Verdict.ACCEPT:
+            assert (traced.ticks, traced.flagged) == (3, True)
+            assert valid == [0, 0, 1]
+        else:
+            assert traced.ticks == 6 and valid == [0] * 6
+
+
+def test_plan_fires_when_it_writes_out_valid():
+    """Each built plan's ``fires`` says whether ``out_valid`` is a row's
+    target, in ``tops`` or in ``scaled``; repeated words build the plans of
+    their verdict ticks, so both values occur."""
+    machine = anbn_machine()
+    net = two_stack_to_net(machine)
+    cn = _compiled(net)
+    for word in ("aabb", "aab", "abab") * 2:
+        run(net, word, two_stack_budget(len(word), machine.execute(word, 10_000)[1]))
+    plans = [plan for plan in cn.tick_plans.values() if plan]
+    valid = net.out_valid
+    for rows, tops, scaled, _, fires in plans:
+        written = {row[0] for row in rows} | set(tops) | {i for i, _ in scaled}
+        assert fires == (valid in written)
+    assert {plan[4] for plan in plans} == {True, False}
+
+
+@pytest.mark.parametrize("way", ["row", "tops", "scaled"])
+def test_run_stops_where_out_valid_is_written(way):
+    """``out_valid`` (neuron 1) written by a row, a top or a scaled unit
+    sum: on a cold memo, the plan build and its replay, ``run`` stops on
+    the tick a ``_fast_step`` loop first sees it positive.  Neuron 0
+    counts up by 1/4 per tick for the row (``out_valid`` rises once it
+    passes 1/2), and is held at 1 for the other two."""
+    q = ExactScalar.rational
+    if way == "row":
+        weights, biases = {(0, 0): q(1, 1), (1, 0): q(1, 1)}, {0: q(1, 4), 1: q(-1, 2)}
+    else:
+        weights, biases = {(1, 0): q(1, 1) if way == "tops" else q(1, 2)}, {0: q(1, 1)}
+
+    def build():
+        return Network(
+            2, 1, state_weights=weights, biases=biases,
+            activations=("sat", "sig" if way == "row" else "sat"),
+            out_data=0, out_valid=1, input_symbols=("a",),
+        )
+
+    ref = _compiled(build())  # its own memo, so run's is cold at first
+    state = [0, 0]
+    for t in range(1, 9):
+        state = _fast_step(ref, state, (0,), 0)
+        if list(state)[1] > 0:
+            break
+    net = build()
+    for _ in range(3):
+        result = run(net, "", 8, record_trace=False)
+        assert (result.verdict, result.ticks) == (Verdict.ACCEPT, t)
+    plans = _compiled(net).tick_plans.values()
+    [(rows, tops, scaled, _, _)] = [plan for plan in plans if plan and plan[4]]
+    where = {"row": [row[0] for row in rows], "tops": tops, "scaled": [i for i, _ in scaled]}
+    assert [w for w, written in where.items() if 1 in written] == [way]
+
+
+def test_fast_step_leaves_its_argument_untouched():
+    """``_ticks`` ticks in place; ``_fast_step`` ticks a copy, on the
+    plain path, the plan build, a replay and a forced gcd alike."""
+    net = Network(
+        3,
+        0,
+        state_weights={(0, 0): ExactScalar.rational(1, 2), (1, 0): ExactScalar.integer(1),
+                       (2, 1): ExactScalar.rational(2, 3)},
+        biases={0: ExactScalar.rational(1, 3)},
+    )
+    cn = _compiled(net)
+    state = _IntState.of([Fraction(1, 5), Fraction(1, 2), 1])
+    for limit in (None, None, None, 0):
+        if limit is not None:
+            state.limit = limit
+        before = (state.units, state.fracs, list(state.xs), state.den, state.limit)
+        got = _fast_step(cn, state, (), 0)
+        assert (state.units, state.fracs, state.xs, state.den, state.limit) == before
+        assert got is not state
+        assert [Fraction(x) for x in got] == fraction_tick(net, list(state), (), 0)
 
 
 def lockstep(net, word, budget):
