@@ -269,25 +269,31 @@ class _CompiledNet:
     exact denominators, and a lazy one as its ``ExactScalar``; zero weights
     are dropped.  So on an exact net one tick of ``_ticks`` is integer
     arithmetic only, and ``step`` walks the same table on a lazy net,
-    passing each integer ``w`` on as ``w / d``.  Only a signature's first
-    sighting ticks over ``d``; its plan rescales what it reads to its own
-    ``scale``, which leaves out every weight the tick does not read.
+    passing each integer ``w`` on as ``w / d``.  Only the sightings of a
+    tick before its plan is built tick over ``d``; the plan rescales what
+    it reads to its own ``scale``, which leaves out every weight the tick
+    does not read.
 
     The kernel takes states in [0, 1] only (``step`` checks, and ``run``
     starts at 0), so a numerator is never above the state's denominator.
 
-    ``tick_plans`` maps the signature of an exact tick to its plan.  The
-    signature is the state's ``units`` and ``fracs`` (the tuples of sources
-    at exactly 1 and of fractional sources, see ``_IntState``), with the
-    input bits and the validation bit.  A signature met once maps to
-    ``()``; from its second sighting on it maps to a plan (see ``_plan``).
-    ``interned`` holds one copy of each plan's ``rows`` and ``tops`` tuples,
-    which many plans share.  The net is read-only, so a plan never goes
-    stale; the memo and the intern table are emptied together when the memo
-    reaches ``_TICK_PLAN_CAP`` entries.
+    ``tick_plans`` maps each signature met, the state's ``units`` and
+    ``fracs`` (the tuples of sources at exactly 1 and of fractional
+    sources, see ``_IntState``), to its ``_Node``.  A node maps each feed
+    item, the input bits and the validation bit, to how often that tick
+    was met; at its ``_SIGHTINGS``-th sighting the count becomes a plan
+    (see ``_plan``), and each plan links the outcomes of its rows to the
+    nodes they write (see ``_link``).  ``interned`` holds the generated
+    replay function of each plan shape ``(rows, scaled, scale)``, which
+    many plans share.  The net is read-only, so a plan or a link never
+    goes stale; nodes, links and functions are emptied together when the
+    map reaches ``_TICK_PLAN_CAP`` nodes.
 
     ``out_valid`` is the net's output validation neuron, the one ``_ticks``
-    watches; each plan records whether it can write that neuron.
+    watches; each node records whether it is positive there.  ``shown``
+    holds one feed item per data line, the symbol's one-hot bits with
+    validation 1, and ``blank`` the item with every line at 0: ``run``
+    feeds these same objects on every run of the net.
 
     ``exact`` is False only when some scalar is a stream with no known
     horizon; a stream with a finite horizon is the rational of its digits
@@ -336,12 +342,23 @@ class _CompiledNet:
         # the smallest integer sum (over d) that sets a neuron to 1
         self.ceil = [d if act == SAT else 1 for act in net.activations]
         self.out_valid = net.out_valid
-        self.tick_plans: dict[tuple, tuple] = {}
+        m = net.n_inputs
+        self.shown = [(tuple(int(j == k) for j in range(m)), 1) for k in range(m)]
+        self.blank = ((0,) * m, 0)
+        self.tick_plans: dict[tuple, _Node] = {}
         self.interned: dict[tuple, tuple] = {}
 
-#: Entries at which a net's tick plans are emptied whole; in one cycle of
+#: Nodes at which a net's tick plans are emptied whole; in one cycle of
 #: the benchmark's workloads, no net meets more than 776 distinct signatures.
 _TICK_PLAN_CAP = 4096
+
+#: The sighting of a signature and feed item at which ``_ticks`` builds
+#: its plan; the ones before take the plain path.  Generating a 13-row
+#: plan's function takes about 0.3 ms, what some 35 replays save over the
+#: plain path on the a^n b^n net (Python 3.11), so a tick met only a few
+#: times is not worth one: on a net that runs a few short words, as each
+#: job of the benchmark's ``toolchain`` workload does, no plan is built.
+_SIGHTINGS = 8
 
 #: Bits by which ``_ticks`` lets a state's denominator outgrow its size
 #: at the last reduction before it divides out the gcd again.
@@ -360,12 +377,12 @@ class _IntState:
     ``units`` lists the neurons at exactly 1 and ``fracs`` the neurons
     strictly between 0 and 1; ``xs`` holds the numerators of ``fracs``
     over ``den``, so ``0 < x < den`` for each, and every other neuron is 0.
-    ``(units, fracs)`` is the state's half of a tick's signature (see
-    ``_CompiledNet``), so ``_ticks`` looks a plan up with no pass over
-    the state.  ``of`` lists both in index order, and a tick lists them in
-    the order a replay of its plan writes them (see ``_plan``).  A tick
-    multiplies ``den`` by ``d`` on a first sighting and by the plan's
-    ``scale`` on a replay, so ``den`` is not always the least common
+    ``(units, fracs)`` is the signature of the state (see
+    ``_CompiledNet``), so ``_ticks`` finds its node with no pass over the
+    state.  ``of`` lists both in index order, and a tick lists them in the
+    order a replay of its plan writes them (see ``_plan``).  A tick
+    multiplies ``den`` by ``d`` on a sighting before the plan is built and
+    by the plan's ``scale`` on a replay, so ``den`` is not always the least common
     denominator: ``_ticks`` divides out the gcd only once the denominator
     reaches ``limit`` bits, and then sets ``limit`` to the reduced size
     plus ``_SLACK_BITS``.  Iteration gives the values themselves (0, 1 or a
@@ -476,9 +493,9 @@ def _plain_tick(
     return units, new_fracs, new_xs
 
 
-def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> tuple:
-    """The tick of one signature, with every lookup done:
-    ``(rows, tops, scaled, scale, fires)``.
+def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> "_Plan":
+    """The tick of one signature, with every lookup done: a ``_Plan`` with
+    its ``tick``, its ``shape`` ``(rows, scaled, scale)`` and its ``tops``.
 
     ``rows`` holds ``(i, p, w, base, sat, more)`` for each neuron a
     fractional source reaches and that can turn positive: ``p`` is the
@@ -489,18 +506,18 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> tupl
     other neurons whose unit sum reaches ``ceil``, and ``scaled`` the
     others that are positive, each with its unit sum.  A replay writes the
     next ``units`` as its rows at 1, then ``tops``; and the next ``fracs``
-    as its fractional rows, then ``scaled``.  ``rows`` and ``tops`` are
-    interned in ``cn``.
+    as its fractional rows, then ``scaled``.
+
+    ``tick`` is the replay, made by ``_gen`` from the shape and shared
+    through ``cn.interned`` by every plan of the same shape.  The plan maps
+    each ``code`` that ``tick`` returns to the node of the signature it
+    writes (see ``_link``).
 
     Every base, weight and unit sum is over ``scale`` rather than ``d``:
     all of them and ``d`` are divided by their gcd, so ``scale`` divides
     ``d`` and is the least common denominator of the values this plan
     reads.  A replay's denominator is ``scale * den``, so a tick that reads
     only integer weights leaves it as it was.
-
-    ``fires`` is whether the net's ``out_valid`` is among the neurons the
-    plan writes: a row's target, in ``tops`` or in ``scaled``.  Only then
-    can a replay set it positive, so only then does ``_ticks`` test it.
 
     A neuron that can never turn positive gets no row.  A fractional
     source's numerator x satisfies ``0 < x < den``: ``step`` admits only
@@ -542,17 +559,139 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> tupl
             for i, p, w, base, s, more in rows
         ]
         scaled = [(i, u // g) for i, u in scaled]
-    rows = tuple(rows)
-    tops = tuple(tops)
-    valid = cn.out_valid
-    interned = cn.interned
-    return (
-        interned.setdefault(rows, rows),
-        interned.setdefault(tops, tops),
-        tuple(scaled),
-        cn.d // g,
-        valid in tops or any(i == valid for i, *_ in (*rows, *scaled)),
-    )
+    shape = (tuple(rows), tuple(scaled), cn.d // g)
+    shared = cn.interned.get(shape)
+    if shared is None:
+        shared = cn.interned[shape] = (_gen(*shape), shape)
+    # the interned shape, so that the plans of one shape hold one copy of it
+    return _Plan(*shared, tuple(tops))
+
+
+def _gen(rows: tuple, scaled: tuple, scale: int):
+    """The replay of a plan's ``rows``, ``scaled`` and ``scale`` (see
+    ``_plan``) as a straight-line function ``tick(xs, den)``.
+
+    It returns ``(code, xs, top)``: ``top = scale * den`` is the new
+    denominator, ``xs`` the new numerators over it (the fractional rows in
+    row order, then one per ``scaled`` entry), and ``code`` has two bits
+    per row, bit ``2k`` set when row k is at 1 and bit ``2k + 1`` when it
+    is fractional, so it names the signature the tick writes.  Each row is
+    one block with its base, weights, positions and ``scale`` written in as
+    literals.  Every value goes through ``lit``, which refuses anything but
+    an ``int``, so the source handed to ``exec`` is fixed text and
+    ``%d``-formatted integers only.
+    """
+
+    def lit(v: int) -> str:
+        if type(v) is not int:
+            raise TypeError(f"a tick plan holds ints only, not {v!r}")
+        return "%d" % v
+
+    def term(w: int, name: str) -> str:
+        s = lit(w)
+        return "" if s == "0" else name if s == "1" else f"{s}*{name}"
+
+    src = ["def tick(xs, den):", f" top = {term(scale, 'den')}", " nx = []", " c = 0"]
+    src += [f" x{lit(p)} = xs[{lit(p)}]"
+            for p in sorted({p for row in rows for p in (row[1], *(q for q, _ in row[5]))})]
+    for k, (_, p, w, base, s, more) in enumerate(rows):
+        parts = [term(base, "den"), term(w, f"x{lit(p)}"), *(term(v, f"x{lit(q)}") for q, v in more)]
+        src.append(f" a = {' + '.join(filter(None, parts))}")
+        src.append(" if a > 0:")
+        if s:
+            src += ["  if a < top:", "   nx.append(a)", f"   c |= {lit(2 << 2 * k)}",
+                    "  else:", f"   c |= {lit(1 << 2 * k)}"]
+        else:
+            src.append(f"  c |= {lit(1 << 2 * k)}")
+    src += [f" nx.append({term(u, 'den')})" for _, u in scaled]
+    src.append(" return c, nx, top")
+    namespace: dict = {}
+    exec("\n".join(src), {"__builtins__": {}}, namespace)
+    return namespace["tick"]
+
+
+class _Map:
+    """A small map that keeps its first key inline and any further keys in
+    a dict, made only once a second key comes: almost every node meets one
+    feed item and almost every plan writes one outcome, and a dict per node
+    and per plan would cost more than the rest of them."""
+
+    __slots__ = ("key", "value", "more")
+
+    def get(self, key, default=None):
+        if self.key == key:
+            return self.value
+        return default if self.more is None else self.more.get(key, default)
+
+    def put(self, key, value) -> None:
+        if self.key is None or self.key == key:
+            self.key, self.value = key, value
+        else:
+            if self.more is None:
+                self.more = {}
+            self.more[key] = value
+
+
+class _Node(_Map):
+    """A signature met by ``_ticks``: its ``units`` and ``fracs``, whether
+    ``out_valid`` is positive in it (``stops``), and a map from each feed
+    item met here to its plan, or to how often it was met before."""
+
+    __slots__ = ("units", "fracs", "stops")
+
+    def __init__(self, units: tuple[int, ...], fracs: tuple[int, ...], stops: bool) -> None:
+        self.key = self.value = self.more = None
+        self.units, self.fracs, self.stops = units, fracs, stops
+
+
+class _Plan(_Map):
+    """A built tick plan (see ``_plan``): its generated ``tick``, the
+    ``shape`` it was generated from, ``tops``, and a map from each ``code``
+    that ``tick`` returns to the node it writes."""
+
+    __slots__ = ("tick", "shape", "tops")
+
+    def __init__(self, tick, shape: tuple, tops: tuple[int, ...]) -> None:
+        self.key = self.value = self.more = None
+        self.tick, self.shape, self.tops = tick, shape, tops
+
+
+def _node(cn: _CompiledNet, units: tuple[int, ...], fracs: tuple[int, ...]) -> _Node:
+    """The node of signature ``(units, fracs)``, made on its first sighting.
+    At ``_TICK_PLAN_CAP`` nodes, every node, link and generated function
+    goes first."""
+    plans = cn.tick_plans
+    node = plans.get((units, fracs))
+    if node is None:
+        if len(plans) >= _TICK_PLAN_CAP:
+            # links make cycles; cut them, so the old graph goes at once
+            for old in plans.values():
+                old.key = old.value = old.more = None
+            plans.clear()
+            cn.interned.clear()
+        valid = cn.out_valid
+        node = plans[units, fracs] = _Node(units, fracs, valid in units or valid in fracs)
+    return node
+
+
+def _link(cn: _CompiledNet, plan: _Plan, code: int) -> _Node:
+    """The node that ``plan`` writes when its ``tick`` returns ``code``,
+    linked in ``plan`` on first use: its rows at 1, then ``tops``, are the
+    next ``units``, and its fractional rows, then ``scaled``, the next
+    ``fracs``, the order in which ``tick`` writes their numerators."""
+    node = plan.get(code)
+    if node is None:
+        rows, scaled, _ = plan.shape
+        units, fracs, bits = [], [], code
+        for row in rows:
+            if bits & 1:
+                units.append(row[0])
+            elif bits & 2:
+                fracs.append(row[0])
+            bits >>= 2
+        node = _node(cn, (*units, *plan.tops), (*fracs, *[i for i, _ in scaled]))
+        plan.put(code, node)
+    return node
 
 
 def _ticks(
@@ -568,72 +707,56 @@ def _ticks(
     are visited.  Sources at 1, the input lines and the biases add integers
     that do not depend on ``den``; fractional sources add ``W·X``.
 
-    The state is kept as its own signature, ``units`` and ``fracs``, so the
-    plan lookup makes no pass over it.  The first tick of a signature (see
-    ``_CompiledNet``) is summed edge by edge over ``d``; the second builds
-    the signature's plan, and it and every later one replay that plan over
-    the plan's own ``scale``.  Either way the tick writes the next
-    ``units``, ``fracs`` and ``xs`` directly.  The denominator is not
-    reduced on every tick: the gcd is divided out only once it reaches
-    ``limit`` bits, and ``limit`` is then set to the reduced size plus
-    ``_SLACK_BITS``.  A unit's numerator is the denominator itself, so only
-    ``xs`` join the gcd, and with no fractional neuron it becomes 1.
+    The state is kept as the node of its signature (see ``_CompiledNet``),
+    so a tick finds its plan in the node by the feed item alone; ``run``
+    feeds the same item objects on every run of a net, so that is mostly
+    one identity test.  The first ``_SIGHTINGS - 1`` ticks of a signature
+    and feed item are summed edge by edge over ``d`` and look the next
+    node up by its ``(units, fracs)``; the next builds the plan, and it and
+    every later one call the plan's ``tick`` over the plan's own ``scale``
+    and follow the link of the ``code`` it returns, so a replay builds no
+    tuple and hashes no signature.  The denominator is not reduced on every tick:
+    the gcd is divided out only once it reaches ``limit`` bits, and
+    ``limit`` is then set to the reduced size plus ``_SLACK_BITS``.  A
+    unit's numerator is the denominator itself, so only ``xs`` join the
+    gcd, and with no fractional neuron it becomes 1.
 
-    A first sighting always tests whether ``out_valid`` is positive; a
-    replay tests it only when its plan can write it (``fires``, see
-    ``_plan``).  The state is kept in local variables from tick to tick and
-    written back to ``state`` once, at the end.
+    Each tick ends by reading the new node's ``stops``.  The state is kept
+    in local variables from tick to tick and written back to ``state``
+    once, at the end.
     """
-    units, fracs, xs, den, limit = state.units, state.fracs, state.xs, state.den, state.limit
-    plans = cn.tick_plans
-    valid = cn.out_valid
+    xs, den, limit = state.xs, state.den, state.limit
+    node = _node(cn, state.units, state.fracs)
+    d, last = cn.d, _SIGHTINGS - 1
     t = 0
-    for inputs, validation in feed:
+    for item in feed:
         t += 1
-        key = (units, fracs, inputs, validation)
-        plan = plans.get(key)
-        if not plan:
-            fixed = _unit_sums(cn, units, inputs, validation)
-            if plan is None:  # a first sighting
-                if len(plans) >= _TICK_PLAN_CAP:
-                    plans.clear()
-                    cn.interned.clear()
-                plans[key] = ()
-                top = cn.d * den
-                new_units, new_fracs, xs = _plain_tick(cn, fixed, fracs, xs, den, top)
-                fires = True
+        plan = node.value if node.key is item else node.get(item, 0)
+        if plan.__class__ is int:  # the sightings before the plan is built
+            fixed = _unit_sums(cn, node.units, *item)
+            if plan < last:
+                node.put(item, plan + 1)
+                top = d * den
+                units, fracs, xs = _plain_tick(cn, fixed, node.fracs, xs, den, top)
+                node = _node(cn, tuple(units), tuple(fracs))
             else:
-                plan = plans[key] = _plan(cn, fixed, fracs)
-        if plan:
-            rows, tops, scaled, scale, fires = plan
-            top = scale * den
-            new_units, new_fracs, new_xs = [], [], []
-            for i, p, w, base, sat, more in rows:
-                a = base * den + w * xs[p]
-                if more:
-                    for p, w in more:
-                        a += w * xs[p]
-                if a > 0:
-                    if a >= top or not sat:
-                        new_units.append(i)
-                    else:
-                        new_fracs.append(i)
-                        new_xs.append(a)
-            new_units += tops
-            for i, u in scaled:
-                new_fracs.append(i)
-                new_xs.append(u * den)
-            xs = new_xs
+                plan = _plan(cn, fixed, node.fracs)
+                node.put(item, plan)
+                code, xs, top = plan.tick(xs, den)
+                node = _link(cn, plan, code)
+        else:
+            code, xs, top = plan.tick(xs, den)
+            node = plan.value if plan.key == code else _link(cn, plan, code)
         if top.bit_length() >= limit:
             g = gcd(top, *xs)
             if g > 1:
                 xs = [x // g for x in xs]
                 top //= g
             limit = top.bit_length() + _SLACK_BITS
-        units, fracs, den = tuple(new_units), tuple(new_fracs), top
-        if fires and (valid in units or valid in fracs):
+        den = top
+        if node.stops:
             break
-    state.units, state.fracs, state.xs, state.den, state.limit = units, fracs, xs, den, limit
+    state.units, state.fracs, state.xs, state.den, state.limit = node.units, node.fracs, xs, den, limit
     return t
 
 
@@ -727,11 +850,9 @@ def run(
         raise ConfigError(
             f"budget {budget} is too small for a {len(word)}-symbol word"
         )
-    m = net.n_inputs
-    onehot = [tuple(1 if j == k else 0 for j in range(m)) for k in range(m)]
-    shown = [(onehot[net.line_for_symbol(ch)], 1) for ch in word]
-    feed = chain(shown, repeat(((0,) * m, 0), budget - len(shown)))
     cn = _compiled(net)
+    shown = [cn.shown[net.line_for_symbol(ch)] for ch in word]
+    feed = chain(shown, repeat(cn.blank, budget - len(shown)))
     if cn.exact:
         state = _IntState(net.n_neurons, (), (), [], 1)
         advance = lambda items: _ticks(cn, state, items)

@@ -34,7 +34,8 @@ from arnnlab import (
     zero_state,
 )
 from arnnlab.exact import ScalarKind, affine_combine, saturated_sigma, signal
-from arnnlab.network import _IntState, _compiled, _fast_step
+import arnnlab.network as network
+from arnnlab.network import _IntState, _Plan, _compiled, _fast_step
 
 from conftest import AB, abstar_language, anbn_machine, parity_dfa, words_up_to
 
@@ -234,8 +235,6 @@ def test_memoised_kernel_matches_fraction_recomputation():
 def test_kernel_matches_fractions_across_reductions():
     """Long runs with denominators over 3, 6 and 4, so that the shared
     denominator grows past the slack and is reduced again, several times."""
-    import arnnlab.network as network
-
     rng = random.Random(23)
     slack = network._SLACK_BITS
     plans = reductions = 0
@@ -275,9 +274,9 @@ def test_kernel_matches_fractions_across_reductions():
                 got = [Fraction(x) for x in state]
                 assert got == ref, trial
                 least = lcm(*(x.denominator for x in ref))
-                # a replay scales by its plan's scale, a first sighting by d
-                plan = cn.tick_plans.get((sig.units, sig.fracs, bits, v))
-                scale = plan[3] if plan else cn.d
+                # a replay scales by its plan's scale, a sighting before it by d
+                plan = plan_of(cn, sig.units, sig.fracs, bits, v)
+                scale = plan.shape[2] if plan else cn.d
                 if state.den != den * scale:  # the gcd was divided out, all of it
                     assert state.den == least, trial
                     reductions += 1
@@ -289,8 +288,32 @@ def test_kernel_matches_fractions_across_reductions():
             trajectories.append(trajectory)
         # a replayed plan orders the new state as the plain path did
         assert trajectories[0] == trajectories[1], trial
-        plans += sum(bool(plan) for plan in cn.tick_plans.values())
+        plans += len(built_plans(cn))
     assert plans > 0 and reductions > 12
+
+
+def entries(links):
+    """The ``(key, value)`` pairs of a node's or a plan's map."""
+    head = [] if links.key is None else [(links.key, links.value)]
+    return head + list((links.more or {}).items())
+
+
+def built_plans(cn):
+    """Every plan built on ``cn``, from the nodes that hold them."""
+    return [
+        entry
+        for node in cn.tick_plans.values()
+        for _, entry in entries(node)
+        if isinstance(entry, _Plan)
+    ]
+
+
+def plan_of(cn, units, fracs, bits, v):
+    """The plan built for one signature and feed item, or None while it
+    has none."""
+    node = cn.tick_plans.get((units, fracs))
+    entry = None if node is None else node.get((bits, v))
+    return entry if isinstance(entry, _Plan) else None
 
 
 unit_values = st.one_of(st.sampled_from([0, 1]), st.fractions(0, 1, max_denominator=30))
@@ -328,13 +351,13 @@ def test_row_with_two_fractional_sources(w0, w1, c, act):
     state = [Fraction(1, 3), Fraction(3, 4), Fraction(1, 5)]
     want = fraction_tick(net, state, (), 0)
     orders = []
-    for _ in range(3):  # plain path, plan build, replay
+    for _ in range(network._SIGHTINGS + 1):  # plain path, plan build, replay
         got = _fast_step(cn, state, (), 0)
         assert [Fraction(x) for x in got] == want
         orders.append((got.units, got.fracs))
-    assert orders[0] == orders[1] == orders[2]
-    [(rows, _, _, _, _)] = [plan for plan in cn.tick_plans.values() if plan]
-    [(i, p, w, base, sat, more)] = [row for row in rows if row[0] == 2]
+    assert orders == [orders[0]] * len(orders)
+    [plan] = built_plans(cn)
+    [(i, p, w, base, sat, more)] = [row for row in plan.shape[0] if row[0] == 2]
     assert (p, len(more)) == (0, 1) and more[0][0] == 1
     assert sat == (act == "sat")
 
@@ -368,9 +391,10 @@ def reached_and_rows(cn):
     """For each built plan, the neurons its fractional sources reach and
     the rows it kept."""
     return [
-        (len({i for j in key[1] for i, _ in cn.state_edges[j]}), len(plan[0]))
-        for key, plan in cn.tick_plans.items()
-        if plan
+        (len({i for j in node.fracs for i, _ in cn.state_edges[j]}), len(entry.shape[0]))
+        for node in cn.tick_plans.values()
+        for _, entry in entries(node)
+        if isinstance(entry, _Plan)
     ]
 
 
@@ -404,17 +428,18 @@ def gated_nets(draw):
 @settings(max_examples=150, deadline=None)
 @given(gated_nets())
 def test_plain_plan_and_replay_ticks_match_fractions(case):
-    """One signature three times on a fresh net: its first sighting takes
-    the plain path, the second builds the plan and the third replays it."""
+    """One signature ``_SIGHTINGS + 1`` times on a fresh net: the
+    sightings before the last two take the plain path, the next builds the
+    plan and the last replays it."""
     net, state, bits, v = case
     cn = _compiled(net)
     want = fraction_tick(net, state, bits, v)
     orders = []
-    for _ in range(3):
+    for _ in range(network._SIGHTINGS + 1):
         got = _fast_step(cn, state, bits, v)
         assert [Fraction(x) for x in got] == want
         orders.append((got.units, got.fracs))
-    assert orders[0] == orders[1] == orders[2]
+    assert orders == [orders[0]] * len(orders)
     # the candidate behind the closed gate is reached but gets no row
     [(reached, rows)] = reached_and_rows(cn)
     assert rows < reached
@@ -428,9 +453,10 @@ def test_plan_scale_is_the_least_denominator_it_reads(case):
     net, state, bits, v = case
     cn = _compiled(net)
     want = fraction_tick(net, state, bits, v)
-    for _ in range(2):  # plain path, then plan build and replay
+    for _ in range(network._SIGHTINGS):  # plain path, then plan build and replay
         assert [Fraction(x) for x in _fast_step(cn, state, bits, v)] == want
-    [(rows, _, scaled, scale, _)] = [plan for plan in cn.tick_plans.values() if plan]
+    [plan] = built_plans(cn)
+    rows, scaled, scale = plan.shape
     assert cn.d % scale == 0
     values = [u for _, u in scaled]
     for _, _, w, base, _, more in rows:
@@ -449,13 +475,131 @@ def test_plan_leaves_out_weights_it_does_not_read():
     cn = _compiled(net)
     assert cn.d == 3
     state, dens = _IntState.of([Fraction(1, 2), 0, 0]), []
-    for _ in range(3):  # plain path, plan build, replay
+    last = network._SIGHTINGS - 1
+    for _ in range(last + 2):  # plain path, plan build, replay
         state = _fast_step(cn, state, (), 0)
         assert list(state) == [Fraction(1, 2), 0, 0]
         dens.append(state.den)
-    [(_, _, _, scale, _)] = [plan for plan in cn.tick_plans.values() if plan]
-    # the first sighting multiplies den by d, a replay by its scale
-    assert scale == 1 and dens == [6, 6, 6]
+    [plan] = built_plans(cn)
+    # a sighting before the plan multiplies den by d, a replay by its scale
+    assert plan.shape[2] == 1
+    assert dens == [2 * 3 ** min(t, last) for t in range(1, last + 3)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(gated_nets())
+def test_generated_tick_writes_what_the_plain_path_writes(case):
+    """Called directly, a plan's generated ``tick`` gives the numerators,
+    over its ``top``, that ``fraction_tick`` gives; each row's two bits of
+    its ``code`` say whether the row is at 1 or fractional, and the code
+    links to the node of the ``(units, fracs)`` the plain path wrote, order
+    included."""
+    net, state, bits, v = case
+    cn = _compiled(net)
+    want = fraction_tick(net, state, bits, v)
+    start = _IntState.of(state)
+    plain = _fast_step(cn, start, bits, v)
+    for _ in range(network._SIGHTINGS):  # the other plain sightings, the build, a replay
+        got = _fast_step(cn, start, bits, v)
+        assert (got.units, got.fracs, list(got)) == (plain.units, plain.fracs, want)
+    [plan] = built_plans(cn)
+    rows, _, scale = plan.shape
+    code, xs, top = plan.tick(list(start.xs), start.den)
+    assert top == scale * start.den
+    assert [Fraction(x, top) for x in xs] == [want[i] for i in plain.fracs]
+    assert code >> 2 * len(rows) == 0
+    for k, row in enumerate(rows):
+        assert code >> 2 * k & 3 == (1 if want[row[0]] == 1 else 2 if want[row[0]] else 0)
+    node = plan.get(code)
+    assert (node.units, node.fracs) == (plain.units, plain.fracs)
+
+
+def test_generated_plans_cover_each_kind_of_row():
+    """Seeded random nets on a repeated input period, ticked until their
+    plans replay, match ``fraction_tick`` on every tick.  The plans they
+    build hold each case that ``_gen`` writes differently, and plans of
+    equal shape share one function, the one ``interned`` holds."""
+    rng = random.Random(31)
+    kinds = Counter()
+    for trial in range(80):
+        n = rng.randint(2, 8)
+        m = rng.randint(0, 2)
+
+        def scalar(lo, hi):
+            return ExactScalar.rational(rng.randint(lo, hi), rng.choice([1, 1, 2, 3, 4]))
+
+        sw = {
+            (i, j): ExactScalar.integer(1) if rng.random() < 0.3 else scalar(-3, 3)
+            for i in range(n)
+            for j in range(n)
+            if rng.random() < 0.4
+        }
+        iw = {(i, j): scalar(-2, 2) for i in range(n) for j in range(m + 1) if rng.random() < 0.4}
+        bias = {i: scalar(-2, 2) for i in range(n) if rng.random() < 0.6}
+        acts = tuple(rng.choice(["sat", "sig"]) for _ in range(n))
+        net = Network(n, m, state_weights=sw, input_weights=iw, biases=bias, activations=acts)
+        cn = _compiled(net)
+        period = [
+            (tuple(rng.randint(0, 1) for _ in range(m)), rng.randint(0, 1))
+            for _ in range(rng.randint(1, 3))
+        ]
+        state = ref = [rng.choice([0, 1, Fraction(1, 2), Fraction(2, 3)]) for _ in range(n)]
+        for bits, v in period * (network._SIGHTINGS + 3):
+            state = _fast_step(cn, state, bits, v)
+            ref = fraction_tick(net, ref, bits, v)
+            assert [Fraction(x) for x in state] == ref, trial
+        functions = {}
+        for plan in built_plans(cn):
+            assert functions.setdefault(plan.shape, plan.tick) is plan.tick
+            assert cn.interned[plan.shape] == (plan.tick, plan.shape)
+            rows, scaled, scale = plan.shape
+            kinds.update({"scale 1": scale == 1, "scale > 1": scale > 1, "scaled": bool(scaled)})
+            for _, _, w, base, sat, more in rows:
+                weights = [w, *(v for _, v in more)]
+                kinds.update({
+                    "more": bool(more), "negative weight": min(weights) < 0, "sig row": not sat,
+                    "sat row": sat, "base 0": base == 0, "weight 1": 1 in weights,
+                })
+        assert len(functions) == len(cn.interned), trial
+    assert all(kinds.values()) and len(kinds) == 9, kinds
+
+
+def test_equal_plan_shapes_share_one_function():
+    """On the a^n b^n net, many plans share a shape and so one generated
+    function, which each holds by the very ``shape`` object it is
+    interned under."""
+    machine = anbn_machine()
+    net = two_stack_to_net(machine)
+    cn = _compiled(net)
+    for word in ("aabb", "aab") * (network._SIGHTINGS + 1):
+        run(net, word, two_stack_budget(len(word), machine.execute(word, 10_000)[1]))
+    plans = built_plans(cn)
+    functions = {}
+    for plan in plans:
+        assert functions.setdefault(plan.shape, plan.tick) is plan.tick
+        assert cn.interned[plan.shape][1] is plan.shape
+    assert len(functions) == len(cn.interned) < len(plans)
+
+
+def test_gen_refuses_values_that_are_not_ints():
+    """Only ``%d``-formatted ints reach the source ``_gen`` hands to
+    ``exec``: a Fraction, a str, a float or a bool in any field is
+    refused."""
+    row = (0, 0, 3, -1, True, ((1, 1),))
+    # -5 + 3*3 + 1 = 5 over top 10: fractional, then the scaled 1 * 5
+    assert network._gen((row,), ((2, 1),), 2)([3, 1], 5) == (2, [5, 5], 10)
+    for bad in (Fraction(1, 2), "1", "den); import os; (", 1.5, True):
+        cases = [
+            ((row[:2] + (bad,) + row[3:],), (), 1),  # weight
+            ((row[:3] + (bad,) + row[4:],), (), 1),  # base
+            (((0, bad, 3, -1, True, ()),), (), 1),  # position
+            ((row[:5] + (((1, bad),),),), (), 1),  # weight of a further source
+            ((row,), ((2, bad),), 1),  # scaled unit sum
+            ((row,), (), bad),  # scale
+        ]
+        for rows, scaled, scale in cases:
+            with pytest.raises(TypeError, match="ints only"):
+                network._gen(rows, scaled, scale)
 
 
 @st.composite
@@ -495,8 +639,6 @@ def test_run_matches_a_loop_of_fast_step(case):
     ``run`` left, gives the same ``(units, fracs)`` and values per tick (as
     a traced run leaves them) and at the end (as a plain run leaves them),
     and the same trace, verdict and ticks."""
-    import arnnlab.network as network
-
     net, word, budget = case
     kernel, seen = network._ticks, []
 
@@ -536,6 +678,19 @@ def test_run_matches_a_loop_of_fast_step(case):
     ] == records
     assert plain.trace == ()
     assert (result.verdict, result.flagged) == (plain.verdict, plain.flagged) == (verdict, flagged)
+
+
+@settings(max_examples=100, deadline=None)
+@given(word_nets())
+def test_generated_plans_match_fractions_on_words(case):
+    """Every tick of a word, pass after pass until each tick's plan is built
+    and replayed, gives ``fraction_tick``'s values in the plain path's
+    order; ``run``, which feeds the net's own item objects, then agrees on
+    the ticks."""
+    net, word, budget = case
+    ticks = lockstep(net, word, budget)
+    assert built_plans(_compiled(net))
+    assert run(net, word, budget).ticks == ticks
 
 
 @settings(max_examples=150, deadline=None)
@@ -593,20 +748,28 @@ def test_tracing_does_not_change_a_lazy_run():
 
 
 def test_plan_fires_when_it_writes_out_valid():
-    """Each built plan's ``fires`` says whether ``out_valid`` is a row's
-    target, in ``tops`` or in ``scaled``; repeated words build the plans of
-    their verdict ticks, so both values occur."""
+    """A plan fires on an outcome that writes ``out_valid``: a row's target
+    at 1 or fractional, in ``tops`` or in ``scaled``.  That outcome's link
+    leads to a node that ``stops``, and no other does; each node stops
+    exactly when ``out_valid`` is in its signature.  Repeated words build
+    the plans of their verdict ticks, so both values occur."""
     machine = anbn_machine()
     net = two_stack_to_net(machine)
     cn = _compiled(net)
-    for word in ("aabb", "aab", "abab") * 2:
+    for word in ("aabb", "aab", "abab") * (network._SIGHTINGS + 1):
         run(net, word, two_stack_budget(len(word), machine.execute(word, 10_000)[1]))
-    plans = [plan for plan in cn.tick_plans.values() if plan]
     valid = net.out_valid
-    for rows, tops, scaled, _, fires in plans:
-        written = {row[0] for row in rows} | set(tops) | {i for i, _ in scaled}
-        assert fires == (valid in written)
-    assert {plan[4] for plan in plans} == {True, False}
+    for node in cn.tick_plans.values():
+        assert node.stops == (valid in node.units or valid in node.fracs)
+    fires = []
+    for plan in built_plans(cn):
+        rows, scaled, _ = plan.shape
+        for code, node in entries(plan):
+            written = {row[0] for k, row in enumerate(rows) if code >> 2 * k & 3}
+            written |= set(plan.tops) | {i for i, _ in scaled}
+            assert node.stops == (valid in written)
+            fires.append(node.stops)
+    assert set(fires) == {True, False}
 
 
 @pytest.mark.parametrize("way", ["row", "tops", "scaled"])
@@ -636,12 +799,15 @@ def test_run_stops_where_out_valid_is_written(way):
         if list(state)[1] > 0:
             break
     net = build()
-    for _ in range(3):
+    for _ in range(network._SIGHTINGS + 1):
         result = run(net, "", 8, record_trace=False)
         assert (result.verdict, result.ticks) == (Verdict.ACCEPT, t)
-    plans = _compiled(net).tick_plans.values()
-    [(rows, tops, scaled, _, _)] = [plan for plan in plans if plan and plan[4]]
-    where = {"row": [row[0] for row in rows], "tops": tops, "scaled": [i for i, _ in scaled]}
+    [plan] = [
+        plan for plan in built_plans(_compiled(net))
+        if any(node.stops for _, node in entries(plan))
+    ]
+    rows, scaled, _ = plan.shape
+    where = {"row": [row[0] for row in rows], "tops": plan.tops, "scaled": [i for i, _ in scaled]}
     assert [w for w, written in where.items() if 1 in written] == [way]
 
 
@@ -669,8 +835,9 @@ def test_fast_step_leaves_its_argument_untouched():
 
 def lockstep(net, word, budget):
     """Run ``word`` tick by tick on ``_fast_step`` and ``fraction_tick``,
-    on a cold plan memo and then on the warm one it left, until the output
-    validation line rises; return the ticks."""
+    on a cold plan memo and then on the warm one it left, until each tick's
+    plan is built and replayed, and until the output validation line
+    rises; return the ticks."""
     cn = _compiled(net)
     ref = [Fraction(0)] * net.n_neurons
     trajectory = []
@@ -683,7 +850,7 @@ def lockstep(net, word, budget):
         if ref[net.out_valid]:
             break
     passes = []
-    for _ in range(2):  # a cold memo, then the warm one it left
+    for _ in range(network._SIGHTINGS + 1):  # a cold memo, then the warm one it left
         state, orders = [0] * net.n_neurons, []
         for bits, v, want in trajectory:
             state = _fast_step(cn, state, bits, v)
@@ -691,7 +858,7 @@ def lockstep(net, word, budget):
             orders.append((state.units, state.fracs))
         passes.append(orders)
     # a replayed plan orders the new state as the plain path did
-    assert passes[0] == passes[1], word
+    assert passes == [passes[0]] * len(passes), word
     return len(trajectory)
 
 
@@ -718,33 +885,46 @@ def test_pruned_plans_match_fractions_on_compiled_words():
 
 
 def test_tick_plans_are_emptied_at_their_cap(monkeypatch):
-    import arnnlab.network as network
+    """With the cap lowered, every tick is as before while nodes, links and
+    generated functions are emptied together.  At the cap of the nodes that
+    ``ab``'s passes meet, those passes build their plans, and the first new
+    signature of ``aaabbb`` empties the map; at a cap of 5 nothing is ever
+    built."""
+    machine = anbn_machine()
+    words = ["ab"] * (network._SIGHTINGS + 1) + ["aaabbb"] * 2
 
-    word = "aaabbb"
-    budget = two_stack_budget(len(word), anbn_machine().execute(word, 10_000)[1])
-
-    def trajectory(net, cap):
+    def trajectory(cap):
+        net = two_stack_to_net(machine)
         cn = _compiled(net)
-        state, out, sizes = [0] * net.n_neurons, [], []
-        for t in range(budget):
-            if t < len(word):
-                bits = tuple(int(j == net.line_for_symbol(word[t])) for j in range(net.n_inputs))
-            else:
-                bits = (0,) * net.n_inputs
-            state = _fast_step(cn, state, bits, int(t < len(word)))
-            out.append(tuple(Fraction(x) for x in state))
-            sizes.append((len(cn.tick_plans), len(cn.interned)))
-            assert len(cn.tick_plans) <= cap
+        out, sizes, nodes = [], [], set()
+        for word in words:
+            state = [0] * net.n_neurons
+            for t in range(two_stack_budget(len(word), machine.execute(word, 10_000)[1])):
+                line = net.line_for_symbol(word[t]) if t < len(word) else None
+                bits = tuple(int(j == line) for j in range(net.n_inputs))
+                state = _fast_step(cn, state, bits, int(t < len(word)))
+                out.append(tuple(Fraction(x) for x in state))
+                sizes.append((len(cn.tick_plans), len(cn.interned), len(built_plans(cn))))
+                assert len(cn.tick_plans) <= cap
+                nodes.update(cn.tick_plans.values())
+        # a node emptied at the cap keeps no plan, link or count
+        assert all(not entries(node) for node in nodes - set(cn.tick_plans.values()))
         return out, sizes
 
-    reference, sizes = trajectory(two_stack_to_net(anbn_machine()), network._TICK_PLAN_CAP)
-    assert max(sizes)[0] > 5 and max(interned for _, interned in sizes) > 0
-    monkeypatch.setattr(network, "_TICK_PLAN_CAP", 5)
-    capped, sizes = trajectory(two_stack_to_net(anbn_machine()), 5)
-    assert capped == reference
-    assert max(sizes)[0] == 5
-    # it filled up and was emptied, the intern table with it
-    assert (1, 0) in sizes[5:]
+    reference, sizes = trajectory(network._TICK_PLAN_CAP)
+    ab_ticks = (network._SIGHTINGS + 1) * two_stack_budget(2, machine.execute("ab", 10_000)[1])
+    cap, functions, plans = sizes[ab_ticks - 1]
+    assert functions > 0 and plans > functions and max(sizes)[0] > cap
+    for cap in (cap, 5):
+        monkeypatch.setattr(network, "_TICK_PLAN_CAP", cap)
+        capped, sizes = trajectory(cap)
+        assert capped == reference
+        assert max(sizes)[0] == cap
+        # it filled up and was emptied, the functions and links with it
+        emptied = [t for t in range(1, len(sizes)) if sizes[t][0] < sizes[t - 1][0]]
+        assert emptied and all(sizes[t][1:] == (0, 0) for t in emptied)
+        assert (1, 0, 0) in sizes
+        assert (max(sizes[t - 1][2] for t in emptied) > 0) == (cap > 5)
 
 
 def dense_step(net, state, inputs, validation, budget):
