@@ -590,7 +590,7 @@ def oracle_consult(
     which an oracle net does when the word's index lies beyond the oracle's
     truncation.
     """
-    result = run(net, word, budget, record_trace=False)
+    result = run(net, word, budget)
     if result.verdict == Verdict.TIMEOUT:
         raise RunTimeout(f"net timed out on {word!r}: no verdict within {budget} ticks")
     if result.flagged:

@@ -33,11 +33,9 @@ from .exact import (
 )
 
 __all__ = [
-    "IOTrace",
     "Network",
     "NetworkState",
     "RunResult",
-    "TickRecord",
     "Verdict",
     "run",
     "step",
@@ -387,10 +385,6 @@ class _IntState:
     reaches ``limit`` bits, and then sets ``limit`` to the reduced size
     plus ``_SLACK_BITS``.  Iteration gives the values themselves (0, 1 or a
     reduced ``Fraction``).
-
-    ``_ticks`` ticks a state in place: it rebinds all five fields but never
-    mutates the tuples or the ``xs`` list they held, so a copy that shares
-    them, as ``_fast_step`` makes, is independent of the original.
     """
 
     __slots__ = ("n", "units", "fracs", "xs", "den", "limit")
@@ -696,10 +690,10 @@ def _link(cn: _CompiledNet, plan: _Plan, code: int) -> _Node:
 
 def _ticks(
     cn: _CompiledNet, state: _IntState, feed: Iterable[tuple[tuple[int, ...], int]]
-) -> int:
-    """Tick ``state`` in place, one exact tick per ``(inputs, validation)``
-    of ``feed``, in integers, until the net's ``out_valid`` is positive or
-    the feed ends; return the number of ticks taken.
+) -> tuple[int, _IntState]:
+    """Tick from ``state``, one exact tick per ``(inputs, validation)`` of
+    ``feed``, in integers, until the net's ``out_valid`` is positive or the
+    feed ends; return the number of ticks taken and the state reached.
 
     With the state at ``X_j / den`` and weights ``W / d``, neuron i's sum is
     ``(sum_j W_ij X_j + (C_i + inputs_i) * den) / (d * den)``; the clamp
@@ -722,8 +716,8 @@ def _ticks(
     gcd, and with no fractional neuron it becomes 1.
 
     Each tick ends by reading the new node's ``stops``.  The state is kept
-    in local variables from tick to tick and written back to ``state``
-    once, at the end.
+    in local variables from tick to tick and made into an ``_IntState``
+    once, at the end; ``state`` itself is only read.
     """
     xs, den, limit = state.xs, state.den, state.limit
     node = _node(cn, state.units, state.fracs)
@@ -756,25 +750,20 @@ def _ticks(
         den = top
         if node.stops:
             break
-    state.units, state.fracs, state.xs, state.den, state.limit = node.units, node.fracs, xs, den, limit
-    return t
+    return t, _IntState(cn.n, node.units, node.fracs, xs, den, limit)
 
 
 def _fast_step(
     cn: _CompiledNet, state: Sequence[Value], inputs: Sequence[int], validation: int
 ) -> _IntState:
-    """One tick of ``_ticks`` on a copy of ``state``, returned as a new
-    ``_IntState``; ``state`` itself is left as it was, and may also be any
-    sequence of values in [0, 1].  On a one-tick feed the watch on
-    ``out_valid`` changes nothing."""
+    """One tick of ``_ticks`` from ``state``, an ``_IntState`` or any
+    sequence of values in [0, 1], returned as a new ``_IntState``.  On a
+    one-tick feed the watch on ``out_valid`` changes nothing."""
     if not cn.exact:
         raise ValueError("network contains a lazily-known scalar")
-    if isinstance(state, _IntState):
-        state = _IntState(cn.n, state.units, state.fracs, state.xs, state.den, state.limit)
-    else:
+    if not isinstance(state, _IntState):
         state = _IntState.of(state)
-    _ticks(cn, state, ((tuple(inputs), validation),))
-    return state
+    return _ticks(cn, state, ((tuple(inputs), validation),))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -782,36 +771,15 @@ def _fast_step(
 
 
 @dataclass(frozen=True)
-class TickRecord:
-    """I/O lines observed across one tick."""
-
-    inputs: tuple[int, ...]
-    validation: int
-    out_data: int
-    out_valid: int
-    out_flag: Optional[int] = None
-
-
-IOTrace = tuple[TickRecord, ...]
-
-
-@dataclass(frozen=True)
 class RunResult:
+    """What ``run`` reads off a word: the ``verdict``, the ``ticks`` taken
+    (the verdict tick, or the whole budget on ``Verdict.TIMEOUT``), and
+    whether the output flag line was 1 on the verdict tick (``flagged``;
+    False on a timeout or when the net has no ``out_flag``)."""
+
     verdict: Verdict
-    trace: IOTrace
     ticks: int
     flagged: bool = False
-
-
-def _lines(net: Network, state: Union[_IntState, list[Value]]) -> tuple[int, int, Optional[int]]:
-    """The output data, validation and flag bits of ``state``; the flag bit
-    is None when the net has no ``out_flag``."""
-    if isinstance(state, _IntState):
-        on = lambda i: 1 if i in state.units or i in state.fracs else 0
-    else:
-        on = lambda i: signal(state[i])
-    flag = net.out_flag
-    return on(net.out_data), on(net.out_valid), None if flag is None else on(flag)
 
 
 #: How far ``run`` refines lazy scalars before a sign counts as undecidable,
@@ -824,7 +792,7 @@ def run(
     word: str,
     budget: int,
     *,
-    record_trace: bool = True,
+    record_trace: bool = False,
 ) -> RunResult:
     """Present a word and poll the output lines for a verdict.
 
@@ -840,10 +808,15 @@ def run(
     and a sign they cannot decide raises ``UnknownSign``.
 
     Either way the run is one call of the kernel (``_ticks`` or
-    ``_lazy_ticks``), which stops on the verdict tick, and the output lines
-    are read once from the state it leaves.  With ``record_trace`` the same
-    kernel is called once per tick, and the lines are read after each.
+    ``_lazy_ticks``), which stops on the verdict tick, and the output data
+    and flag lines are read once, on that tick, from the state it returns.
+
+    ``record_trace`` is accepted only as False, for callers that still
+    pass it; the per-tick trace it once selected is gone, and True raises
+    ``ConfigError``.
     """
+    if record_trace:
+        raise ConfigError("run records no per-tick trace; record_trace must be False")
     if net.out_data is None or net.out_valid is None:
         raise ConfigError("network has no designated output lines")
     if budget < len(word) + 1:
@@ -854,41 +827,30 @@ def run(
     shown = [cn.shown[net.line_for_symbol(ch)] for ch in word]
     feed = chain(shown, repeat(cn.blank, budget - len(shown)))
     if cn.exact:
-        state = _IntState(net.n_neurons, (), (), [], 1)
-        advance = lambda items: _ticks(cn, state, items)
+        ticks, state = _ticks(cn, _IntState(net.n_neurons, (), (), [], 1), feed)
+        on = lambda i: i in state.units or i in state.fracs
     else:
-        state = list(zero_state(net))
-        advance = lambda items: _lazy_ticks(net, state, items)
-
-    records: list[TickRecord] = []
-    if record_trace:
-        for item in feed:
-            advance((item,))
-            records.append(TickRecord(*item, *_lines(net, state)))
-            if records[-1].out_valid:
-                break
-        ticks = len(records)
-    else:
-        ticks = advance(feed)
-    data_bit, valid_bit, flag_bit = _lines(net, state)
-    if not valid_bit:
-        return RunResult(Verdict.TIMEOUT, tuple(records), ticks=budget)
-    verdict = Verdict.ACCEPT if data_bit else Verdict.REJECT
-    return RunResult(verdict, tuple(records), ticks=ticks, flagged=bool(flag_bit))
+        ticks, state = _lazy_ticks(net, feed)
+        on = lambda i: signal(state[i])
+    if not on(net.out_valid):
+        return RunResult(Verdict.TIMEOUT, ticks)
+    verdict = Verdict.ACCEPT if on(net.out_data) else Verdict.REJECT
+    flagged = net.out_flag is not None and bool(on(net.out_flag))
+    return RunResult(verdict, ticks, flagged)
 
 
 def _lazy_ticks(
-    net: Network, state: list[Value], feed: Iterable[tuple[tuple[int, ...], int]]
-) -> int:
-    """``step`` on interval enclosures, ticking the list ``state`` in place
-    one tick per item of ``feed``, until ``out_valid`` is positive or the
-    feed ends; returns the number of ticks taken, as ``_ticks`` does."""
-    t = 0
+    net: Network, feed: Iterable[tuple[tuple[int, ...], int]]
+) -> tuple[int, NetworkState]:
+    """``step`` on interval enclosures from the zero state, one tick per
+    item of ``feed``, until ``out_valid`` is positive or the feed ends;
+    returns the number of ticks taken and the state reached, as ``_ticks``
+    does.  Only ``out_valid`` is read on each tick, so an output data or
+    flag enclosure that straddles 0 before the verdict tick is no error."""
+    state, t = zero_state(net), 0
     for inputs, validation in feed:
         t += 1
-        state[:] = step(net, state, inputs, validation, budget=_LAZY_BUDGET)
-        # all three lines, as a traced run reads them, so that an output
-        # sign the enclosures cannot decide raises on the same tick either way
-        if _lines(net, state)[1]:
+        state = step(net, state, inputs, validation, budget=_LAZY_BUDGET)
+        if signal(state[net.out_valid]):
             break
-    return t
+    return t, state

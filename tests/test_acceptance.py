@@ -102,7 +102,7 @@ def test_criterion_03_regular_language_equivalence():
             assert len(dfa.states) <= 6
             net = dfa_to_net(dfa)
             for w in words:
-                result = run(net, w, 4 * (len(w) + 2), record_trace=False)
+                result = run(net, w, 4 * (len(w) + 2))
                 assert result.verdict != Verdict.TIMEOUT, (dfa, w)
                 assert (result.verdict == Verdict.ACCEPT) == dfa.accepts(w), (dfa, w)
 
@@ -117,7 +117,7 @@ def test_criterion_04_rational_weight_computation():
         for w in words_up_to(12):
             want, steps = machine.execute(w, 10_000)
             assert want is not None
-            result = run(net, w, two_stack_budget(len(w), steps), record_trace=False)
+            result = run(net, w, two_stack_budget(len(w), steps))
             assert result.verdict != Verdict.TIMEOUT, w
             assert (result.verdict == Verdict.ACCEPT) == want, w
             count += 1

@@ -144,7 +144,7 @@ def test_random_dfas_match_direct_simulation():
         dfa = random_dfa(rng, rng.randint(1, 6))
         net = dfa_to_net(dfa)
         for w in words_up_to(6):
-            result = run(net, w, dfa_budget(len(w)), record_trace=False)
+            result = run(net, w, dfa_budget(len(w)))
             assert result.verdict != Verdict.TIMEOUT
             assert (result.verdict == Verdict.ACCEPT) == dfa.accepts(w), (dfa, w)
 
@@ -198,7 +198,7 @@ def test_anbn_net_matches_machine_medium_words():
     net = two_stack_to_net(machine)
     for w in words_up_to(7):
         want, steps = machine.execute(w, 10_000)
-        result = run(net, w, two_stack_budget(len(w), steps), record_trace=False)
+        result = run(net, w, two_stack_budget(len(w), steps))
         assert result.verdict != Verdict.TIMEOUT, w
         assert (result.verdict == Verdict.ACCEPT) == want, w
 
@@ -246,7 +246,7 @@ def test_three_symbol_machine_uses_both_stacks():
     for n in range(0, 5):
         for w in map("".join, product("abc", repeat=n)):
             want, steps = machine.execute(w, 10_000)
-            res = run(net, w, two_stack_budget(len(w), steps), record_trace=False)
+            res = run(net, w, two_stack_budget(len(w), steps))
             assert res.verdict != Verdict.TIMEOUT, w
             assert (res.verdict == Verdict.ACCEPT) == want, w
 
@@ -271,7 +271,7 @@ def test_drain_machine_pops_both_bit_classes():
     net = two_stack_to_net(machine)
     for w in words_up_to(6):
         want, steps = machine.execute(w, 10_000)
-        res = run(net, w, two_stack_budget(len(w), steps), record_trace=False)
+        res = run(net, w, two_stack_budget(len(w), steps))
         assert res.verdict != Verdict.TIMEOUT, w
         assert (res.verdict == Verdict.ACCEPT) == want, w
 
@@ -311,7 +311,7 @@ def test_random_machines_match_their_nets():
                 continue  # diverging configuration; timeouts not compared
             if net is None:
                 net = two_stack_to_net(machine)
-            res = run(net, w, two_stack_budget(len(w), steps), record_trace=False)
+            res = run(net, w, two_stack_budget(len(w), steps))
             assert res.verdict != Verdict.TIMEOUT, w
             assert (res.verdict == Verdict.ACCEPT) == want, (machine, w)
 

@@ -225,7 +225,7 @@ def test_anbn_tick_counts_pinned():
     net = two_stack_to_net(anbn_machine())
     pinned = {"": 17, "ab": 54, "ba": 40, "aab": 76, "abab": 70, "aabb": 84, "aaabbb": 114}
     for word, ticks in pinned.items():
-        assert run(net, word, 1_000, record_trace=False).ticks == ticks, word
+        assert run(net, word, 1_000).ticks == ticks, word
 
 
 def test_compiled_net_sizes_pinned():

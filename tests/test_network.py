@@ -634,50 +634,38 @@ def word_nets(draw):
 @settings(max_examples=150, deadline=None)
 @given(word_nets())
 def test_run_matches_a_loop_of_fast_step(case):
-    """``run`` makes one kernel call, or one per tick with a trace; ticking
-    the same word one ``_fast_step`` at a time, on the plan memo that
-    ``run`` left, gives the same ``(units, fracs)`` and values per tick (as
-    a traced run leaves them) and at the end (as a plain run leaves them),
-    and the same trace, verdict and ticks."""
+    """``run`` makes one kernel call; ticking the same word one
+    ``_fast_step`` at a time, on the plan memo that ``run`` left, reaches
+    the same ``(units, fracs)`` and values as the state that call returns,
+    and the same verdict, flag and ticks, read on the first tick that
+    ``out_valid`` is positive."""
     net, word, budget = case
     kernel, seen = network._ticks, []
 
     def recorded(cn, state, feed):
-        ticks = kernel(cn, state, feed)
-        seen.append(_IntState(state.n, state.units, state.fracs, state.xs, state.den))
-        return ticks
+        ticks, reached = kernel(cn, state, feed)
+        seen.append(reached)
+        return ticks, reached
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "_ticks", recorded)
         result = run(net, word, budget)
-        traced = seen[:]
-        plain = run(net, word, budget, record_trace=False)
-    [final] = seen[len(traced):]
+    [final] = seen
     cn = _compiled(net)
-    state, records, verdict, flagged = [0] * net.n_neurons, [], Verdict.TIMEOUT, False
+    state, ticks, verdict, flagged = [0] * net.n_neurons, budget, Verdict.TIMEOUT, False
     for t in range(budget):
         line = net.line_for_symbol(word[t]) if t < len(word) else None
         bits = tuple(int(j == line) for j in range(net.n_inputs))
-        v = int(t < len(word))
-        state = _fast_step(cn, state, bits, v)
-        assert (state.units, state.fracs) == (traced[t].units, traced[t].fracs), t
-        assert list(state) == list(traced[t]), t
+        state = _fast_step(cn, state, bits, int(t < len(word)))
         values = list(state)
-        data, valid = (int(values[i] > 0) for i in (net.out_data, net.out_valid))
-        flag = None if net.out_flag is None else int(values[net.out_flag] > 0)
-        records.append((bits, v, data, valid, flag))
-        if valid:
-            verdict = Verdict.ACCEPT if data else Verdict.REJECT
-            flagged = bool(flag)
+        if values[net.out_valid] > 0:
+            ticks = t + 1
+            verdict = Verdict.ACCEPT if values[net.out_data] > 0 else Verdict.REJECT
+            flagged = net.out_flag is not None and values[net.out_flag] > 0
             break
     assert (state.units, state.fracs) == (final.units, final.fracs)
     assert list(state) == list(final)
-    assert len(traced) == len(records) == result.ticks == plain.ticks
-    assert [
-        (r.inputs, r.validation, r.out_data, r.out_valid, r.out_flag) for r in result.trace
-    ] == records
-    assert plain.trace == ()
-    assert (result.verdict, result.flagged) == (plain.verdict, plain.flagged) == (verdict, flagged)
+    assert (result.verdict, result.ticks, result.flagged) == (verdict, ticks, flagged)
 
 
 @settings(max_examples=100, deadline=None)
@@ -693,30 +681,11 @@ def test_generated_plans_match_fractions_on_words(case):
     assert run(net, word, budget).ticks == ticks
 
 
-@settings(max_examples=150, deadline=None)
-@given(word_nets())
-def test_tracing_does_not_change_a_run(case):
-    """With or without a trace, a run gives the same verdict, ticks and
-    flag; a traced verdict is read on the one tick whose record has
-    ``out_valid``, its last."""
-    net, word, budget = case
-    traced = run(net, word, budget)
-    plain = run(net, word, budget, record_trace=False)
-    assert (traced.verdict, traced.ticks, traced.flagged) == (
-        plain.verdict, plain.ticks, plain.flagged
-    )
-    valid = [record.out_valid for record in traced.trace]
-    assert len(valid) == traced.ticks
-    if traced.verdict == Verdict.TIMEOUT:
-        assert not any(valid)
-    else:
-        assert valid[-1] == 1 and not any(valid[:-1])
-
-
-def test_tracing_does_not_change_a_lazy_run():
-    """The same on nets with a stream of no known horizon, which run on
-    interval enclosures: one reaches its verdict once the word ends, on a
-    flagged tick; the other never raises ``out_valid``."""
+def test_lazy_run_stops_on_its_verdict_tick():
+    """Nets with a stream of no known horizon run on interval enclosures:
+    one reaches its verdict once the word ends, on a flagged tick; the
+    other never raises ``out_valid`` and times out.  Each agrees with
+    ``reference_run``."""
     for valid_bias, want in ((Fraction(1, 2), Verdict.ACCEPT), (-1, Verdict.TIMEOUT)):
         stream = UnitReal(gen=iter([1] + [0] * 500), base=2)
         net = Network(
@@ -733,18 +702,38 @@ def test_tracing_does_not_change_a_lazy_run():
             input_symbols=("a",),
         )
         assert not net.is_exact()
-        traced = run(net, "aa", 6)
-        plain = run(net, "aa", 6, record_trace=False)
-        assert (traced.verdict, traced.ticks, traced.flagged) == (
-            plain.verdict, plain.ticks, plain.flagged
-        )
-        assert traced.verdict == want
-        valid = [record.out_valid for record in traced.trace]
+        result = run(net, "aa", 6)
+        assert result.verdict == want
         if want == Verdict.ACCEPT:
-            assert (traced.ticks, traced.flagged) == (3, True)
-            assert valid == [0, 0, 1]
+            assert (result.ticks, result.flagged) == (3, True)
         else:
-            assert traced.ticks == 6 and valid == [0] * 6
+            assert (result.ticks, result.flagged) == (6, False)
+        assert (result.verdict, result.ticks, result.flagged) == reference_run(net, "aa", 6)
+
+
+def test_lazy_run_reads_output_data_on_its_verdict_tick_only():
+    """``out_data`` (neuron 0) has a stream bias that is 0 through every
+    digit a run may read, so on tick 1 its enclosure straddles 0 and its
+    sign is undecidable.  ``out_valid`` first rises on tick 2, where
+    neuron 2 pushes neuron 0 up to 1.  The run reads neuron 0 on that tick
+    only, and decides as ``reference_run`` does, instead of raising
+    ``UnknownSign``."""
+    net = Network(
+        3,
+        1,
+        state_weights={(1, 2): ExactScalar.integer(1), (0, 2): ExactScalar.integer(1)},
+        input_weights={(2, 1): ExactScalar.integer(1)},
+        biases={0: ExactScalar.from_stream(UnitReal(gen=iter([0] * 500), base=2))},
+        activations=("sat", "sig", "sat"),
+        out_data=0,
+        out_valid=1,
+        out_flag=2,
+        input_symbols=("a",),
+    )
+    assert not net.is_exact()
+    result = run(net, "a", 4)
+    assert (result.verdict, result.ticks, result.flagged) == (Verdict.ACCEPT, 2, False)
+    assert (result.verdict, result.ticks, result.flagged) == reference_run(net, "a", 4)
 
 
 def test_plan_fires_when_it_writes_out_valid():
@@ -800,7 +789,7 @@ def test_run_stops_where_out_valid_is_written(way):
             break
     net = build()
     for _ in range(network._SIGHTINGS + 1):
-        result = run(net, "", 8, record_trace=False)
+        result = run(net, "", 8)
         assert (result.verdict, result.ticks) == (Verdict.ACCEPT, t)
     [plan] = [
         plan for plan in built_plans(_compiled(net))
@@ -812,8 +801,9 @@ def test_run_stops_where_out_valid_is_written(way):
 
 
 def test_fast_step_leaves_its_argument_untouched():
-    """``_ticks`` ticks in place; ``_fast_step`` ticks a copy, on the
-    plain path, the plan build, a replay and a forced gcd alike."""
+    """``_fast_step`` returns a new state and leaves its argument as it
+    was, on the plain path, the plan build, a replay and a forced gcd
+    alike."""
     net = Network(
         3,
         0,
@@ -1160,16 +1150,17 @@ def test_run_timeout():
     net = Network(1, 1, out_data=0, out_valid=0, input_symbols=("a",))
     result = run(net, "a", 8)
     assert result.verdict == Verdict.TIMEOUT
-    assert len(result.trace) == 8
+    assert result.ticks == 8
 
 
-def test_run_trace_validation_profile():
+def test_run_keeps_the_benchmark_call_shape():
+    """The benchmark calls ``run(..., record_trace=False)``: that equals a
+    plain call, and ``record_trace=True`` is refused, as no trace is kept."""
     net = dfa_to_net(parity_dfa())
-    result = run(net, "ab", 32)
-    vals = [rec.validation for rec in result.trace]
-    assert vals[:2] == [1, 1]
-    assert all(v == 0 for v in vals[2:])
-    assert result.trace[result.ticks - 1].out_valid == 1
+    for word in ("", "ab", "abba", "b"):
+        assert run(net, word, 32, record_trace=False) == run(net, word, 32)
+    with pytest.raises(ConfigError, match="record_trace"):
+        run(net, "ab", 32, record_trace=True)
 
 
 def test_run_deterministic():
@@ -1300,7 +1291,7 @@ def test_run_on_pinned_streams_matches_interval_steps():
             except UnknownSign:
                 seen["undecided"] += 1
                 continue
-            result = run(net, word, ticks, record_trace=False)
+            result = run(net, word, ticks)
             assert (result.verdict, result.ticks, result.flagged) == want, (word, ticks)
             seen[want[0]] += 1
             seen["flagged"] += want[2]
