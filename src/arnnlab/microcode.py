@@ -351,6 +351,8 @@ def compile_program(prog: MicroProgram) -> Network:
 
     # Control states, built only for the states that a rule leaves or an
     # output reads: any other state would be read by its own self-loop only.
+    # An output state that no rule names and that is not the start is never
+    # entered, so it has no neuron and the outputs read it as 0.
     out = prog.output
     read_states = set(out.accept_states | out.flag_states | out.emit_states)
     read_states.update(rule.state for rule in prog.rules)
@@ -533,11 +535,11 @@ def compile_program(prog: MicroProgram) -> Network:
     flag_idx: Optional[int] = None
     if out.flag_states:
         flag_idx = b.neuron("out.flag")
-        for st in out.flag_states:
+        for st in out.flag_states & q.keys():
             b.w(flag_idx, q[st], 1)
     out_valid = b.neuron("out.valid")
     if out.emit_states:
-        for st in out.emit_states:
+        for st in out.emit_states & q.keys():
             b.w(out_valid, q[st], 1)
         out_data = b.neuron("out.data")
         for r_i, rule in enumerate(prog.rules):
@@ -554,7 +556,7 @@ def compile_program(prog: MicroProgram) -> Network:
         b.w(out_valid, halt_pulse, 1)
         out_data = b.neuron("out.data", bias=-1)
         b.w(out_data, halt_pulse, 1)
-        for st in out.accept_states:
+        for st in out.accept_states & q.keys():
             b.w(out_data, q[st], 1)
         for stack_name in out.require_empty:
             b.w(out_data, nonempty(stack_name), -1)

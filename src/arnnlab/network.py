@@ -352,7 +352,7 @@ _TICK_PLAN_CAP = 4096
 
 #: The sighting of a signature and feed item at which ``_ticks`` builds
 #: its plan; the ones before take the plain path.  Generating a 13-row
-#: plan's function takes about 0.3 ms, what some 35 replays save over the
+#: plan's function takes about 0.2 ms, what some 20 replays save over the
 #: plain path on the a^n b^n net (Python 3.11), so a tick met only a few
 #: times is not worth one: on a net that runs a few short words, as each
 #: job of the benchmark's ``toolchain`` workload does, no plan is built.
@@ -513,18 +513,19 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> "_Pl
     reads.  A replay's denominator is ``scale * den``, so a tick that reads
     only integer weights leaves it as it was.
 
-    A neuron that can never turn positive gets no row.  A fractional
-    source's numerator x satisfies ``0 < x < den``: ``step`` admits only
-    states in [0, 1], and a source at 0 or 1 is not in ``fracs``.  So each
-    term ``w * x`` is strictly below ``w * den`` when ``w > 0`` and
-    strictly below 0 when ``w < 0``, and as a row has at least one term,
-    its numerator ``base * den + sum(w * x)`` is strictly below
-    ``(base + sum of its positive w) * den`` on every tick of this
-    signature.  When that bound is at most 0, the numerator is negative,
-    the neuron writes nothing on the plain path or on a replay, and
-    leaving it out changes neither the values nor their order.  This is
-    the common case of a gate held closed by its bias: a stack candidate
-    ``sigma(y + gate - 1)`` while ``gate`` is 0.
+    Each row is bounded over the signature.  A fractional source's
+    numerator x satisfies ``0 < x < den``: ``step`` admits only states in
+    [0, 1], and a source at 0 or 1 is not in ``fracs``.  A row has at least
+    one term and no zero weight, so its numerator ``base * den + sum(w *
+    x)`` lies strictly between ``lo * den`` and ``hi * den`` on every tick
+    of this signature, where ``lo`` is ``base`` plus the row's negative
+    weights and ``hi`` is ``base`` plus its positive ones.  When ``hi <= 0``
+    the neuron stays at 0 and gets no row, which changes neither the values
+    nor their order: the common case of a gate held closed by its bias, a
+    stack candidate ``sigma(y + gate - 1)`` while ``gate`` is 0.  When
+    ``lo >= 0`` (``lo >= scale`` if it saturates) the row is at 1 on every
+    tick, and a saturating row with ``lo >= 0`` and ``hi <= scale`` is
+    fractional on every tick; ``_gen`` writes either with no test.
     """
     bias, out, sat, ceil = cn.biases, cn.state_edges, cn.sat_mask, cn.ceil
     terms: dict[int, tuple[tuple[int, int], ...]] = {}
@@ -569,11 +570,16 @@ def _gen(rows: tuple, scaled: tuple, scale: int):
     denominator, ``xs`` the new numerators over it (the fractional rows in
     row order, then one per ``scaled`` entry), and ``code`` has two bits
     per row, bit ``2k`` set when row k is at 1 and bit ``2k + 1`` when it
-    is fractional, so it names the signature the tick writes.  Each row is
-    one block with its base, weights, positions and ``scale`` written in as
-    literals.  Every value goes through ``lit``, which refuses anything but
-    an ``int``, so the source handed to ``exec`` is fixed text and
-    ``%d``-formatted integers only.
+    is fractional, so it names the signature the tick writes.  Each row
+    is written as its bound (see ``_plan``) leaves it: a row always at 1
+    writes no code and a row always fractional only appends its sum, each
+    with its bit in the constant that ``c`` starts from, and any other row
+    keeps only the comparisons that can fail, ``a > 0`` while ``lo < 0``
+    and ``a < top`` while ``hi > scale``.  Only the sources a written row
+    reads are loaded.  Bases, weights, positions and ``scale`` are written
+    in as literals.  Every value goes through ``lit``, which refuses
+    anything but an ``int``, before any arithmetic on it, so the source
+    handed to ``exec`` is fixed text and ``%d``-formatted integers only.
     """
 
     def lit(v: int) -> str:
@@ -585,18 +591,37 @@ def _gen(rows: tuple, scaled: tuple, scale: int):
         s = lit(w)
         return "" if s == "0" else name if s == "1" else f"{s}*{name}"
 
-    src = ["def tick(xs, den):", f" top = {term(scale, 'den')}", " nx = []", " c = 0"]
-    src += [f" x{lit(p)} = xs[{lit(p)}]"
-            for p in sorted({p for row in rows for p in (row[1], *(q for q, _ in row[5]))})]
+    top = term(scale, "den")
+    body, c, read = [], 0, set()
     for k, (_, p, w, base, s, more) in enumerate(rows):
-        parts = [term(base, "den"), term(w, f"x{lit(p)}"), *(term(v, f"x{lit(q)}") for q, v in more)]
-        src.append(f" a = {' + '.join(filter(None, parts))}")
-        src.append(" if a > 0:")
-        if s:
-            src += ["  if a < top:", "   nx.append(a)", f"   c |= {lit(2 << 2 * k)}",
-                    "  else:", f"   c |= {lit(1 << 2 * k)}"]
+        ts = ((p, w), *more)
+        a = " + ".join(filter(None, [term(base, "den"), *(term(v, f"x{lit(q)}") for q, v in ts)]))
+        lo = base + sum(v for _, v in ts if v < 0)
+        hi = base + sum(v for _, v in ts if v > 0)
+        one, frac = 1 << 2 * k, 2 << 2 * k
+        if lo >= (scale if s else 0):  # always at 1
+            c |= one
+            continue
+        read.update(q for q, _ in ts)
+        if s and lo >= 0 and hi <= scale:  # always fractional
+            body.append(f" nx.append({a})")
+            c |= frac
+            continue
+        body.append(f" a = {a}")
+        pad = " "
+        if lo < 0:
+            body.append(" if a > 0:")
+            pad = "  "
+        if not s:
+            body.append(f"{pad}c |= {lit(one)}")
+        elif hi > scale:
+            body += [f"{pad}if a < top:", f"{pad} nx.append(a)", f"{pad} c |= {lit(frac)}",
+                     f"{pad}else:", f"{pad} c |= {lit(one)}"]
         else:
-            src.append(f"  c |= {lit(1 << 2 * k)}")
+            body += [f"{pad}nx.append(a)", f"{pad}c |= {lit(frac)}"]
+    src = ["def tick(xs, den):", f" top = {top}", " nx = []", f" c = {lit(c)}"]
+    src += [f" x{lit(p)} = xs[{lit(p)}]" for p in sorted(read)]
+    src += body
     src += [f" nx.append({term(u, 'den')})" for _, u in scaled]
     src.append(" return c, nx, top")
     namespace: dict = {}

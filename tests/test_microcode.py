@@ -11,6 +11,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arnnlab import (
     CANTOR4,
@@ -18,6 +20,8 @@ from arnnlab import (
     ExactScalar,
     OracleNetSpec,
     OracleTable,
+    Rule,
+    TwoStackMachine,
     Verdict,
     compose_nets,
     oracle_net,
@@ -27,6 +31,7 @@ from arnnlab import (
     two_stack_to_net,
 )
 from arnnlab.microcode import (
+    RING_LEN,
     MicroProgram,
     MicroRule,
     OutputSpec,
@@ -226,6 +231,69 @@ def test_anbn_tick_counts_pinned():
     pinned = {"": 17, "ab": 54, "ba": 40, "aab": 76, "abab": 70, "aabb": 84, "aaabbb": 114}
     for word, ticks in pinned.items():
         assert run(net, word, 1_000).ticks == ticks, word
+
+
+def law_ticks(word, steps):
+    """The ticks of a compiled two-stack run on ``word`` whose machine
+    halts after ``steps`` steps: ``|w|`` to read the word in, ``RING_LEN``
+    for each of ``|w| + steps + 1`` ring cycles and for one more cycle on
+    a nonempty word, and 10 more."""
+    return len(word) + RING_LEN * (len(word) + steps + 1 + (word != "")) + 10
+
+
+def check_tick_law(machine):
+    """Every word of length <= 6 on which ``machine`` halts decides as the
+    machine does, on the tick the law gives; return how many were run."""
+    net, runs = None, 0
+    for word in words_up_to(6):
+        want, steps = machine.execute(word, 300)
+        if want is None:
+            continue  # diverging configuration
+        net = net or two_stack_to_net(machine)
+        res = run(net, word, two_stack_budget(len(word), steps))
+        assert (res.verdict, res.ticks) == (
+            Verdict.ACCEPT if want else Verdict.REJECT, law_ticks(word, steps)
+        ), word
+        runs += 1
+    return runs
+
+
+@pytest.mark.parametrize("machine", [anbn_machine, copy_machine])
+def test_two_stack_tick_law_on_fixed_machines(machine):
+    assert check_tick_law(machine()) == 127
+
+
+def test_output_state_that_no_rule_names_compiles():
+    """An accepting state that no rule enters or leaves, and that is not
+    the start, is never active: the net builds no neuron for it and
+    decides as the machine does."""
+    machine = TwoStackMachine(
+        ("S", "X"), AB, (Rule("S", "a", None, None, "S", push1=1),), "S", frozenset({"S", "X"})
+    )
+    assert "m.X" not in " ".join(two_stack_to_net(machine).neuron_names)
+    assert check_tick_law(machine) == 127
+
+
+@st.composite
+def two_stack_machines(draw):
+    """A random two-stack machine over ``ab`` with at most one rule per
+    state and read, so that no two rules of a state overlap."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 4))))
+    bit, op = st.sampled_from([None, 0, 1]), st.sampled_from([None, None, 0, 1])
+    rules = tuple(
+        Rule(state, read, draw(op), draw(op), draw(st.sampled_from(states)), draw(bit), draw(bit))
+        for state in states
+        for read in ("a", "b", None)
+        if draw(st.booleans())
+    )
+    accepting = frozenset(draw(st.sets(st.sampled_from(states))))
+    return TwoStackMachine(states, AB, rules, states[0], accepting)
+
+
+@settings(max_examples=25, deadline=None)
+@given(two_stack_machines())
+def test_two_stack_tick_law_on_random_machines(machine):
+    check_tick_law(machine)
 
 
 def test_compiled_net_sizes_pinned():

@@ -1,5 +1,6 @@
 """Synchronous dynamics, the word protocol, and exactness of the simulator."""
 
+import dis
 import random
 from collections import Counter
 from fractions import Fraction
@@ -562,6 +563,126 @@ def test_generated_plans_cover_each_kind_of_row():
                 })
         assert len(functions) == len(cn.interned), trial
     assert all(kinds.values()) and len(kinds) == 9, kinds
+
+
+def bound_class(row, scale):
+    """What a plan row's bound over its signature leaves to test (see
+    ``_gen``): with its base plus its negative weights as ``lo`` and plus
+    its positive ones as ``hi``, ``a > 0`` can fail only when ``lo < 0``,
+    and ``a < top`` only when ``hi > scale``; a saturating row with
+    ``lo >= scale`` is at 1 whatever either says."""
+    _, _, w, base, sat, more = row
+    weights = [w, *(v for _, v in more)]
+    lo = base + sum(v for v in weights if v < 0)
+    hi = base + sum(v for v in weights if v > 0)
+    if not sat:
+        return "sig at 1" if lo >= 0 else "sig a > 0"
+    if lo >= scale:
+        return "sat at 1"
+    return {
+        (True, True): "fractional", (False, True): "a > 0", (True, False): "a < top",
+        (False, False): "both",
+    }[lo >= 0, hi <= scale]
+
+
+#: The comparisons a generated row keeps, by its bound class.
+TESTS_LEFT = {
+    "sig at 1": 0, "sig a > 0": 1, "sat at 1": 0, "fractional": 0, "a > 0": 1,
+    "a < top": 1, "both": 2,
+}
+
+
+def evaluate_rows(rows, scaled, scale, xs, den):
+    """What ``rows`` and ``scaled`` write from numerators ``xs`` over
+    ``den``: every row's sum, compared with 0 and, on a saturating row,
+    with ``top``, on every call."""
+    top = scale * den
+    code, nx = 0, []
+    for k, (_, p, w, base, sat, more) in enumerate(rows):
+        a = base * den + sum(v * xs[q] for q, v in ((p, w), *more))
+        if a > 0:
+            if sat and a < top:
+                nx.append(a)
+                code |= 2 << 2 * k
+            else:
+                code |= 1 << 2 * k
+    return code, nx + [u * den for _, u in scaled], top
+
+
+@st.composite
+def plan_shapes(draw):
+    """Plan rows of every bound class, ``scaled``, a ``scale`` and
+    numerators ``0 < x < den`` of the sources the rows read.  Each row's
+    base is drawn across the edges of its bound, so rows at 1,
+    fractional, with one test and with both come up, saturating or not,
+    with one source or more."""
+    n = draw(st.integers(1, 4))
+    den = draw(st.one_of(st.integers(2, 64), st.integers(2, 2**80)))
+    xs = draw(st.lists(st.integers(1, den - 1), min_size=n, max_size=n))
+    scale = draw(st.integers(1, 6))
+    rows = []
+    for i in range(draw(st.integers(0, 6))):
+        ps = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n, unique=True))
+        ws = draw(st.lists(st.integers(-8, 8).filter(bool), min_size=len(ps), max_size=len(ps)))
+        neg, pos = sum(w for w in ws if w < 0), sum(w for w in ws if w > 0)
+        base = draw(st.integers(-pos - 1, scale - neg + 1))
+        (p, w), *more = zip(ps, ws)
+        rows.append((draw(st.integers(0, 99)), p, w, base, draw(st.booleans()), tuple(more)))
+    scaled = draw(st.lists(st.tuples(st.integers(0, 99), st.integers(1, 6)), max_size=2))
+    return tuple(rows), tuple(scaled), scale, xs, den
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan_shapes())
+def test_gen_matches_a_reference_row_evaluator(case):
+    """A generated ``tick`` returns what evaluating every row in full
+    gives, and it keeps only the comparisons its rows' bounds leave
+    open."""
+    rows, scaled, scale, xs, den = case
+    tick = network._gen(rows, scaled, scale)
+    assert tick(list(xs), den) == evaluate_rows(rows, scaled, scale, xs, den)
+    compares = sum(op.opname == "COMPARE_OP" for op in dis.get_instructions(tick))
+    assert compares == sum(TESTS_LEFT[bound_class(row, scale)] for row in rows)
+
+
+def test_generated_plans_reach_every_bound_class():
+    """Seeded random nets, and the a^n b^n net in lockstep with
+    ``fraction_tick``, build plans whose rows fall in every bound class
+    ``_gen`` writes differently, and each tick matches ``fraction_tick``.
+    The a^n b^n net alone reaches every class but a saturating row at 1."""
+    rng = random.Random(47)
+    classes = Counter()
+    for trial in range(60):
+        n = rng.randint(2, 8)
+        m = rng.randint(0, 2)
+
+        def scalar(lo, hi):
+            return ExactScalar.rational(rng.randint(lo, hi), rng.choice([1, 1, 2, 3]))
+
+        sw = {(i, j): scalar(-3, 3) for i in range(n) for j in range(n) if rng.random() < 0.4}
+        iw = {(i, j): scalar(-2, 3) for i in range(n) for j in range(m + 1) if rng.random() < 0.4}
+        bias = {i: scalar(-2, 3) for i in range(n) if rng.random() < 0.6}
+        acts = tuple(rng.choice(["sat", "sig"]) for _ in range(n))
+        net = Network(n, m, state_weights=sw, input_weights=iw, biases=bias, activations=acts)
+        cn = _compiled(net)
+        period = [
+            (tuple(rng.randint(0, 1) for _ in range(m)), rng.randint(0, 1))
+            for _ in range(rng.randint(1, 3))
+        ]
+        state = ref = [rng.choice([0, 1, Fraction(1, 2), Fraction(1, 3)]) for _ in range(n)]
+        for bits, v in period * (network._SIGHTINGS + 3):
+            state = _fast_step(cn, state, bits, v)
+            ref = fraction_tick(net, ref, bits, v)
+            assert [Fraction(x) for x in state] == ref, trial
+        classes.update(bound_class(row, plan.shape[2]) for plan in built_plans(cn)
+                       for row in plan.shape[0])
+    machine = anbn_machine()
+    net = two_stack_to_net(machine)
+    lockstep(net, "aabb", two_stack_budget(4, machine.execute("aabb", 100)[1]))
+    anbn = Counter(bound_class(row, plan.shape[2]) for plan in built_plans(_compiled(net))
+                   for row in plan.shape[0])
+    assert set(anbn) == set(TESTS_LEFT) - {"sat at 1"}, anbn
+    assert set(classes + anbn) == set(TESTS_LEFT), classes
 
 
 def test_equal_plan_shapes_share_one_function():
