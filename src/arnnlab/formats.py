@@ -363,7 +363,7 @@ def load_network(path: str) -> Network:
     state_weights: dict[tuple[int, int], ExactScalar] = {}
     input_weights: dict[tuple[int, int], ExactScalar] = {}
     biases: dict[int, ExactScalar] = {}
-    acts: dict[int, str] = {}
+    acts: dict[int, tuple[str, int]] = {}  # neuron -> (activation, line number)
     outs: dict[str, int] = {}
     seen: set[tuple] = set()
     parsed: dict[str, ExactScalar] = {}
@@ -401,7 +401,7 @@ def load_network(path: str) -> Network:
                 raise FormatError(f"{where}: activation must be sat or sig")
             i = _int(parts[1], where)
             _once(seen, ("activation", i), where)
-            acts[i] = parts[2]
+            acts[i] = (parts[2], lineno)
         elif parts[0] in ("out_data", "out_valid", "out_flag") and len(parts) == 2:
             _once(seen, (parts[0],), where)
             outs[parts[0]] = _int(parts[1], where)
@@ -409,7 +409,12 @@ def load_network(path: str) -> Network:
             raise FormatError(f"{where}: unrecognised line {line!r}")
     if n_neurons is None or n_inputs is None:
         raise FormatError(f"{path}: missing 'neurons N inputs M' header")
-    activations = tuple(acts.get(i, SAT) for i in range(n_neurons))
+    for i, (_, lineno) in acts.items():
+        if not 0 <= i < n_neurons:
+            raise FormatError(
+                f"{path}: activation line {lineno} names neuron {i}, outside 0..{n_neurons - 1}"
+            )
+    activations = tuple(acts.get(i, (SAT,))[0] for i in range(n_neurons))
     with _named(path, ShapeError):
         return Network(
             n_neurons,

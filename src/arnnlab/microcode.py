@@ -9,18 +9,21 @@ state and rule matching are threshold (signal) neurons.
 
 Phase discipline (ring of RING_LEN phases): senses, guard conditions and pop
 remainders are recomputed every tick from the stable stacks; rule guards are
-sampled at phase 2, the winning rule's match holds at phase 4 and its delayed
-match at phase 5; that rule's candidates, the kills of the old stack and state
-values, and the target state pulse hold at phase 6; and the writes land
-entering phase 0 of the next cycle.  Because stacks only change on the write
-tick, the continuously recomputed senses are always fresh by the time guards
-sample them.  Only stacks that a guard, an op, the output or the oracle names
-get a register, and every neuron built is read by another neuron or is an
-output.
+sampled at phase 4, so each rule's guard neuron holds at phase 5; the firing
+rule's candidates, the kills of the old stack and state values, the target
+state pulse and the halt test (no guard fired) hold at phase 6; and the
+writes land entering phase 0 of the next cycle.  Because stacks only change
+on the write tick, the continuously recomputed senses are always fresh by
+the time guards sample them.  Only stacks that a guard, an op, the output or
+the oracle names get a register, and every neuron built is read by another
+neuron or is an output.
 
 A rule tests stacks with guards (empty, or a given top digit class) and
 writes each stack with at most one op of a single form: pop some digits,
-then push some digit classes.  Each op compiles to one candidate neuron.
+then push some digit classes.  Each rule compiles to one guard neuron and
+each op to one candidate neuron.  No rule has priority over another, so the
+rules of one state must exclude each other: some stack is empty in one and
+has a top digit in the other, or has top digits of different classes.
 """
 
 from __future__ import annotations
@@ -48,12 +51,11 @@ __all__ = [
 
 RING_LEN = 7
 
-# Phases at which the engine samples things (values exist one tick later):
-# guards at 2 and the no-match test at 3; matches then hold at 4, delayed
-# matches at 5, candidates, kills and target pulses at 6, and writes land
-# entering phase 0 of the next cycle.
-_PH_RAW = 2
-_PH_NOMATCH = 3
+# Guards are sampled at phase 4 (values exist one tick later), so each
+# rule's guard neuron holds at phase 5; candidates, kills, target pulses and
+# the halt test hold at 6, and writes land entering phase 0 of the next
+# cycle.
+_PH_RAW = RING_LEN - 3
 
 
 class NetBuilder:
@@ -336,11 +338,42 @@ def compile_program(prog: MicroProgram) -> Network:
     used = {"wb"} | set(prog.output.require_empty)
     if prog.oracle is not None:
         used.add(prog.oracle[0])
-    for rule in prog.rules:
+    missing = used - stacks.keys()
+    if missing:
+        raise ConstructionError(f"output or oracle on undeclared stack {min(missing)!r}")
+    guard_keys: list[set[tuple[str, Optional[int]]]] = []  # (stack, top class or None)
+    for r_i, rule in enumerate(prog.rules):
         for item in rule.guards + rule.ops:
             if item.stack not in stacks:
-                raise ConstructionError(f"rule on undeclared stack {item.stack!r}")
+                raise ConstructionError(f"rule {r_i} on undeclared stack {item.stack!r}")
             used.add(item.stack)
+            if isinstance(item, StackOp):
+                classes = item.push
+            elif item.kind == "top":
+                classes = (item.digit_class,)
+            elif item.kind == "empty":
+                classes = ()
+            else:
+                raise ConstructionError(f"unknown guard kind {item.kind!r}")
+            n_classes = len(stacks[item.stack].digit_values)
+            for digit_class in classes:
+                if not 0 <= digit_class < n_classes:
+                    raise ConstructionError(
+                        f"rule {r_i}: stack {item.stack!r} has no digit class {digit_class}"
+                    )
+        guard_keys.append(
+            {(g.stack, g.digit_class if g.kind == "top" else None) for g in rule.guards}
+        )
+        # Rules fire without priority, so two rules of one state must never both fire.
+        for r_j in range(r_i):
+            if prog.rules[r_j].state == rule.state and not any(
+                s1 == s2 and t1 != t2 for s1, t1 in guard_keys[r_j] for s2, t2 in guard_keys[r_i]
+            ):
+                raise ConstructionError(
+                    f"rules {r_j} and {r_i} of state {rule.state!r} do not exclude each"
+                    " other: no stack is empty in one and topped in the other, or topped"
+                    " by different classes"
+                )
     reg: dict[str, int] = {}
     for spec in all_stacks:
         if spec.name in used:
@@ -427,15 +460,11 @@ def compile_program(prog: MicroProgram) -> Network:
         b.w(c_idx, at_least(stack, digit_class + 1), -1)
         return c_idx
 
-    # Rules: raw guards sampled at phase _PH_RAW, so raw is live at phase 3;
-    # the prioritised match is live at phase 4 and its delay md at phase 5.
-    # Only one state is active, so at most one rule matches per cycle.
-    raw_by_state: dict[str, list[int]] = {st: [] for st in states}
+    # Rules: guards sampled at phase _PH_RAW, so raw is live at phase 5.
+    # Only one state is active and its rules exclude each other, so at most
+    # one raw fires per cycle.
     raws: list[int] = []
-    md: list[int] = []
     for r_i, rule in enumerate(prog.rules):
-        if rule.state not in q:
-            raise ConstructionError(f"rule {r_i} uses undeclared state {rule.state!r}")
         raw = b.neuron(f"raw{r_i}.{rule.state}")
         positives = 2  # the state indicator and the phase gate
         b.w(raw, q[rule.state], 1)
@@ -443,26 +472,16 @@ def compile_program(prog: MicroProgram) -> Network:
         for guard in rule.guards:
             if guard.kind == "empty":
                 b.w(raw, nonempty(guard.stack), -1)
-            elif guard.kind == "top":
+            else:
                 b.w(raw, top_cond(guard.stack, guard.digit_class), 1)
                 positives += 1
-            else:
-                raise ConstructionError(f"unknown guard kind {guard.kind!r}")
         b.add_bias(raw, -(positives - 1))
-        match = b.neuron(f"match{r_i}.{rule.state}")
-        b.w(match, raw, 1)
-        for earlier in raw_by_state[rule.state]:
-            b.w(match, earlier, -1)
-        raw_by_state[rule.state].append(raw)
         raws.append(raw)
-        m_idx = b.neuron(f"md{r_i}")
-        b.w(m_idx, match, 1)
-        md.append(m_idx)
 
     # Writes: at phase 6 each stack a rule writes gets that rule's candidate
     # and loses its old value through kill; both land entering phase 0.
-    # A candidate is its op's value x gated by md with weight 1 and bias -1.
-    # Every x is at most 1, so sigma(x + md - 1) is x when md = 1 and 0
+    # A candidate is its op's value x gated by raw with weight 1 and bias -1.
+    # Every x is at most 1, so sigma(x + raw - 1) is x when raw = 1 and 0
     # otherwise; and reg and rem hold still from phase 2 to phase 6, so the
     # x read at phase 5 is the x of the guards' configuration.
     # x is the source scaled by base**-len(push) plus each pushed digit's
@@ -471,7 +490,7 @@ def compile_program(prog: MicroProgram) -> Network:
     # digits, and rem when any other register pops its top digit.  A unary
     # pop past the bottom saturates at 0, which only holds with no push after
     # it, so a unary op may not do both.
-    writers: dict[str, list[int]] = {}  # stack -> md of each rule writing it
+    writers: dict[str, list[int]] = {}  # stack -> raw of each rule writing it
     for r_i, rule in enumerate(prog.rules):
         if len({op.stack for op in rule.ops}) != len(rule.ops):
             raise ConstructionError(f"rule {r_i}: at most one op per stack per rule")
@@ -491,7 +510,7 @@ def compile_program(prog: MicroProgram) -> Network:
                     f"rule {r_i}: unary stack {op.stack!r} cannot pop and push in one op"
                 )
             cand = b.neuron(f"cand{r_i}.{op.stack}", act=SAT, bias=-1)
-            b.w(cand, md[r_i], 1)
+            b.w(cand, raws[r_i], 1)
             source, weight, bias = reg[op.stack], Fraction(1), Fraction(0)
             if op.pops and spec.is_unary:
                 weight = Fraction(base**op.pops)
@@ -504,23 +523,23 @@ def compile_program(prog: MicroProgram) -> Network:
             b.w(cand, source, weight)
             b.add_bias(cand, bias)
             b.w(reg[op.stack], cand, 1)
-            writers.setdefault(op.stack, []).append(md[r_i])
+            writers.setdefault(op.stack, []).append(raws[r_i])
 
-    for stack_name, md_list in writers.items():
+    for stack_name, gates in writers.items():
         kill = b.neuron(f"kill.{stack_name}", act=SAT, bias=-1)
         b.w(kill, reg[stack_name], 1)
-        for m_idx in md_list:
-            b.w(kill, m_idx, 1)
+        for raw in gates:
+            b.w(kill, raw, 1)
         b.w(reg[stack_name], kill, -1)
 
     # State transitions: the kill of the state a rule leaves and the target
-    # pulse of the state it enters both read md, so they land together.
+    # pulse of the state it enters both read raw, so they land together.
     for st in states:
-        leaving = [md[r_i] for r_i, rule in enumerate(prog.rules) if rule.state == st]
+        leaving = [raws[r_i] for r_i, rule in enumerate(prog.rules) if rule.state == st]
         if leaving:
             kq = b.neuron(f"kq.{st}")
-            for m_idx in leaving:
-                b.w(kq, m_idx, 1)
+            for raw in leaving:
+                b.w(kq, raw, 1)
             b.w(q[st], kq, -1)
     target_pulse: dict[str, int] = {}
     for r_i, rule in enumerate(prog.rules):
@@ -529,7 +548,7 @@ def compile_program(prog: MicroProgram) -> Network:
         if rule.next_state not in target_pulse:
             target_pulse[rule.next_state] = b.neuron(f"tp.{rule.next_state}")
             b.w(q[rule.next_state], target_pulse[rule.next_state], 1)
-        b.w(target_pulse[rule.next_state], md[r_i], 1)
+        b.w(target_pulse[rule.next_state], raws[r_i], 1)
 
     # Outputs.
     flag_idx: Optional[int] = None
@@ -544,18 +563,14 @@ def compile_program(prog: MicroProgram) -> Network:
         out_data = b.neuron("out.data")
         for r_i, rule in enumerate(prog.rules):
             if rule.emit:
-                b.w(out_data, md[r_i], 1)
+                b.w(out_data, raws[r_i], 1)
     else:
-        # Halting: no raw guard fired in this cycle's sample.
-        nomatch = b.neuron("nomatch")
-        b.w(nomatch, phi[_PH_NOMATCH], 1)
-        for raw in raws:
-            b.w(nomatch, raw, -1)
-        halt_pulse = b.neuron("halt")
-        b.w(halt_pulse, nomatch, 1)
-        b.w(out_valid, halt_pulse, 1)
+        # Halting: phase 5 with no guard fired in this cycle's sample.
         out_data = b.neuron("out.data", bias=-1)
-        b.w(out_data, halt_pulse, 1)
+        for halt in (out_valid, out_data):
+            b.w(halt, phi[RING_LEN - 2], 1)
+            for raw in raws:
+                b.w(halt, raw, -1)
         for st in out.accept_states & q.keys():
             b.w(out_data, q[st], 1)
         for stack_name in out.require_empty:

@@ -300,7 +300,7 @@ def test_equal_scalars_are_one_object_across_save_and_load(tmp_path):
     loaded = load_network(str(path))
     for n in (net, loaded):
         scalars = list(n.scalars())
-        assert len(scalars) == 238
+        assert len(scalars) == 217
         assert len({id(s) for s in scalars}) == 17
         assert all(type(s.value) is Fraction for s in scalars)
     assert format_network(loaded) == format_network(net)
@@ -392,6 +392,8 @@ def test_network_repeated_symbol_is_format_error(tmp_path):
     [
         ("a 5 0 int:1", "state weight (5,0) out of range"),
         ("symbols ab", "one symbol per data line required"),
+        ("activation 7 sig", "activation line 2 names neuron 7, outside 0..1"),
+        ("activation -1 sig", "activation line 2 names neuron -1, outside 0..1"),
     ],
 )
 def test_network_shape_error_names_the_file(tmp_path, line, message):

@@ -8,6 +8,7 @@ sets.
 """
 
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -32,6 +33,7 @@ from arnnlab import (
 )
 from arnnlab.microcode import (
     RING_LEN,
+    Guard,
     MicroProgram,
     MicroRule,
     OutputSpec,
@@ -197,7 +199,9 @@ def test_compiled_nets_build_only_read_neurons():
         for idx, name in enumerate(net.neuron_names):
             assert idx in by_other or idx in outputs, (label, name)
             base = name.removeprefix("2.")
-            assert not re.fullmatch(r"g\d+\..*|ww\..*|anymatch", base), (label, name)
+            assert not re.fullmatch(
+                r"g\d+\..*|ww\..*|anymatch|match\d+\..*|md\d+|nomatch|halt", base
+            ), (label, name)
     # a word's input starts at tick 0, so only a pulse-input net (the
     # extractor) builds the start latch, and its input clock reads it
     for label in ("anbn", "oracle", "transmitter"):
@@ -299,12 +303,12 @@ def test_two_stack_tick_law_on_random_machines(machine):
 def test_compiled_net_sizes_pinned():
     # neurons and nonzero weights (state, input and bias) of each net
     pinned = {
-        "anbn": (85, 238),
-        "oracle": (152, 393),
-        "transmitter": (120, 305),
-        "extractor": (88, 213),
-        "composed": (208, 518),
-        "copy": (95, 277),
+        "anbn": (65, 217),
+        "oracle": (110, 355),
+        "transmitter": (88, 260),
+        "extractor": (66, 191),
+        "composed": (154, 451),
+        "copy": (73, 252),
     }
     for label, net in compiled_nets().items():
         weights = len(net.state_weights) + len(net.input_weights) + len(net.biases)
@@ -363,3 +367,60 @@ def test_stack_op_rejects_empty_and_multi_pop_ops():
     unary = StackSpec("s", 4, (1,))
     with pytest.raises(ConstructionError, match="cannot pop and push"):
         compile_program(one_op_program(unary, StackOp("s", pops=1, push=(0,))))
+
+
+def test_compile_program_rejects_bad_stack_references():
+    binary = StackSpec("s", 4, (1, 3))
+    with pytest.raises(ConstructionError, match="undeclared stack 'zz'"):
+        compile_program(one_op_program(binary, StackOp("zz", push=(0,))))
+    prog = one_op_program(binary, StackOp("s", push=(0,)))
+    with pytest.raises(ConstructionError, match="undeclared stack 'zz'"):
+        compile_program(replace(prog, output=OutputSpec(require_empty=("zz",))))
+    with pytest.raises(ConstructionError, match="undeclared stack 'zz'"):
+        compile_program(replace(prog, oracle=("zz", ExactScalar.from_fraction(Fraction(1, 4)))))
+    for op in (StackOp("s", push=(2,)), StackOp("s", push=(-1,))):
+        with pytest.raises(ConstructionError, match="has no digit class"):
+            compile_program(one_op_program(binary, op))
+    # a top guard needs a class: its default of -1 names none
+    for guard in (Guard("s", "top", 5), Guard("s", "top")):
+        rule = MicroRule("A", (guard,), (StackOp("s", push=(0,)),), "A")
+        with pytest.raises(ConstructionError, match="has no digit class"):
+            compile_program(replace(prog, rules=(rule,)))
+
+
+def two_rule_program(guards0, guards1):
+    stacks = (StackSpec("s", 4, (1, 3)), StackSpec("t", 4, (1, 3)))
+    return MicroProgram(
+        stacks=stacks,
+        rules=(
+            MicroRule("A", guards0, (StackOp("s", push=(0,)),), "A"),
+            MicroRule("A", guards1, (StackOp("t", push=(1,)),), "B"),
+        ),
+        start_state="A",
+        symbols=("a",),
+        output=OutputSpec(accept_states=frozenset({"B"})),
+    )
+
+
+def test_rules_of_one_state_must_exclude_each_other():
+    empty, top0, top1 = Guard("s", "empty"), Guard("s", "top", 0), Guard("s", "top", 1)
+    t_empty = Guard("t", "empty")
+    for guards0, guards1 in (
+        ((), ()),
+        ((empty,), ()),
+        ((empty,), (empty,)),
+        ((top0,), (top0, t_empty)),
+        ((empty,), (t_empty,)),
+    ):
+        with pytest.raises(ConstructionError, match="rules 0 and 1 of state 'A'"):
+            compile_program(two_rule_program(guards0, guards1))
+    for guards0, guards1 in (
+        ((empty,), (top0,)),
+        ((top0,), (top1,)),
+        ((t_empty, top1), (empty,)),
+    ):
+        compile_program(two_rule_program(guards0, guards1))
+    # rules of different states never compete
+    prog = two_rule_program((), ())
+    rules = (prog.rules[0], replace(prog.rules[1], state="B"))
+    compile_program(replace(prog, rules=rules))
