@@ -14,6 +14,7 @@ output validation line is 1.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -352,8 +353,9 @@ _TICK_PLAN_CAP = 4096
 
 #: The sighting of a signature and feed item at which ``_ticks`` builds
 #: its plan; the ones before take the plain path.  Generating a 13-row
-#: plan's function takes about 0.2 ms, what some 20 replays save over the
-#: plain path on the a^n b^n net (Python 3.11), so a tick met only a few
+#: plan's function takes about 0.25 ms, what some 24 replays save over the
+#: plain path on a^60 b^60 (about 11 us a plain tick, 0.9 us a warm one;
+#: Python 3.11, 2 shared cores, best of 25 runs), so a tick met only a few
 #: times is not worth one: on a net that runs a few short words, as each
 #: job of the benchmark's ``toolchain`` workload does, no plan is built.
 _SIGHTINGS = 8
@@ -574,36 +576,72 @@ def _gen(rows: tuple, scaled: tuple, scale: int):
     is written as its bound (see ``_plan``) leaves it: a row always at 1
     writes no code and a row always fractional only appends its sum, each
     with its bit in the constant that ``c`` starts from, and any other row
-    keeps only the comparisons that can fail, ``a > 0`` while ``lo < 0``
-    and ``a < top`` while ``hi > scale``.  Only the sources a written row
-    reads are loaded.  Bases, weights, positions and ``scale`` are written
-    in as literals.  Every value goes through ``lit``, which refuses
-    anything but an ``int``, before any arithmetic on it, so the source
-    handed to ``exec`` is fixed text and ``%d``-formatted integers only.
+    keeps only the comparisons that can fail.  A saturating row forms its
+    sum ``a`` and tests ``a > 0`` while ``lo < 0`` and ``a < top`` while
+    ``hi > scale``; a signal row, whose sum is never kept, tests
+    ``<its positive terms> > <its negative terms>`` with no sum formed.
+    Only the sources a written row reads are loaded.
+
+    Each term is a product ``m * x_q`` or ``m * den``, added or
+    subtracted as its weight's sign says, with ``m`` the weight's size: a
+    weight of 1 or -1 reads the source alone, and a product read more
+    than once, by rows, ``scaled`` entries or ``top``, is computed once,
+    into a local, before the rows (``scale * den`` is ``top`` itself).
+    Bases, weights, positions and ``scale`` are written in as literals.
+    Every value goes through ``lit``, which refuses anything but an
+    ``int``, before any arithmetic on it, so the source handed to
+    ``exec`` is fixed text and decimal integers only.
     """
 
-    def lit(v: int) -> str:
+    def lit(v: int) -> int:
         if type(v) is not int:
             raise TypeError(f"a tick plan holds ints only, not {v!r}")
-        return "%d" % v
+        return v
 
-    def term(w: int, name: str) -> str:
-        s = lit(w)
-        return "" if s == "0" else name if s == "1" else f"{s}*{name}"
+    def term(v: int, source: str) -> tuple:
+        # the product |v| * source, and whether the sum adds it
+        return (abs(v), source), v > 0
 
-    top = term(scale, "den")
-    body, c, read = [], 0, set()
+    top = (lit(scale), "den")
+    c, written, read = 0, [], set()
     for k, (_, p, w, base, s, more) in enumerate(rows):
-        ts = ((p, w), *more)
-        a = " + ".join(filter(None, [term(base, "den"), *(term(v, f"x{lit(q)}") for q, v in ts)]))
-        lo = base + sum(v for _, v in ts if v < 0)
+        ts = [(lit(q), lit(v)) for q, v in ((p, w), *more)]
+        lo = lit(base) + sum(v for _, v in ts if v < 0)
         hi = base + sum(v for _, v in ts if v > 0)
-        one, frac = 1 << 2 * k, 2 << 2 * k
         if lo >= (scale if s else 0):  # always at 1
-            c |= one
+            c |= 1 << 2 * k
             continue
         read.update(q for q, _ in ts)
-        if s and lo >= 0 and hi <= scale:  # always fractional
+        terms = [term(v, f"x{q}") for q, v in ts]
+        written.append((k, s, lo, hi, [term(base, "den")] + terms if base else terms))
+    tail = [[term(lit(u), "den")] for _, u in scaled]
+    sums = [ts for *_, ts in written] + tail
+    uses = Counter([top, *(key for ts in sums for key, _ in ts)])
+
+    def name(key: tuple) -> str:
+        m, source = key
+        if m == 1:
+            return source
+        if key == top:
+            return "top"
+        return f"{source}_{m}" if uses[key] > 1 else f"{m}*{source}"
+
+    def sides(ts: list) -> tuple[list[str], list[str]]:
+        return [name(key) for key, up in ts if up], [name(key) for key, up in ts if not up]
+
+    def total(ts: list) -> str:
+        pos, neg = sides(ts)
+        return " - ".join([" + ".join(pos) if pos else f"-{neg.pop(0)}", *neg])
+
+    body = []
+    for k, s, lo, hi, ts in written:
+        one, frac = 1 << 2 * k, 2 << 2 * k
+        if not s:  # lo < 0, so some term is subtracted
+            pos, neg = sides(ts)
+            body += [f" if {' + '.join(pos) or 0} > {' + '.join(neg)}:", f"  c |= {one}"]
+            continue
+        a = total(ts)
+        if lo >= 0 and hi <= scale:  # always fractional
             body.append(f" nx.append({a})")
             c |= frac
             continue
@@ -612,17 +650,18 @@ def _gen(rows: tuple, scaled: tuple, scale: int):
         if lo < 0:
             body.append(" if a > 0:")
             pad = "  "
-        if not s:
-            body.append(f"{pad}c |= {lit(one)}")
-        elif hi > scale:
-            body += [f"{pad}if a < top:", f"{pad} nx.append(a)", f"{pad} c |= {lit(frac)}",
-                     f"{pad}else:", f"{pad} c |= {lit(one)}"]
+        if hi > scale:
+            body += [f"{pad}if a < top:", f"{pad} nx.append(a)", f"{pad} c |= {frac}",
+                     f"{pad}else:", f"{pad} c |= {one}"]
         else:
-            body += [f"{pad}nx.append(a)", f"{pad}c |= {lit(frac)}"]
-    src = ["def tick(xs, den):", f" top = {top}", " nx = []", f" c = {lit(c)}"]
-    src += [f" x{lit(p)} = xs[{lit(p)}]" for p in sorted(read)]
+            body += [f"{pad}nx.append(a)", f"{pad}c |= {frac}"]
+    src = ["def tick(xs, den):", " top = den" if scale == 1 else f" top = {scale}*den",
+           " nx = []", f" c = {c}"]
+    src += [f" x{p} = xs[{p}]" for p in sorted(read)]
+    src += [f" {source}_{m} = {m}*{source}" for (m, source), n in uses.items()
+            if n > 1 and m > 1 and (m, source) != top]
     src += body
-    src += [f" nx.append({term(u, 'den')})" for _, u in scaled]
+    src += [f" nx.append({total(ts)})" for ts in tail]
     src.append(" return c, nx, top")
     namespace: dict = {}
     exec("\n".join(src), {"__builtins__": {}}, namespace)

@@ -241,8 +241,8 @@ def law_ticks(word, steps):
     """The ticks of a compiled two-stack run on ``word`` whose machine
     halts after ``steps`` steps: ``|w|`` to read the word in, ``RING_LEN``
     for each of ``|w| + steps + 1`` ring cycles and for one more cycle on
-    a nonempty word, and 10 more."""
-    return len(word) + RING_LEN * (len(word) + steps + 1 + (word != "")) + 10
+    a nonempty word, and ``RING_LEN + 3`` more."""
+    return len(word) + RING_LEN * (len(word) + steps + 1 + (word != "")) + RING_LEN + 3
 
 
 def check_tick_law(machine):

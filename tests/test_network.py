@@ -645,6 +645,32 @@ def test_gen_matches_a_reference_row_evaluator(case):
     assert compares == sum(TESTS_LEFT[bound_class(row, scale)] for row in rows)
 
 
+def multiplies(tick):
+    """The multiplies in ``tick``'s bytecode: ``BINARY_MULTIPLY`` on Python
+    3.10, ``BINARY_OP`` with ``*`` from 3.11 on."""
+    return sum(
+        op.opname == "BINARY_MULTIPLY" or (op.opname == "BINARY_OP" and op.argrepr == "*")
+        for op in dis.get_instructions(tick)
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan_shapes())
+def test_gen_computes_each_product_once(case):
+    """A generated ``tick`` multiplies once for each distinct product its
+    written rows, ``top`` and ``scaled`` read, ``|w| * x_q`` or ``|b| *
+    den``, and never by 1 or -1: a weight of -1 is a subtraction and a
+    weight of 1 the source alone."""
+    rows, scaled, scale, _, _ = case
+    products = {(scale, "den"), *((u, "den") for _, u in scaled)}
+    for row in rows:
+        if bound_class(row, scale) not in ("sig at 1", "sat at 1"):
+            _, p, w, base, _, more = row
+            products |= {(abs(base), "den"), *((abs(v), q) for q, v in ((p, w), *more))}
+    products = {(m, source) for m, source in products if m not in (0, 1)}
+    assert multiplies(network._gen(rows, scaled, scale)) == len(products)
+
+
 def test_generated_plans_reach_every_bound_class():
     """Seeded random nets, and the a^n b^n net in lockstep with
     ``fraction_tick``, build plans whose rows fall in every bound class
