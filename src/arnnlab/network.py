@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
@@ -282,11 +282,12 @@ class _CompiledNet:
     item, the input bits and the validation bit, to how often that tick
     was met; at its ``_SIGHTINGS``-th sighting the count becomes a plan
     (see ``_plan``), and each plan links the outcomes of its rows to the
-    nodes they write (see ``_link``).  ``interned`` holds the generated
+    nodes they write (see ``_link``); a cycle of blank plans becomes one
+    ``_Loop`` (see ``_close``).  ``interned`` holds the generated
     replay function of each plan shape ``(rows, scaled, scale)``, which
     many plans share.  The net is read-only, so a plan or a link never
-    goes stale; nodes, links and functions are emptied together when the
-    map reaches ``_TICK_PLAN_CAP`` nodes.
+    goes stale; nodes, links, loops and functions are emptied together
+    when the map reaches ``_TICK_PLAN_CAP`` nodes.
 
     ``out_valid`` is the net's output validation neuron, the one ``_ticks``
     watches; each node records whether it is positive there.  ``shown``
@@ -564,9 +565,18 @@ def _plan(cn: _CompiledNet, fixed: dict[int, int], fracs: Sequence[int]) -> "_Pl
     return _Plan(*shared, tuple(tops))
 
 
+def _lit(v: int) -> int:
+    """``v`` itself, refused unless it is an ``int``: only decimal integers
+    reach the source that ``_gen`` and ``_fuse`` hand to ``exec``."""
+    if type(v) is not int:
+        raise TypeError(f"a tick plan holds ints only, not {v!r}")
+    return v
+
+
 def _gen(rows: tuple, scaled: tuple, scale: int):
     """The replay of a plan's ``rows``, ``scaled`` and ``scale`` (see
-    ``_plan``) as a straight-line function ``tick(xs, den)``.
+    ``_plan``) as a straight-line function ``tick(xs, den)``, made from the
+    lines of ``_replay``.
 
     It returns ``(code, xs, top)``: ``top = scale * den`` is the new
     denominator, ``xs`` the new numerators over it (the fractional rows in
@@ -588,25 +598,28 @@ def _gen(rows: tuple, scaled: tuple, scale: int):
     than once, by rows, ``scaled`` entries or ``top``, is computed once,
     into a local, before the rows (``scale * den`` is ``top`` itself).
     Bases, weights, positions and ``scale`` are written in as literals.
-    Every value goes through ``lit``, which refuses anything but an
-    ``int``, before any arithmetic on it, so the source handed to
-    ``exec`` is fixed text and decimal integers only.
+    Every value goes through ``_lit`` before any arithmetic on it, so the
+    source handed to ``exec`` is fixed text and decimal integers only.
     """
+    src = ["def tick(xs, den):", *_replay(rows, scaled, scale), " return c, nx, top"]
+    namespace: dict = {}
+    exec("\n".join(src), {"__builtins__": {}}, namespace)
+    return namespace["tick"]
 
-    def lit(v: int) -> int:
-        if type(v) is not int:
-            raise TypeError(f"a tick plan holds ints only, not {v!r}")
-        return v
+
+def _replay(rows: tuple, scaled: tuple, scale: int) -> list[str]:
+    """The body of ``_gen``'s ``tick``, one indented line each, which
+    leaves ``c``, ``nx`` and ``top`` set from ``xs`` and ``den``."""
 
     def term(v: int, source: str) -> tuple:
         # the product |v| * source, and whether the sum adds it
         return (abs(v), source), v > 0
 
-    top = (lit(scale), "den")
+    top = (_lit(scale), "den")
     c, written, read = 0, [], set()
     for k, (_, p, w, base, s, more) in enumerate(rows):
-        ts = [(lit(q), lit(v)) for q, v in ((p, w), *more)]
-        lo = lit(base) + sum(v for _, v in ts if v < 0)
+        ts = [(_lit(q), _lit(v)) for q, v in ((p, w), *more)]
+        lo = _lit(base) + sum(v for _, v in ts if v < 0)
         hi = base + sum(v for _, v in ts if v > 0)
         if lo >= (scale if s else 0):  # always at 1
             c |= 1 << 2 * k
@@ -614,7 +627,7 @@ def _gen(rows: tuple, scaled: tuple, scale: int):
         read.update(q for q, _ in ts)
         terms = [term(v, f"x{q}") for q, v in ts]
         written.append((k, s, lo, hi, [term(base, "den")] + terms if base else terms))
-    tail = [[term(lit(u), "den")] for _, u in scaled]
+    tail = [[term(_lit(u), "den")] for _, u in scaled]
     sums = [ts for *_, ts in written] + tail
     uses = Counter([top, *(key for ts in sums for key, _ in ts)])
 
@@ -655,17 +668,43 @@ def _gen(rows: tuple, scaled: tuple, scale: int):
                      f"{pad}else:", f"{pad} c |= {one}"]
         else:
             body += [f"{pad}nx.append(a)", f"{pad}c |= {frac}"]
-    src = ["def tick(xs, den):", " top = den" if scale == 1 else f" top = {scale}*den",
-           " nx = []", f" c = {c}"]
+    src = [" top = den" if scale == 1 else f" top = {scale}*den", " nx = []", f" c = {c}"]
     src += [f" x{p} = xs[{p}]" for p in sorted(read)]
     src += [f" {source}_{m} = {m}*{source}" for (m, source), n in uses.items()
             if n > 1 and m > 1 and (m, source) != top]
     src += body
     src += [f" nx.append({total(ts)})" for ts in tail]
-    src.append(" return c, nx, top")
+    return src
+
+
+def _fuse(cycle: Sequence["_Plan"]):
+    """The ticks of ``cycle``, plans that each link their first code to the
+    next one's node and the last to the first's, as one function
+    ``loop(xs, den, left, bound)`` that goes round them in a ``while`` loop.
+
+    Each tick is the body ``_replay`` writes from its plan's interned
+    shape, then a guard that compares its ``code`` with the one the plan
+    linked first.  The loop takes whole cycles only, at most ``left``
+    ticks (at least ``len(cycle)``), and its back-edge tests ``top >=
+    bound``.  It returns ``(ticks, k, code, xs, top)``, k the position in
+    ``cycle`` of the last plan ticked, on a guard miss, once ``top``
+    reaches ``bound``, or when one more cycle would take more than
+    ``left`` ticks.
+    """
+    size = len(cycle)
+    src = ["def loop(xs, den, left, bound):", f" left -= {size}", " n = 0", " while True:"]
+    for k, plan in enumerate(cycle):
+        src += [" " + line for line in _replay(*plan.shape)]
+        code = _lit(plan.key)
+        if k < size - 1:
+            src += [f"  if c != {code}:", f"   return n + {k + 1}, {k}, c, nx, top"]
+        else:
+            src += [f"  n += {size}", f"  if c != {code} or top >= bound or n > left:",
+                    f"   return n, {k}, c, nx, top"]
+        src += ["  xs = nx", "  den = top"]
     namespace: dict = {}
     exec("\n".join(src), {"__builtins__": {}}, namespace)
-    return namespace["tick"]
+    return namespace["loop"]
 
 
 class _Map:
@@ -714,10 +753,25 @@ class _Plan(_Map):
         self.tick, self.shape, self.tops = tick, shape, tops
 
 
+class _Loop(_Plan):
+    """The plan at the head of a hot blank cycle (see ``_close``), in its
+    place in its node: the same ``tick``, ``shape``, ``tops`` and links,
+    plus ``rest``, the cycle's other plans in order, and ``run``, the
+    ``_fuse`` of the whole cycle, whose plan ``k`` is the loop itself for
+    0 and ``rest[k - 1]`` after that."""
+
+    __slots__ = ("rest", "run")
+
+    def __init__(self, head: _Plan, rest: tuple[_Plan, ...]) -> None:
+        super().__init__(head.tick, head.shape, head.tops)
+        self.key, self.value, self.more = head.key, head.value, head.more
+        self.rest, self.run = rest, _fuse((head, *rest))
+
+
 def _node(cn: _CompiledNet, units: tuple[int, ...], fracs: tuple[int, ...]) -> _Node:
     """The node of signature ``(units, fracs)``, made on its first sighting.
-    At ``_TICK_PLAN_CAP`` nodes, every node, link and generated function
-    goes first."""
+    At ``_TICK_PLAN_CAP`` nodes, every node, link, loop and generated
+    function goes first."""
     plans = cn.tick_plans
     node = plans.get((units, fracs))
     if node is None:
@@ -736,7 +790,8 @@ def _link(cn: _CompiledNet, plan: _Plan, code: int) -> _Node:
     """The node that ``plan`` writes when its ``tick`` returns ``code``,
     linked in ``plan`` on first use: its rows at 1, then ``tops``, are the
     next ``units``, and its fractional rows, then ``scaled``, the next
-    ``fracs``, the order in which ``tick`` writes their numerators."""
+    ``fracs``, the order in which ``tick`` writes their numerators.  A
+    plan's first link may close a cycle of blank plans (see ``_close``)."""
     node = plan.get(code)
     if node is None:
         rows, scaled, _ = plan.shape
@@ -748,16 +803,46 @@ def _link(cn: _CompiledNet, plan: _Plan, code: int) -> _Node:
                 fracs.append(row[0])
             bits >>= 2
         node = _node(cn, (*units, *plan.tops), (*fracs, *[i for i, _ in scaled]))
+        first = plan.key is None
         plan.put(code, node)
+        if first:
+            _close(cn, node)
     return node
 
 
+def _close(cn: _CompiledNet, start: _Node) -> None:
+    """Fuse the blank cycle through ``start``, if the first link just made
+    to it closed one.
+
+    From ``start``, follow each node's plan for the blank item to the node
+    that plan linked first.  When that path comes back to ``start`` with
+    every plan built and no node that ``stops``, it is a hot cycle: once
+    the word has been shown, the net goes round it for as long as each tick
+    returns its plan's first code, and a ``_Loop`` takes the place of
+    ``start``'s plan.  Every cycle closes on a first link, so each is fused
+    once; a path into another cycle meets its ``_Loop`` or a node that
+    stops, and no path is followed further than there are nodes.
+    """
+    blank, node, cycle = cn.blank, start, []
+    while len(cycle) < len(cn.tick_plans):
+        plan = node.get(blank)
+        if plan.__class__ is not _Plan or node.stops:  # a built plan is linked
+            return
+        cycle.append(plan)
+        node = plan.value
+        if node is start:
+            start.put(blank, _Loop(cycle[0], tuple(cycle[1:])))
+            return
+
+
 def _ticks(
-    cn: _CompiledNet, state: _IntState, feed: Iterable[tuple[tuple[int, ...], int]]
+    cn: _CompiledNet, state: _IntState, feed: tuple[Sequence[tuple[tuple[int, ...], int]], int]
 ) -> tuple[int, _IntState]:
-    """Tick from ``state``, one exact tick per ``(inputs, validation)`` of
-    ``feed``, in integers, until the net's ``out_valid`` is positive or the
-    feed ends; return the number of ticks taken and the state reached.
+    """Tick from ``state`` in integers, with ``feed`` as ``(shown,
+    blanks)``: one exact tick per ``(inputs, validation)`` of ``shown``,
+    then ``blanks`` ticks of the blank item, until the net's ``out_valid``
+    is positive or the feed ends; return the number of ticks taken and the
+    state reached.
 
     With the state at ``X_j / den`` and weights ``W / d``, neuron i's sum is
     ``(sum_j W_ij X_j + (C_i + inputs_i) * den) / (d * den)``; the clamp
@@ -773,9 +858,18 @@ def _ticks(
     node up by its ``(units, fracs)``; the next builds the plan, and it and
     every later one call the plan's ``tick`` over the plan's own ``scale``
     and follow the link of the ``code`` it returns, so a replay builds no
-    tuple and hashes no signature.  The denominator is not reduced on every tick:
-    the gcd is divided out only once it reaches ``limit`` bits, and
-    ``limit`` is then set to the reduced size plus ``_SLACK_BITS``.  A
+    tuple and hashes no signature.
+
+    Once ``shown`` is over, a ``_Loop`` met in place of a plan (see
+    ``_close``) runs whole cycles in one call of its ``run``, if the blank
+    ticks left hold one, and the kernel goes on from the plan and code it
+    returns; else it ticks as the plan it is.  No node inside a cycle
+    stops, so a run takes the ticks it would take tick by tick.
+
+    The denominator is not reduced on every tick: the gcd is divided out
+    only once it reaches ``limit`` bits, that is once it is at least
+    ``bound``, and ``limit`` is then set to the reduced size plus
+    ``_SLACK_BITS``; inside a loop that test waits for the cycle's end.  A
     unit's numerator is the denominator itself, so only ``xs`` join the
     gcd, and with no fractional neuron it becomes 1.
 
@@ -783,14 +877,21 @@ def _ticks(
     in local variables from tick to tick and made into an ``_IntState``
     once, at the end; ``state`` itself is only read.
     """
+    shown, blanks = feed
     xs, den, limit = state.xs, state.den, state.limit
+    bound = 1 << limit >> 1  # 0 for a limit of 0, which forces a reduction
     node = _node(cn, state.units, state.fracs)
-    d, last = cn.d, _SIGHTINGS - 1
+    d, last, Plan = cn.d, _SIGHTINGS - 1, _Plan
+    end = len(shown) + blanks
+    items = chain(shown, repeat(cn.blank, blanks))
     t = 0
-    for item in feed:
+    for item in items:
         t += 1
         plan = node.value if node.key is item else node.get(item, 0)
-        if plan.__class__ is int:  # the sightings before the plan is built
+        if plan.__class__ is Plan:
+            code, xs, top = plan.tick(xs, den)
+            node = plan.value if plan.key == code else _link(cn, plan, code)
+        elif plan.__class__ is int:  # the sightings before the plan is built
             fixed = _unit_sums(cn, node.units, *item)
             if plan < last:
                 node.put(item, plan + 1)
@@ -802,15 +903,23 @@ def _ticks(
                 node.put(item, plan)
                 code, xs, top = plan.tick(xs, den)
                 node = _link(cn, plan, code)
-        else:
-            code, xs, top = plan.tick(xs, den)
+        else:  # a _Loop
+            if t > len(shown) and end - t >= len(plan.rest):
+                n, k, code, xs, top = plan.run(xs, den, end - t + 1, bound)
+                next(islice(items, n - 1, n - 1), None)  # the blank items it took
+                t += n - 1
+                if k:
+                    plan = plan.rest[k - 1]
+            else:
+                code, xs, top = plan.tick(xs, den)
             node = plan.value if plan.key == code else _link(cn, plan, code)
-        if top.bit_length() >= limit:
+        if top >= bound:
             g = gcd(top, *xs)
             if g > 1:
                 xs = [x // g for x in xs]
                 top //= g
             limit = top.bit_length() + _SLACK_BITS
+            bound = 1 << limit >> 1
         den = top
         if node.stops:
             break
@@ -827,7 +936,7 @@ def _fast_step(
         raise ValueError("network contains a lazily-known scalar")
     if not isinstance(state, _IntState):
         state = _IntState.of(state)
-    return _ticks(cn, state, ((tuple(inputs), validation),))[1]
+    return _ticks(cn, state, (((tuple(inputs), validation),), 0))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -889,7 +998,7 @@ def run(
         )
     cn = _compiled(net)
     shown = [cn.shown[net.line_for_symbol(ch)] for ch in word]
-    feed = chain(shown, repeat(cn.blank, budget - len(shown)))
+    feed = (shown, budget - len(shown))
     if cn.exact:
         ticks, state = _ticks(cn, _IntState(net.n_neurons, (), (), [], 1), feed)
         on = lambda i: i in state.units or i in state.fracs
@@ -904,15 +1013,17 @@ def run(
 
 
 def _lazy_ticks(
-    net: Network, feed: Iterable[tuple[tuple[int, ...], int]]
+    net: Network, feed: tuple[Sequence[tuple[tuple[int, ...], int]], int]
 ) -> tuple[int, NetworkState]:
     """``step`` on interval enclosures from the zero state, one tick per
-    item of ``feed``, until ``out_valid`` is positive or the feed ends;
-    returns the number of ticks taken and the state reached, as ``_ticks``
-    does.  Only ``out_valid`` is read on each tick, so an output data or
-    flag enclosure that straddles 0 before the verdict tick is no error."""
+    item of ``feed``'s ``(shown, blanks)`` as in ``_ticks``, until
+    ``out_valid`` is positive or the feed ends; returns the number of ticks
+    taken and the state reached, as ``_ticks`` does.  Only ``out_valid`` is
+    read on each tick, so an output data or flag enclosure that straddles 0
+    before the verdict tick is no error."""
+    shown, blanks = feed
     state, t = zero_state(net), 0
-    for inputs, validation in feed:
+    for inputs, validation in chain(shown, repeat(_compiled(net).blank, blanks)):
         t += 1
         state = step(net, state, inputs, validation, budget=_LAZY_BUDGET)
         if signal(state[net.out_valid]):

@@ -1,6 +1,7 @@
 """Synchronous dynamics, the word protocol, and exactness of the simulator."""
 
 import dis
+import gc
 import random
 from collections import Counter
 from fractions import Fraction
@@ -27,6 +28,8 @@ from arnnlab import (
     composed_oracle_budget,
     dfa_budget,
     dfa_to_net,
+    oracle_budget,
+    oracle_net,
     oracle_net_parts,
     run,
     step,
@@ -1021,19 +1024,32 @@ def test_pruned_plans_match_fractions_on_compiled_words():
     assert pruned == {"anbn", "composed"}
 
 
+def fused_loops(cn):
+    """The ``_Loop`` of each hot blank cycle fused on ``cn``."""
+    return [
+        entry
+        for node in cn.tick_plans.values()
+        for _, entry in entries(node)
+        if isinstance(entry, network._Loop)
+    ]
+
+
 def test_tick_plans_are_emptied_at_their_cap(monkeypatch):
     """With the cap lowered, every tick is as before while nodes, links and
     generated functions are emptied together.  At the cap of the nodes that
     ``ab``'s passes meet, those passes build their plans, and the first new
     signature of ``aaabbb`` empties the map; at a cap of 5 nothing is ever
-    built."""
+    built.  These words close no blank cycle; with ``a^12 b^12`` after
+    them, whose stack drains long enough to close some, fused loops are
+    built between emptyings at the first cap, every tick is still as
+    before, and no loop outlives the emptying of its nodes."""
     machine = anbn_machine()
     words = ["ab"] * (network._SIGHTINGS + 1) + ["aaabbb"] * 2
 
-    def trajectory(cap):
+    def trajectory(cap, words=words):
         net = two_stack_to_net(machine)
         cn = _compiled(net)
-        out, sizes, nodes = [], [], set()
+        out, sizes, nodes, dropped, loops = [], [], set(), [], []
         for word in words:
             state = [0] * net.n_neurons
             for t in range(two_stack_budget(len(word), machine.execute(word, 10_000)[1])):
@@ -1041,20 +1057,28 @@ def test_tick_plans_are_emptied_at_their_cap(monkeypatch):
                 bits = tuple(int(j == line) for j in range(net.n_inputs))
                 state = _fast_step(cn, state, bits, int(t < len(word)))
                 out.append(tuple(Fraction(x) for x in state))
+                if sizes and len(cn.tick_plans) < sizes[-1][0]:  # emptied on this tick
+                    dropped += loops
+                    assert not set(loops) & set(fused_loops(cn))
                 sizes.append((len(cn.tick_plans), len(cn.interned), len(built_plans(cn))))
                 assert len(cn.tick_plans) <= cap
                 nodes.update(cn.tick_plans.values())
+                loops = fused_loops(cn)
         # a node emptied at the cap keeps no plan, link or count
         assert all(not entries(node) for node in nodes - set(cn.tick_plans.values()))
-        return out, sizes
+        # and no loop outlives it: only this test holds one once its node is emptied
+        assert not dropped or gc.get_referrers(*dropped) == [dropped]
+        return out, sizes, dropped
 
-    reference, sizes = trajectory(network._TICK_PLAN_CAP)
+    full = network._TICK_PLAN_CAP
+    reference, sizes, _ = trajectory(full)
     ab_ticks = (network._SIGHTINGS + 1) * two_stack_budget(2, machine.execute("ab", 10_000)[1])
     cap, functions, plans = sizes[ab_ticks - 1]
     assert functions > 0 and plans > functions and max(sizes)[0] > cap
+    ab_cap = cap
     for cap in (cap, 5):
         monkeypatch.setattr(network, "_TICK_PLAN_CAP", cap)
-        capped, sizes = trajectory(cap)
+        capped, sizes, _ = trajectory(cap)
         assert capped == reference
         assert max(sizes)[0] == cap
         # it filled up and was emptied, the functions and links with it
@@ -1062,6 +1086,114 @@ def test_tick_plans_are_emptied_at_their_cap(monkeypatch):
         assert emptied and all(sizes[t][1:] == (0, 0) for t in emptied)
         assert (1, 0, 0) in sizes
         assert (max(sizes[t - 1][2] for t in emptied) > 0) == (cap > 5)
+    longer = words + ["a" * 12 + "b" * 12]
+    monkeypatch.setattr(network, "_TICK_PLAN_CAP", full)
+    reference, _, _ = trajectory(full, longer)
+    monkeypatch.setattr(network, "_TICK_PLAN_CAP", ab_cap)
+    capped, _, dropped = trajectory(ab_cap, longer)
+    assert dropped and capped == reference
+
+
+@pytest.fixture
+def loop_exits(monkeypatch):
+    """How each call of a loop fused while the test runs ended, as
+    ``(ticks, how)``: "miss" on a guard miss, "bound" when the denominator
+    reached the reduction bound, and "end" when no whole cycle was left."""
+    exits, fuse = [], network._fuse
+
+    def counted(cycle):
+        loop = fuse(cycle)
+
+        def call(xs, den, left, bound):
+            got = n, k, code, _, top = loop(xs, den, left, bound)
+            assert n <= left
+            how = "miss" if code != cycle[k].key else "bound" if top >= bound else "end"
+            exits.append((n, how))
+            return got
+
+        return call
+
+    monkeypatch.setattr(network, "_fuse", counted)
+    return exits
+
+
+def run_matches_fast_step(net, word, budget):
+    """``run`` once, and then the same word one ``_fast_step`` at a time on
+    the memo it left: both reach the same ``(units, fracs)`` and values,
+    verdict, flag and ticks, as ``test_run_matches_a_loop_of_fast_step``
+    asks.  Returns ``run``'s result."""
+    kernel, seen = network._ticks, []
+
+    def recorded(cn, state, feed):
+        ticks, reached = kernel(cn, state, feed)
+        seen.append(reached)
+        return ticks, reached
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_ticks", recorded)
+        result = run(net, word, budget)
+    [final] = seen
+    cn = _compiled(net)
+    state, ticks, verdict, flagged = [0] * net.n_neurons, budget, Verdict.TIMEOUT, False
+    for t in range(budget):
+        line = net.line_for_symbol(word[t]) if t < len(word) else None
+        bits = tuple(int(j == line) for j in range(net.n_inputs))
+        state = _fast_step(cn, state, bits, int(t < len(word)))
+        values = list(state)
+        if values[net.out_valid] > 0:
+            ticks = t + 1
+            verdict = Verdict.ACCEPT if values[net.out_data] > 0 else Verdict.REJECT
+            flagged = net.out_flag is not None and values[net.out_flag] > 0
+            break
+    assert (state.units, state.fracs) == (final.units, final.fracs), word
+    assert list(state) == list(final), word
+    assert (result.verdict, result.ticks, result.flagged) == (verdict, ticks, flagged), word
+    return result
+
+
+def test_fused_loops_match_fast_step_on_anbn_words(loop_exits):
+    """Once a^n b^n's stack drains often enough, its blank cycles are fused
+    and ``run`` enters them; a loop that runs while the machine turns from
+    one digit to the next misses its guard there, and the run goes on tick
+    by tick exactly as ``_fast_step`` does."""
+    machine = anbn_machine()
+    net = two_stack_to_net(machine)
+    for n in (20, 12, 21, 16):
+        for word in ("a" * n + "b" * n, "a" * (n + 1) + "b" * n, "a" * n + "b" * (n + 1)):
+            accepted, steps = machine.execute(word, 10_000)
+            result = run_matches_fast_step(net, word, two_stack_budget(len(word), steps))
+            assert result.verdict == (Verdict.ACCEPT if accepted else Verdict.REJECT)
+    assert fused_loops(_compiled(net))
+    hows = Counter(how for _, how in loop_exits)
+    assert hows["miss"] > 0 and sum(n for n, _ in loop_exits) > 1000
+
+
+def test_budgets_that_end_inside_a_fused_loop_time_out_on_them(loop_exits):
+    """A budget that runs out while a loop goes round stops the loop at the
+    last whole cycle that fits, and the run takes exactly ``budget`` ticks
+    and times out, as tick by tick."""
+    machine = anbn_machine()
+    net = two_stack_to_net(machine)
+    word = "a" * 20 + "b" * 20
+    verdict_tick = run(net, word, 10_000).ticks  # and the cycles are fused
+    loop_exits.clear()
+    for budget in range(len(word) + 1, verdict_tick, 23):
+        result = run_matches_fast_step(net, word, budget)
+        assert (result.verdict, result.ticks) == (Verdict.TIMEOUT, budget)
+    assert "end" in {how for _, how in loop_exits}
+
+
+def test_fused_loops_match_fast_step_on_an_oracle_net(loop_exits):
+    """The horizon-64 ``oracle_net`` reads its weight's digits for ``b^5``
+    (index 62) in blank cycles that are fused and entered."""
+    net = oracle_net(OracleNetSpec(
+        ExactScalar.oracle(OracleTable.from_language(abstar_language(), 64), CANTOR4, "0'"), AB
+    ))
+    word = "b" * 5
+    for _ in range(2):
+        result = run_matches_fast_step(net, word, oracle_budget(word, AB))
+        assert result.verdict == Verdict.REJECT
+    assert fused_loops(_compiled(net)) and loop_exits
 
 
 def dense_step(net, state, inputs, validation, budget):
