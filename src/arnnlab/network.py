@@ -610,42 +610,18 @@ def _gen(rows: tuple, scaled: tuple, scale: int):
 def _replay(rows: tuple, scaled: tuple, scale: int) -> list[str]:
     """The body of ``_gen``'s ``tick``, one indented line each, which
     leaves ``c``, ``nx`` and ``top`` set from ``xs`` and ``den``."""
-
-    def term(v: int, source: str) -> tuple:
-        # the product |v| * source, and whether the sum adds it
-        return (abs(v), source), v > 0
-
     top = (_lit(scale), "den")
     c, written, read = 0, [], set()
-    for k, (_, p, w, base, s, more) in enumerate(rows):
-        ts = [(_lit(q), _lit(v)) for q, v in ((p, w), *more)]
-        lo = _lit(base) + sum(v for _, v in ts if v < 0)
-        hi = base + sum(v for _, v in ts if v > 0)
+    for k, row in enumerate(rows):
+        (ts, lo, hi), base, s = _bounds(row), row[3], row[4]
         if lo >= (scale if s else 0):  # always at 1
             c |= 1 << 2 * k
             continue
         read.update(q for q, _ in ts)
-        terms = [term(v, f"x{q}") for q, v in ts]
-        written.append((k, s, lo, hi, [term(base, "den")] + terms if base else terms))
-    tail = [[term(_lit(u), "den")] for _, u in scaled]
-    sums = [ts for *_, ts in written] + tail
-    uses = Counter([top, *(key for ts in sums for key, _ in ts)])
-
-    def name(key: tuple) -> str:
-        m, source = key
-        if m == 1:
-            return source
-        if key == top:
-            return "top"
-        return f"{source}_{m}" if uses[key] > 1 else f"{m}*{source}"
-
-    def sides(ts: list) -> tuple[list[str], list[str]]:
-        return [name(key) for key, up in ts if up], [name(key) for key, up in ts if not up]
-
-    def total(ts: list) -> str:
-        pos, neg = sides(ts)
-        return " - ".join([" + ".join(pos) if pos else f"-{neg.pop(0)}", *neg])
-
+        terms = [_term(v, f"x{q}") for q, v in ts]
+        written.append((k, s, lo, hi, [_term(base, "den")] + terms if base else terms))
+    tail = [[_term(_lit(u), "den")] for _, u in scaled]
+    sides, total, products = _products([ts for *_, ts in written] + tail, top)
     body = []
     for k, s, lo, hi, ts in written:
         one, frac = 1 << 2 * k, 2 << 2 * k
@@ -670,11 +646,138 @@ def _replay(rows: tuple, scaled: tuple, scale: int) -> list[str]:
             body += [f"{pad}nx.append(a)", f"{pad}c |= {frac}"]
     src = [" top = den" if scale == 1 else f" top = {scale}*den", " nx = []", f" c = {c}"]
     src += [f" x{p} = xs[{p}]" for p in sorted(read)]
-    src += [f" {source}_{m} = {m}*{source}" for (m, source), n in uses.items()
-            if n > 1 and m > 1 and (m, source) != top]
+    src += products
     src += body
     src += [f" nx.append({total(ts)})" for ts in tail]
     return src
+
+
+def _bounds(row: tuple) -> tuple[list, int, int]:
+    """A plan row's terms ``(q, w)``, position and weight of each source,
+    with ``lo`` and ``hi``, its base plus its negative and plus its
+    positive weights, which bound its sum over its signature (see
+    ``_plan``); each value goes through ``_lit`` first."""
+    _, p, w, base, _, more = row
+    ts = [(_lit(q), _lit(v)) for q, v in ((p, w), *more)]
+    lo = _lit(base) + sum(v for _, v in ts if v < 0)
+    return ts, lo, base + sum(v for _, v in ts if v > 0)
+
+
+def _term(v: int, source: str) -> tuple:
+    """The product ``|v| * source`` as a key ``(|v|, source)``, and whether
+    the sum that reads it adds it."""
+    return (abs(v), source), v > 0
+
+
+def _products(sums: list, top: tuple):
+    """How generated code writes the sums ``sums``, lists of ``_term``s, with
+    ``top`` the key of ``top``: ``sides(ts)``, the names of the added and of
+    the subtracted terms of ``ts``, ``total(ts)``, its sum as one
+    expression, and the lines that compute, into locals, each product read
+    more than once, save ``top``.  A product by 1 is the source alone."""
+    uses = Counter([top, *(key for ts in sums for key, _ in ts)])
+
+    def name(key: tuple) -> str:
+        m, source = key
+        if m == 1:
+            return source
+        if key == top:
+            return "top"
+        return f"{source}_{m}" if uses[key] > 1 else f"{m}*{source}"
+
+    def sides(ts: list) -> tuple[list[str], list[str]]:
+        return [name(key) for key, up in ts if up], [name(key) for key, up in ts if not up]
+
+    def total(ts: list) -> str:
+        pos, neg = sides(ts)
+        return " - ".join([" + ".join(pos) if pos else f"-{neg.pop(0)}", *neg])
+
+    lines = [f" {source}_{m} = {m}*{source}" for (m, source), n in uses.items()
+             if n > 1 and m > 1 and (m, source) != top]
+    return sides, total, lines
+
+
+def _compose(cycle: Sequence["_Plan"]) -> tuple[tuple, int, tuple]:
+    """``cycle``, plans that each tick as their first ``key`` says, as one
+    affine map over the numerators it starts from, with the tests under
+    which it does: ``(nx, scale, tests)``.
+
+    The cycle starts from registers ``x_0, ..., x_{m-1}`` over ``den``, the
+    ``m`` numerators its last plan writes, and a form is a tuple of ``m +
+    1`` integer coefficients over ``(x_0, ..., x_{m-1}, den)``.  Each
+    plan's rows are read from its interned ``shape`` under its ``key``,
+    with the numerators of the ticks before it written out as forms: a pop
+    ``x -> B*x - v`` and a push ``x -> (x + v)/B`` are both affine, so
+    every sum is a form.  ``nx`` holds the form of each numerator the last
+    plan writes, and the cycle's ``top`` is ``scale * den``, ``scale`` the
+    product of the plans' scales.
+
+    ``tests`` holds ``(form, up)`` pairs, each asking ``form > 0`` when
+    ``up`` and ``form <= 0`` when not: each comparison that ``_replay``
+    writes (see ``_gen``), of a sum with 0 or with ``top``, in the
+    direction the plan's ``key`` takes it.  Each is divided by the gcd of
+    its coefficients and kept once.  A test that reads one register bounds
+    ``x / den`` by a rational from below or from above; it is kept only
+    when ``0 < x < den`` does not imply it, and only the tightest bound on
+    each side of each register stays.  A start state of the cycle's
+    signature has ``0 < x < den``, and so has the state after each tick
+    that returns its plan's key, so every test holds exactly when ticking
+    the plans one by one returns each one's ``key``, and then the cycle
+    writes ``nx`` over ``scale * den``.  Every value read from a shape goes
+    through ``_lit`` first.
+    """
+    rows, scaled, _ = cycle[-1].shape
+    code = _lit(cycle[-1].key)
+    m = sum(1 for k in range(len(rows)) if code >> 2 * k & 2) + len(scaled)
+    xs = [tuple(int(i == j) for i in range(m + 1)) for j in range(m)]
+    den = tuple(int(i == m) for i in range(m + 1))
+
+    def form(terms) -> tuple:  # the sum of c * f over the (c, f) of terms
+        return tuple(map(sum, zip(*[[c * v for v in f] for c, f in terms])))
+
+    tests = []
+    for plan in cycle:
+        (rows, scaled, scale), code = plan.shape, _lit(plan.key)
+        top, nx = form([(_lit(scale), den)]), []
+        for k, row in enumerate(rows):
+            (ts, lo, hi), base, s = _bounds(row), row[3], row[4]
+            if lo >= (scale if s else 0):  # always at 1
+                continue
+            a = form([(base, den), *((v, xs[q]) for q, v in ts)])
+            bits = code >> 2 * k & 3
+            if bits == 2:  # fractional: 0 < a < top
+                nx.append(a)
+                tests += [(a, True)] if lo < 0 else []
+                tests += [(form([(1, top), (-1, a)]), True)] if hi > scale else []
+            elif bits and s:  # saturated: a >= top
+                tests.append((form([(1, top), (-1, a)]), False))
+            else:  # a signal row at 1 (a > 0), or any row at 0 (a <= 0)
+                tests.append((a, bits == 1))
+        xs, den = nx + [form([(_lit(u), den)]) for _, u in scaled], top
+    # the tightest bound on each side of each register, from 0 < x / den < 1
+    # on: (rank, test), where a lower bound t has rank -t, an upper one t,
+    # and a strict one ranks before a non-strict one at the same t
+    bounds = {(j, lower): ((0 if lower else 1, False), None)
+              for j in range(m) for lower in (True, False)}
+    kept = {}
+    for f, up in tests:
+        g = gcd(*f)
+        f = tuple(v // g for v in f) if g > 1 else f
+        regs = [j for j in range(m) if f[j]]
+        if len(regs) == 1:  # f[j] * x + f[m] * den compared with 0
+            [j] = regs
+            t = Fraction(-f[m], f[j])
+            lower = (f[j] > 0) == up
+            rank = (-t if lower else t, not up)
+            if rank < bounds[j, lower][0]:
+                bounds[j, lower] = (rank, (f, up))
+            kept.setdefault((f, up), False)
+        elif regs or (f[m] <= 0 if up else f[m] > 0):  # unless it always holds
+            kept[f, up] = True
+    for _, test in bounds.values():
+        if test is not None:
+            kept[test] = True
+    return tuple(xs), _lit(den[m]), tuple(test for test, keep in kept.items() if keep)
 
 
 def _fuse(cycle: Sequence["_Plan"]):
@@ -682,26 +785,54 @@ def _fuse(cycle: Sequence["_Plan"]):
     next one's node and the last to the first's, as one function
     ``loop(xs, den, left, bound)`` that goes round them in a ``while`` loop.
 
-    Each tick is the body ``_replay`` writes from its plan's interned
-    shape, then a guard that compares its ``code`` with the one the plan
-    linked first.  The loop takes whole cycles only, at most ``left``
-    ticks (at least ``len(cycle)``), and its back-edge tests ``top >=
-    bound``.  It returns ``(ticks, k, code, xs, top)``, k the position in
-    ``cycle`` of the last plan ticked, on a guard miss, once ``top``
-    reaches ``bound``, or when one more cycle would take more than
-    ``left`` ticks.
+    Each iteration starts with the cycle's ``_compose``: it loads the
+    registers the map and the tests read, and when every test holds it
+    writes the map's numerators over ``top = scale * den``, one form each,
+    for all ``len(cycle)`` ticks at once.  When some test fails, that one
+    cycle ticks through the body ``_replay`` writes from each plan's
+    interned shape, each followed by a guard that compares its ``code``
+    with the one the plan linked first, and so misses on the tick on which
+    ticking one plan at a time would.  A product read more than once is
+    computed once, as in ``_gen``.
+
+    The loop takes whole cycles only, at most ``left`` ticks (at least
+    ``len(cycle)``), and its back-edge tests ``top >= bound``.  It returns
+    ``(ticks, k, code, xs, top)``, k the position in ``cycle`` of the last
+    plan ticked, on a guard miss, once ``top`` reaches ``bound``, or when
+    one more cycle would take more than ``left`` ticks.  Every value goes
+    through ``_lit`` before the source is handed to ``exec``.
     """
-    size = len(cycle)
-    src = ["def loop(xs, den, left, bound):", f" left -= {size}", " n = 0", " while True:"]
-    for k, plan in enumerate(cycle):
-        src += [" " + line for line in _replay(*plan.shape)]
-        code = _lit(plan.key)
-        if k < size - 1:
-            src += [f"  if c != {code}:", f"   return n + {k + 1}, {k}, c, nx, top"]
-        else:
-            src += [f"  n += {size}", f"  if c != {code} or top >= bound or n > left:",
-                    f"   return n, {k}, c, nx, top"]
-        src += ["  xs = nx", "  den = top"]
+    size, last = len(cycle), _lit(cycle[-1].key)
+    nx, scale, tests = _compose(cycle)
+    m = len(nx)
+
+    def terms(f: tuple) -> list:
+        return [_term(_lit(v), f"x{j}" if j < m else "den") for j, v in enumerate(f) if v]
+
+    sums = [terms(f) for f in nx]
+    checks = [(terms(f), up) for f, up in tests]
+    sides, total, products = _products(sums + [ts for ts, _ in checks], (_lit(scale), "den"))
+    conds = []
+    for ts, up in checks:
+        pos, neg = sides(ts)
+        conds.append(f"{' + '.join(pos) or 0} {'>' if up else '<='} {' + '.join(neg) or 0}")
+    read = sorted({j for f in (*nx, *(f for f, _ in tests)) for j in range(m) if f[j]})
+    src = ["def loop(xs, den, left, bound):", f" left -= {size}", " n = 0", " while True:",
+           "  top = den" if scale == 1 else f"  top = {scale}*den"]
+    src += [f"  x{j} = xs[{j}]" for j in read]
+    src += [" " + line for line in products]
+    mapped = f"nx = [{', '.join(total(ts) for ts in sums)}]"
+    if conds:
+        src += [f"  if {' and '.join(conds)}:", f"   {mapped}", "  else:"]
+        for k, plan in enumerate(cycle):
+            src += ["  " + line for line in _replay(*plan.shape)]
+            src += [f"   if c != {_lit(plan.key)}:", f"    return n + {k + 1}, {k}, c, nx, top"]
+            if k < size - 1:
+                src += ["   xs = nx", "   den = top"]
+    else:
+        src.append(f"  {mapped}")
+    src += [f"  n += {size}", "  if top >= bound or n > left:",
+            f"   return n, {size - 1}, {last}, nx, top", "  xs = nx", "  den = top"]
     namespace: dict = {}
     exec("\n".join(src), {"__builtins__": {}}, namespace)
     return namespace["loop"]
@@ -758,7 +889,9 @@ class _Loop(_Plan):
     place in its node: the same ``tick``, ``shape``, ``tops`` and links,
     plus ``rest``, the cycle's other plans in order, and ``run``, the
     ``_fuse`` of the whole cycle, whose plan ``k`` is the loop itself for
-    0 and ``rest[k - 1]`` after that."""
+    0 and ``rest[k - 1]`` after that.  ``run`` goes round the cycle as its
+    ``_compose``, one affine map under tests on the cycle's start
+    registers, and ticks plan by plan only through the cycle it leaves."""
 
     __slots__ = ("rest", "run")
 
@@ -863,8 +996,12 @@ def _ticks(
     Once ``shown`` is over, a ``_Loop`` met in place of a plan (see
     ``_close``) runs whole cycles in one call of its ``run``, if the blank
     ticks left hold one, and the kernel goes on from the plan and code it
-    returns; else it ticks as the plan it is.  No node inside a cycle
-    stops, so a run takes the ticks it would take tick by tick.
+    returns; else it ticks as the plan it is.  Each cycle the call goes
+    round is one evaluation of the cycle's composed map (see ``_compose``
+    and ``_fuse``), which writes the values that ticking its plans one by
+    one writes, and the cycle that leaves it ticks plan by plan.  No node
+    inside a cycle stops, so a run takes the ticks it would take tick by
+    tick.
 
     The denominator is not reduced on every tick: the gcd is divided out
     only once it reaches ``limit`` bits, that is once it is at least

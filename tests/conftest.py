@@ -3,6 +3,7 @@
 from itertools import product
 
 import pytest
+from hypothesis import strategies as st
 
 from arnnlab import Alphabet, Dfa, Language, Rule, TwoStackMachine
 
@@ -123,6 +124,22 @@ def copy_machine():
         start="L",
         accepting=frozenset({"M"}),
     )
+
+
+@st.composite
+def two_stack_machines(draw):
+    """A random two-stack machine over ``ab`` with at most one rule per
+    state and read, so that no two rules of a state overlap."""
+    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 4))))
+    bit, op = st.sampled_from([None, 0, 1]), st.sampled_from([None, None, 0, 1])
+    rules = tuple(
+        Rule(state, read, draw(op), draw(op), draw(st.sampled_from(states)), draw(bit), draw(bit))
+        for state in states
+        for read in ("a", "b", None)
+        if draw(st.booleans())
+    )
+    accepting = frozenset(draw(st.sets(st.sampled_from(states))))
+    return TwoStackMachine(states, AB, rules, states[0], accepting)
 
 
 def words_up_to(n, symbols="ab"):

@@ -13,7 +13,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from arnnlab import (
     CANTOR4,
@@ -43,7 +42,9 @@ from arnnlab.microcode import (
 )
 from arnnlab.network import _compiled, _fast_step
 
-from conftest import AB, abstar_language, anbn_machine, copy_machine, words_up_to
+from conftest import (
+    AB, abstar_language, anbn_machine, copy_machine, two_stack_machines, words_up_to,
+)
 
 
 def trace_values(net, word, ticks):
@@ -276,22 +277,6 @@ def test_output_state_that_no_rule_names_compiles():
     )
     assert "m.X" not in " ".join(two_stack_to_net(machine).neuron_names)
     assert check_tick_law(machine) == 127
-
-
-@st.composite
-def two_stack_machines(draw):
-    """A random two-stack machine over ``ab`` with at most one rule per
-    state and read, so that no two rules of a state overlap."""
-    states = tuple(f"q{i}" for i in range(draw(st.integers(1, 4))))
-    bit, op = st.sampled_from([None, 0, 1]), st.sampled_from([None, None, 0, 1])
-    rules = tuple(
-        Rule(state, read, draw(op), draw(op), draw(st.sampled_from(states)), draw(bit), draw(bit))
-        for state in states
-        for read in ("a", "b", None)
-        if draw(st.booleans())
-    )
-    accepting = frozenset(draw(st.sets(st.sampled_from(states))))
-    return TwoStackMachine(states, AB, rules, states[0], accepting)
 
 
 @settings(max_examples=25, deadline=None)

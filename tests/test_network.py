@@ -1,11 +1,12 @@
 """Synchronous dynamics, the word protocol, and exactness of the simulator."""
 
 import dis
+import functools
 import gc
 import random
 from collections import Counter
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -41,7 +42,9 @@ from arnnlab.exact import ScalarKind, affine_combine, saturated_sigma, signal
 import arnnlab.network as network
 from arnnlab.network import _IntState, _Plan, _compiled, _fast_step
 
-from conftest import AB, abstar_language, anbn_machine, parity_dfa, words_up_to
+from conftest import (
+    AB, abstar_language, anbn_machine, copy_machine, parity_dfa, two_stack_machines, words_up_to,
+)
 
 
 def one_neuron(a=0, c=0, act="sat"):
@@ -731,13 +734,26 @@ def test_equal_plan_shapes_share_one_function():
     assert len(functions) == len(cn.interned) < len(plans)
 
 
-def test_gen_refuses_values_that_are_not_ints():
-    """Only ``%d``-formatted ints reach the source ``_gen`` hands to
-    ``exec``: a Fraction, a str, a float or a bool in any field is
-    refused."""
+def test_gen_refuses_values_that_are_not_ints(monkeypatch):
+    """Only ``%d``-formatted ints reach the source ``_gen`` and ``_fuse``
+    hand to ``exec``: a Fraction, a str, a float or a bool in any field of
+    a shape, or in a cycle's code, is refused, and ``_fuse`` refuses it
+    before any source is run, the composed map and tests included."""
     row = (0, 0, 3, -1, True, ((1, 1),))
     # -5 + 3*3 + 1 = 5 over top 10: fractional, then the scaled 1 * 5
     assert network._gen((row,), ((2, 1),), 2)([3, 1], 5) == (2, [5, 5], 10)
+
+    def cycle(rows, scaled, scale, key=2):
+        # one plan that links its code to itself: a cycle of one tick
+        plan = _Plan(None, (rows, scaled, scale), ())
+        plan.key = key
+        return [plan]
+
+    assert network._fuse(cycle((row,), ((2, 1),), 2))([3, 1], 5, 1, 1 << 64) == (
+        1, 0, 2, [5, 5], 10
+    )
+    ran = []
+    monkeypatch.setattr(network, "exec", lambda *args: ran.append(args), raising=False)
     for bad in (Fraction(1, 2), "1", "den); import os; (", 1.5, True):
         cases = [
             ((row[:2] + (bad,) + row[3:],), (), 1),  # weight
@@ -750,6 +766,11 @@ def test_gen_refuses_values_that_are_not_ints():
         for rows, scaled, scale in cases:
             with pytest.raises(TypeError, match="ints only"):
                 network._gen(rows, scaled, scale)
+            with pytest.raises(TypeError, match="ints only"):
+                network._fuse(cycle(rows, scaled, scale))
+        with pytest.raises(TypeError, match="ints only"):
+            network._fuse(cycle((row,), ((2, 1),), 2, key=bad))  # code
+    assert not ran
 
 
 @st.composite
@@ -1194,6 +1215,209 @@ def test_fused_loops_match_fast_step_on_an_oracle_net(loop_exits):
         result = run_matches_fast_step(net, word, oracle_budget(word, AB))
         assert result.verdict == Verdict.REJECT
     assert fused_loops(_compiled(net)) and loop_exits
+
+
+@st.composite
+def long_words(draw):
+    """A word of 24 to 60 letters made of runs of one letter, so that a
+    stack it loads holds long runs of equal digits to drain."""
+    runs = draw(st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 30)), min_size=1,
+                         max_size=5))
+    n = draw(st.integers(24, 60))
+    return ("".join(ch * k for ch, k in runs) * n)[:n]
+
+
+@settings(max_examples=30, deadline=None)
+@given(two_stack_machines(), long_words())
+def test_fused_loops_match_fast_step_on_random_machines(machine, word):
+    """On random two-stack machines, the blank cycles that a long word's
+    drains close are composed and entered, and ``run`` still reaches what
+    ``_fast_step`` reaches tick by tick; a machine that does not halt
+    within 200 steps times out on both."""
+    _, steps = machine.execute(word, 200)
+    run_matches_fast_step(two_stack_to_net(machine), word, two_stack_budget(len(word), steps))
+
+
+@functools.cache
+def composed_cycles():
+    """Each cycle fused on the a^n b^n net, the copy machine and the
+    horizon-64 ``oracle_net``, by net, each with the ``(xs, den)`` that
+    each round of its loop calls started from: ticked on from each call's
+    start, round after round, up to the round that leaves the cycle."""
+    anbn, copy = anbn_machine(), copy_machine()
+    words = {
+        anbn: ["a" * n + "b" * n for n in (20, 12, 21, 16)] + ["a" * 21 + "b" * 20],
+        copy: ["a" * 20, "b" * 20, "ab" * 10, "aab" * 8, "b" * 12 + "a" * 12],
+    }
+    runs = {
+        label: (two_stack_to_net(machine), [
+            (word, two_stack_budget(len(word), machine.execute(word, 10_000)[1]))
+            for word in words[machine] * 2
+        ])
+        for label, machine in (("anbn", anbn), ("copy", copy))
+    }
+    net = oracle_net(OracleNetSpec(
+        ExactScalar.oracle(OracleTable.from_language(abstar_language(), 64), CANTOR4, "0'"), AB
+    ))
+    runs["oracle"] = (net, [("b" * 5, oracle_budget("b" * 5, AB))] * 2)
+    found, fuse = {}, network._fuse
+
+    def recorded(cycle):
+        loop, starts = fuse(cycle), []
+        found[label].append((tuple(cycle), starts))
+
+        def call(xs, den, left, bound):
+            starts.append((tuple(xs), den))
+            return loop(xs, den, left, bound)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_fuse", recorded)
+        for label, (net, words) in runs.items():
+            found[label] = []
+            for word, budget in words:
+                run(net, word, budget)
+    for cycles in found.values():
+        for cycle, starts in cycles:
+            for xs, den in starts[:]:
+                went_round = True
+                while went_round:
+                    went_round, xs, den = tick_through(cycle, xs, den)
+                    starts.append((tuple(xs), den))
+                starts.pop()
+    return found
+
+
+def value(form, xs, den):
+    """A form's value on registers ``xs`` over ``den``."""
+    return sum(c * v for c, v in zip(form, (*xs, den)))
+
+
+def holds(test, xs, den):
+    """Whether ``(form, up)`` holds on registers ``xs`` over ``den``."""
+    form, up = test
+    return value(form, xs, den) > 0 if up else value(form, xs, den) <= 0
+
+
+def tick_through(cycle, xs, den):
+    """Tick ``cycle``'s plans one by one from ``xs`` over ``den``: whether
+    each returned its ``key``, and the numerators and top reached."""
+    for plan in cycle:
+        code, xs, den = plan.tick(list(xs), den)
+        if code != plan.key:
+            return False, xs, den
+    return True, xs, den
+
+
+def check_composed(cycle, xs, den):
+    """``_compose(cycle)``'s tests all hold on ``xs`` over ``den`` exactly
+    when ticking ``cycle`` returns each plan's key, and then its map writes
+    what the ticks write; returns whether they held."""
+    nx, scale, tests = network._compose(cycle)
+    ok, ticked, top = tick_through(cycle, xs, den)
+    assert all(holds(test, xs, den) for test in tests) == ok
+    if ok:
+        assert [value(form, xs, den) for form in nx] == ticked
+        assert scale * den == top
+    return ok
+
+
+def test_composed_cycles_agree_with_their_ticks_where_loops_started():
+    """On every start state a fused loop was called with, on each of the
+    three nets, the hoisted tests agree with ticking the cycle; on each
+    net some of those states go round the cycle and some leave it."""
+    for label, cycles in composed_cycles().items():
+        outcomes = {check_composed(cycle, xs, den) for cycle, starts in cycles
+                    for xs, den in starts}
+        assert outcomes == {True, False}, label
+
+
+def edge(cycle, xs, den, j, toward):
+    """The last value of register j, from ``xs[j]`` toward ``toward``, at
+    which ticking ``cycle`` from ``xs`` over ``den`` still goes round it,
+    found by bisection on the ticks alone; None when ``xs`` does not go
+    round, or goes round all the way to ``toward``.  The states that go
+    round are those that pass every comparison of the ticks, each linear
+    in the registers, so along one register they form an interval."""
+
+    def round_at(x):
+        return tick_through(cycle, [*xs[:j], x, *xs[j + 1:]], den)[0]
+
+    inside, outside = xs[j], toward
+    if not round_at(inside) or round_at(outside):
+        return None
+    while abs(outside - inside) > 1:
+        mid = (inside + outside) // 2
+        inside, outside = (mid, outside) if round_at(mid) else (inside, mid)
+    return inside
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_composed_cycles_hoist_exactly_the_tests_their_ticks_make(data):
+    """Start registers ``0 < x < den`` drawn around those the loops met,
+    scaled by a factor no reduction divided out, each kept, moved by a
+    few units, set at or just past the edge where ticking stops going
+    round the cycle, or drawn anew: the hoisted tests hold exactly when
+    the cycle's ticks return their keys, and the map then writes what
+    they write."""
+    cycles = [entry for cycles in composed_cycles().values() for entry in cycles]
+    cycle, starts = data.draw(st.sampled_from(cycles))
+    xs, den = data.draw(st.sampled_from(starts))
+    factor = data.draw(st.integers(1, 3))
+    xs, den = [x * factor for x in xs], den * factor
+    for j in range(len(xs)):
+        how = data.draw(st.sampled_from(["keep", "keep", "shift", "edge", "any"]))
+        if how == "shift":
+            xs[j] += data.draw(st.integers(-3, 3))
+        elif how == "edge":
+            last = edge(cycle, xs, den, j, data.draw(st.sampled_from([1, den - 1])))
+            if last is not None:
+                xs[j] = last + data.draw(st.sampled_from([0, 1, -1])) * (1 if xs[j] < last else -1)
+        elif how == "any":
+            xs[j] = data.draw(st.integers(1, den - 1))
+        xs[j] = min(max(xs[j], 1), den - 1)
+    check_composed(cycle, xs, den)
+
+
+@settings(max_examples=400, deadline=None)
+@given(plan_shapes(), st.data())
+def test_composed_tests_cover_every_kind_of_row(case, data):
+    """A cycle of one plan drawn by ``plan_shapes``, with rows of every
+    bound class, saturating or not, whose key is the code it returns on
+    the drawn state: there, and on a second state drawn anew, the hoisted
+    tests hold exactly when the tick returns that key.  The plan gets one
+    ``scaled`` entry, or the state one register, more for each register
+    it reads and does not write, or writes and does not read."""
+    rows, scaled, scale, xs, den = case
+    key, nx, _ = evaluate_rows(rows, scaled, scale, xs, den)
+    scaled += ((99, 1),) * (len(xs) - len(nx))
+    xs = xs + [data.draw(st.integers(1, den - 1)) for _ in range(len(nx) - len(xs))]
+    plan = _Plan(network._gen(rows, scaled, scale), (rows, scaled, scale), ())
+    plan.key = key
+    assert check_composed([plan], xs, den)
+    check_composed([plan], [data.draw(st.integers(1, den - 1)) for _ in xs], den)
+
+
+def test_anbn_cycles_are_separable_with_positive_ratios():
+    """Every composed cycle of the a^n b^n net tests its start registers
+    one at a time: each test reads exactly one register, and the map
+    writes that register from itself alone, with a positive ratio, and
+    den.  So the registers a cycle tests follow ``x -> r*x + c*den``, with
+    ``r > 0``, on their own; and each cycle has 3 or 4 tests and a
+    4-entry map; each test is divided by the gcd of its coefficients,
+    and no two are equal."""
+    cycles = composed_cycles()["anbn"]
+    assert len(cycles) == 4
+    for cycle, _ in cycles:
+        nx, _, tests = network._compose(cycle)
+        m = len(nx)
+        assert m == 4 and 3 <= len(tests) <= 4, tests
+        assert len(set(tests)) == len(tests) and all(gcd(*form) == 1 for form, _ in tests)
+        for form, _ in tests:
+            [j] = [j for j in range(m) if form[j]]
+            assert [i for i in range(m) if nx[j][i]] == [j] and nx[j][j] > 0, (nx, form)
 
 
 def dense_step(net, state, inputs, validation, budget):
