@@ -291,8 +291,8 @@ class _CompiledNet:
 
     ``out_valid`` is the net's output validation neuron, the one ``_ticks``
     watches; each node records whether it is positive there.  ``shown``
-    holds one feed item per data line, the symbol's one-hot bits with
-    validation 1, and ``blank`` the item with every line at 0: ``run``
+    maps each input symbol to its feed item, its line's one-hot bits with
+    validation 1, and ``blank`` is the item with every line at 0: ``run``
     feeds these same objects on every run of the net.
 
     ``exact`` is False only when some scalar is a stream with no known
@@ -343,7 +343,10 @@ class _CompiledNet:
         self.ceil = [d if act == SAT else 1 for act in net.activations]
         self.out_valid = net.out_valid
         m = net.n_inputs
-        self.shown = [(tuple(int(j == k) for j in range(m)), 1) for k in range(m)]
+        self.shown = {
+            ch: (tuple(int(j == k) for j in range(m)), 1)
+            for k, ch in enumerate(net.input_symbols or ())
+        }
         self.blank = ((0,) * m, 0)
         self.tick_plans: dict[tuple, _Node] = {}
         self.interned: dict[tuple, tuple] = {}
@@ -787,20 +790,29 @@ def _fuse(cycle: Sequence["_Plan"]):
 
     Each iteration starts with the cycle's ``_compose``: it loads the
     registers the map and the tests read, and when every test holds it
-    writes the map's numerators over ``top = scale * den``, one form each,
-    for all ``len(cycle)`` ticks at once.  When some test fails, that one
-    cycle ticks through the body ``_replay`` writes from each plan's
-    interned shape, each followed by a guard that compares its ``code``
-    with the one the plan linked first, and so misses on the tick on which
-    ticking one plan at a time would.  A product read more than once is
-    computed once, as in ``_gen``.
+    writes the map's numerators over ``top = scale * den``, each distinct
+    form once, for all ``len(cycle)`` ticks at once.  When some test fails,
+    that one cycle ticks through the body ``_replay`` writes from each
+    plan's interned shape, each followed by a guard that compares its
+    ``code`` with the one the plan linked first, and so misses on the tick
+    on which ticking one plan at a time would.  A product read more than
+    once is computed once, as in ``_gen``.
+
+    When the map is separable (see ``_jump``), every iteration after the
+    first whose tests hold first jumps: it estimates from bit lengths how
+    many further cycles pass, never more than do, writes the registers
+    after that many cycles in closed form, and then evaluates the map, so
+    a jump of none is the plain iteration.  The next iteration's tests
+    check the cycle the jump reached: they fail there when the estimate
+    was exact, and else the loop goes round again.
 
     The loop takes whole cycles only, at most ``left`` ticks (at least
-    ``len(cycle)``), and its back-edge tests ``top >= bound``.  It returns
-    ``(ticks, k, code, xs, top)``, k the position in ``cycle`` of the last
-    plan ticked, on a guard miss, once ``top`` reaches ``bound``, or when
-    one more cycle would take more than ``left`` ticks.  Every value goes
-    through ``_lit`` before the source is handed to ``exec``.
+    ``len(cycle)``).  It returns ``(ticks, k, code, xs, top)``, k the
+    position in ``cycle`` of the last plan ticked, on a guard miss, when one
+    more cycle would take more than ``left`` ticks, or, on a cycle that does
+    not jump, once ``top`` reaches ``bound``, so that the caller divides out
+    the gcd.  Every value goes through ``_lit`` before the source is handed
+    to ``exec``.
     """
     size, last = len(cycle), _lit(cycle[-1].key)
     nx, scale, tests = _compose(cycle)
@@ -818,24 +830,134 @@ def _fuse(cycle: Sequence["_Plan"]):
         conds.append(f"{' + '.join(pos) or 0} {'>' if up else '<='} {' + '.join(neg) or 0}")
     read = sorted({j for f in (*nx, *(f for f, _ in tests)) for j in range(m) if f[j]})
     src = ["def loop(xs, den, left, bound):", f" left -= {size}", " n = 0", " while True:",
-           "  top = den" if scale == 1 else f"  top = {scale}*den"]
-    src += [f"  x{j} = xs[{j}]" for j in read]
-    src += [" " + line for line in products]
-    mapped = f"nx = [{', '.join(total(ts) for ts in sums)}]"
+           "  top = den" if scale == 1 else f"  top = {scale}*den",
+           *(f"  x{j} = xs[{j}]" for j in read), *(" " + line for line in products)]
+    body, named = [], {}
+    for f, ts in zip(nx, sums):  # each form written more than once is named once
+        if nx.count(f) > 1 and f not in named:
+            named[f] = f"f{len(named)}"
+            body.append(f"{named[f]} = {total(ts)}")
+    body.append(f"nx = [{', '.join(named.get(f) or total(ts) for f, ts in zip(nx, sums))}]")
+    jump = _jump(nx, scale, tests, total)
+    if jump is not None:
+        estimate, closed = jump
+        # top is den itself at scale 1, where den stays as it is
+        rescale = [f"top = {scale}*den"] * (scale != 1) + [line[1:] for line in products]
+        body[:0] = ["if n:", f" k = (left - n) // {size}", *(" " + line for line in estimate),
+                    " if k > 0:", *("  " + line for line in closed + rescale), f"  n += {size}*k"]
     if conds:
-        src += [f"  if {' and '.join(conds)}:", f"   {mapped}", "  else:"]
+        src += [f"  if {' and '.join(conds)}:", *("   " + line for line in body), "  else:"]
         for k, plan in enumerate(cycle):
             src += ["  " + line for line in _replay(*plan.shape)]
             src += [f"   if c != {_lit(plan.key)}:", f"    return n + {k + 1}, {k}, c, nx, top"]
             if k < size - 1:
                 src += ["   xs = nx", "   den = top"]
     else:
-        src.append(f"  {mapped}")
-    src += [f"  n += {size}", "  if top >= bound or n > left:",
+        src += ["  " + line for line in body]
+    src += [f"  n += {size}", "  if n > left:" if jump else "  if top >= bound or n > left:",
             f"   return n, {size - 1}, {last}, nx, top", "  xs = nx", "  den = top"]
     namespace: dict = {}
     exec("\n".join(src), {"__builtins__": {}}, namespace)
     return namespace["loop"]
+
+
+#: The unit, in parts of a bit, of the base-2 logarithms with which a jump
+#: estimates how many cycles pass; a power-of-two ratio is exact in it.
+_LOG_UNIT = 64
+
+
+def _log2_floor(p: int, q: int) -> int:
+    """``floor(log2(p / q))`` for positive ints ``p`` and ``q``."""
+    t = p.bit_length() - q.bit_length()
+    return t - ((q << t) > p if t >= 0 else q > p << -t)
+
+
+def _jump(nx: tuple, scale: int, tests: tuple, total):
+    """The lines with which ``_fuse``'s loop jumps over whole cycles of a
+    composed map ``(nx, scale, tests)`` (see ``_compose``), as ``(estimate,
+    closed)``, or None when the map is not separable.
+
+    It is separable when each test reads one register, and each register
+    that the map or a test reads is written from itself alone, as
+    ``a*x + b*den`` with ``a > 0``, over ``top = s*den`` with ``s`` the
+    scale.  Then ``x / den`` moves monotonically, away from its fixed point
+    or toward it as ``a/s`` is above or below 1 (or by ``b/s`` a cycle when
+    ``a == s``), so a test that holds on the cycle's start registers holds
+    on a prefix of the cycles from there.  After ``k`` cycles ``den`` is
+    ``s**k*den`` and the register is ``a**k*x + b*(a**k - s**k)//(a -
+    s)*den``, or ``s**k*x + k*b*s**(k - 1)*den`` when ``a == s``.
+
+    ``estimate`` lowers ``k``, set to the cycles after the current one that
+    fit, to the further cycles each test is sure to pass, so the jump never
+    passes a cycle that fails; a test that never fails bounds nothing.
+    With ``a != s``, the test's form after ``i`` cycles, times ``a - s``, is
+    ``u*a**i*e + c*s**i*den``, with ``e = (a - s)*x + b*den`` the scaled
+    distance from the fixed point and ``c`` a constant.  When the test can
+    fail, the term that shrinks against the other, by ``r`` or ``1/r`` a
+    cycle, holds it while it outweighs that other term; the bit lengths of
+    ``e`` and ``den`` bound the log of their ratio within a bit each way,
+    so the count is the lower end over ``log2 r``, both in ``1 /
+    _LOG_UNIT`` parts of a bit, rounded the safe way.  With ``a == s`` the
+    count is one exact division.  ``closed`` writes the registers and
+    ``den`` after ``k`` cycles, naming each power and coefficient once.
+    """
+    m, s, unit = len(nx), _lit(scale), _LOG_UNIT
+
+    def reads(f: tuple) -> list[int]:
+        return [j for j in range(m) if f[j]]
+
+    def form(j: int, c: int, d: int) -> str:  # c*x_j + d*den
+        return total([_term(_lit(v), q) for v, q in ((c, "x%d" % j), (d, "den")) if v])
+
+    read = sorted({j for f in (*nx, *(f for f, _ in tests)) for j in reads(f)})
+    if any(len(reads(f)) != 1 for f, _ in tests) or any(
+        reads(nx[j]) != [j] or nx[j][j] < 0 for j in read
+    ):
+        return None
+    estimate, counts = [], []
+    for f, up in tests:
+        [j] = reads(f)
+        sign, a, b = 1 if up else -1, nx[j][j], nx[j][m]
+        u, v = sign * f[j], sign * f[m]  # the test holds while u*x + v*den > 0 (or >= 0)
+        if a == s:  # which moves by u*b*den/s a cycle
+            if u * b < 0:
+                count = form(j, s * u, s * v) + " - 1" * up
+                counts.append("(%s) // (%d*den)" % (count, _lit(-u * b)))
+            continue
+        # times a - s, the form after i cycles is u*a**i*e + (v*(a - s) - u*b)*s**i*den
+        e, c = "e%d" % j, (v * (a - s) - u * b) * (1 if a > s else -1)
+        if (c <= 0) if a > s else (c >= 0):  # never fails
+            continue
+        line = "%s = %s" % (e, form(j, a - s, b))
+        estimate += [] if line in estimate else [line]
+        p, q = (c, abs(u)) if a > s else (abs(u), -c)
+        count = "(%d + %d*(%s)) // %d" % (
+            _lit(_log2_floor(p**unit, q**unit) - unit), unit,
+            "w - %s.bit_length()" % e if a > s else "%s.bit_length() - w" % e,
+            _lit(-_log2_floor(min(a, s) ** unit, max(a, s) ** unit)),
+        )
+        counts.append(count + (" if %s %s 0 else k" % (e, "<>"[u < 0]) if a > s else ""))
+    estimate[:0] = ["w = den.bit_length()"] if estimate else []
+    estimate += [line for count in counts for line in ("i = " + count, "if i < k: k = i")]
+
+    def power(v: int) -> str:
+        return "1" if v == 1 else "p%d" % v
+
+    closed = ["p%d = %d**k" % (v, v) for v in sorted({s, *(nx[j][j] for j in read)} - {1})]
+    for j in read:
+        a, b = _lit(nx[j][j]), _lit(nx[j][m])
+        x, coef = ("x%d" if a == 1 else power(a) + "*x%d") % j, "g%d" % a
+        if a == s:
+            coef = "k" if s == 1 else "k*(p%d//%d)" % (s, s)
+        else:
+            line = "%s = (%s - %s)//%d" % (coef, power(max(a, s)), power(min(a, s)), abs(a - s))
+            closed += [] if line in closed else [line]
+        if b:
+            x += " %s %d*%s*den" % ("+-"[b < 0], abs(b), coef)
+        closed += [] if x == "x%d" % j else ["x%d = %s" % (j, x)]
+    if s != 1:
+        closed.append("den = p%d*den" % s)
+    return estimate, closed
 
 
 class _Map:
@@ -891,7 +1013,9 @@ class _Loop(_Plan):
     ``_fuse`` of the whole cycle, whose plan ``k`` is the loop itself for
     0 and ``rest[k - 1]`` after that.  ``run`` goes round the cycle as its
     ``_compose``, one affine map under tests on the cycle's start
-    registers, and ticks plan by plan only through the cycle it leaves."""
+    registers, jumps over the cycles that pass when that map is separable
+    (see ``_jump``), and ticks plan by plan only through the cycle it
+    leaves."""
 
     __slots__ = ("rest", "run")
 
@@ -996,17 +1120,20 @@ def _ticks(
     Once ``shown`` is over, a ``_Loop`` met in place of a plan (see
     ``_close``) runs whole cycles in one call of its ``run``, if the blank
     ticks left hold one, and the kernel goes on from the plan and code it
-    returns; else it ticks as the plan it is.  Each cycle the call goes
-    round is one evaluation of the cycle's composed map (see ``_compose``
-    and ``_fuse``), which writes the values that ticking its plans one by
-    one writes, and the cycle that leaves it ticks plan by plan.  No node
+    returns; else it ticks as the plan it is.  The call goes round the
+    cycle's composed map (see ``_compose`` and ``_fuse``), which writes the
+    values that ticking its plans one by one writes; on a separable cycle
+    it jumps, writing the values after many cycles in one closed form (see
+    ``_jump``), and the cycle that leaves it ticks plan by plan.  No node
     inside a cycle stops, so a run takes the ticks it would take tick by
     tick.
 
     The denominator is not reduced on every tick: the gcd is divided out
     only once it reaches ``limit`` bits, that is once it is at least
     ``bound``, and ``limit`` is then set to the reduced size plus
-    ``_SLACK_BITS``; inside a loop that test waits for the cycle's end.  A
+    ``_SLACK_BITS``; inside a loop that test waits for the cycle's end,
+    and a loop that jumps leaves it until the call returns, so a jump of a
+    whole drain is followed by one reduction.  A
     unit's numerator is the denominator itself, so only ``xs`` join the
     gcd, and with no fractional neuron it becomes 1.
 
@@ -1134,7 +1261,11 @@ def run(
             f"budget {budget} is too small for a {len(word)}-symbol word"
         )
     cn = _compiled(net)
-    shown = [cn.shown[net.line_for_symbol(ch)] for ch in word]
+    try:
+        shown = [cn.shown[ch] for ch in word]
+    except KeyError as missing:
+        net.line_for_symbol(missing.args[0])  # raises the ConfigError that names it
+        raise
     feed = (shown, budget - len(shown))
     if cn.exact:
         ticks, state = _ticks(cn, _IntState(net.n_neurons, (), (), [], 1), feed)

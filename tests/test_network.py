@@ -738,7 +738,8 @@ def test_gen_refuses_values_that_are_not_ints(monkeypatch):
     """Only ``%d``-formatted ints reach the source ``_gen`` and ``_fuse``
     hand to ``exec``: a Fraction, a str, a float or a bool in any field of
     a shape, or in a cycle's code, is refused, and ``_fuse`` refuses it
-    before any source is run, the composed map and tests included."""
+    before any source is run, the composed map and tests and the jump's
+    closed form included."""
     row = (0, 0, 3, -1, True, ((1, 1),))
     # -5 + 3*3 + 1 = 5 over top 10: fractional, then the scaled 1 * 5
     assert network._gen((row,), ((2, 1),), 2)([3, 1], 5) == (2, [5, 5], 10)
@@ -752,6 +753,18 @@ def test_gen_refuses_values_that_are_not_ints(monkeypatch):
     assert network._fuse(cycle((row,), ((2, 1),), 2))([3, 1], 5, 1, 1 << 64) == (
         1, 0, 2, [5, 5], 10
     )
+    # x -> 3x - den over 2*den is separable: from just under 1, its loop
+    # jumps to the tick on which ticking the plan leaves the cycle
+    sep = (0, 0, 3, -1, True, ())
+    xs, den, ticks, tick = [(1 << 20) - 1], 1 << 20, 0, network._gen((sep,), (), 2)
+    code = 2
+    while code == 2:
+        code, xs, den = tick(xs, den)
+        ticks += 1
+    assert ticks > 30
+    assert network._fuse(cycle((sep,), (), 2))([(1 << 20) - 1], 1 << 20, 99, 0) == (
+        ticks, 0, code, xs, den
+    )
     ran = []
     monkeypatch.setattr(network, "exec", lambda *args: ran.append(args), raising=False)
     for bad in (Fraction(1, 2), "1", "den); import os; (", 1.5, True):
@@ -762,6 +775,9 @@ def test_gen_refuses_values_that_are_not_ints(monkeypatch):
             ((row[:5] + (((1, bad),),),), (), 1),  # weight of a further source
             ((row,), ((2, bad),), 1),  # scaled unit sum
             ((row,), (), bad),  # scale
+            ((sep[:2] + (bad,) + sep[3:],), (), 2),  # weight, in a map that jumps
+            ((sep[:3] + (bad,) + sep[4:],), (), 2),  # base, in a map that jumps
+            ((sep,), (), bad),  # scale, of a map that jumps
         ]
         for rows, scaled, scale in cases:
             with pytest.raises(TypeError, match="ints only"):
@@ -770,6 +786,8 @@ def test_gen_refuses_values_that_are_not_ints(monkeypatch):
                 network._fuse(cycle(rows, scaled, scale))
         with pytest.raises(TypeError, match="ints only"):
             network._fuse(cycle((row,), ((2, 1),), 2, key=bad))  # code
+        with pytest.raises(TypeError, match="ints only"):
+            network._fuse(cycle((sep,), (), 2, key=bad))  # code, of a map that jumps
     assert not ran
 
 
@@ -1118,8 +1136,9 @@ def test_tick_plans_are_emptied_at_their_cap(monkeypatch):
 @pytest.fixture
 def loop_exits(monkeypatch):
     """How each call of a loop fused while the test runs ended, as
-    ``(ticks, how)``: "miss" on a guard miss, "bound" when the denominator
-    reached the reduction bound, and "end" when no whole cycle was left."""
+    ``(ticks, how)``: "miss" on a guard miss, "end" when no whole cycle was
+    left, and "bound" when the denominator reached the reduction bound
+    before that, which only a loop that does not jump stops at."""
     exits, fuse = [], network._fuse
 
     def counted(cycle):
@@ -1128,7 +1147,8 @@ def loop_exits(monkeypatch):
         def call(xs, den, left, bound):
             got = n, k, code, _, top = loop(xs, den, left, bound)
             assert n <= left
-            how = "miss" if code != cycle[k].key else "bound" if top >= bound else "end"
+            how = "miss" if code != cycle[k].key else "end" if n + len(cycle) > left else "bound"
+            assert how != "bound" or top >= bound
             exits.append((n, how))
             return got
 
@@ -1217,13 +1237,32 @@ def test_fused_loops_match_fast_step_on_an_oracle_net(loop_exits):
     assert fused_loops(_compiled(net)) and loop_exits
 
 
+def test_a_cycle_that_cannot_jump_goes_round_as_before(loop_exits):
+    """``x -> 1 - 2x/3`` closes a blank cycle of one plan whose map reads
+    its register with a negative ratio, so the value swings round 3/5 and
+    ``_jump`` refuses the map: its loop goes round cycle by cycle, stops at
+    the reduction bound, and ``run`` still reaches what ``_fast_step``
+    reaches tick by tick."""
+    net = Network(
+        2, 1, state_weights={(0, 0): ExactScalar.rational(-2, 3)},
+        input_weights={(0, 0): ExactScalar.rational(1, 2)}, biases={0: ExactScalar.integer(1)},
+        activations=("sat", "sig"), out_data=0, out_valid=1, input_symbols=("a",),
+    )
+    for _ in range(2):
+        assert run_matches_fast_step(net, "a", 800).verdict == Verdict.TIMEOUT
+    [loop] = fused_loops(_compiled(net))
+    assert network._jump(*network._compose((loop, *loop.rest)), lambda ts: "0") is None
+    assert {how for _, how in loop_exits} == {"bound", "end"}
+
+
 @st.composite
-def long_words(draw):
-    """A word of 24 to 60 letters made of runs of one letter, so that a
-    stack it loads holds long runs of equal digits to drain."""
+def long_words(draw, shortest=24, longest=60):
+    """A word of ``shortest`` to ``longest`` letters made of runs of one
+    letter, so that a stack it loads holds long runs of equal digits to
+    drain."""
     runs = draw(st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 30)), min_size=1,
                          max_size=5))
-    n = draw(st.integers(24, 60))
+    n = draw(st.integers(shortest, longest))
     return ("".join(ch * k for ch, k in runs) * n)[:n]
 
 
@@ -1236,6 +1275,29 @@ def test_fused_loops_match_fast_step_on_random_machines(machine, word):
     within 200 steps times out on both."""
     _, steps = machine.execute(word, 200)
     run_matches_fast_step(two_stack_to_net(machine), word, two_stack_budget(len(word), steps))
+
+
+@settings(max_examples=12, deadline=None)
+@given(two_stack_machines(), long_words(100, 300))
+def test_fused_loops_jump_on_random_machines(machine, word):
+    """As above, on words of 100 to 300 letters, whose drains go round
+    their composed cycles long enough to jump."""
+    _, steps = machine.execute(word, 600)
+    run_matches_fast_step(two_stack_to_net(machine), word, two_stack_budget(len(word), steps))
+
+
+def test_warm_anbn_drains_take_one_loop_call_each(loop_exits):
+    """Warm, each of the four drains of a^400 b^400 is one loop call that
+    jumps to the cycle that leaves it (17 calls when every loop stopped at
+    the reduction bound), and the run is as before."""
+    machine = anbn_machine()
+    net = two_stack_to_net(machine)
+    word = "a" * 400 + "b" * 400
+    budget = two_stack_budget(len(word), machine.execute(word, 10_000)[1])
+    first = run(net, word, budget)
+    loop_exits.clear()
+    assert run(net, word, budget) == first == network.RunResult(Verdict.ACCEPT, 12_024)
+    assert loop_exits == [(2786, "miss"), (2785, "miss"), (2786, "miss"), (2787, "miss")]
 
 
 @functools.cache
@@ -1418,6 +1480,128 @@ def test_anbn_cycles_are_separable_with_positive_ratios():
         for form, _ in tests:
             [j] = [j for j in range(m) if form[j]]
             assert [i for i in range(m) if nx[j][i]] == [j] and nx[j][j] > 0, (nx, form)
+
+
+def test_every_composed_cycle_met_jumps():
+    """Every cycle fused on the a^n b^n net, the copy machine and the
+    horizon-64 ``oracle_net`` is separable, so its loop jumps."""
+    for label, cycles in composed_cycles().items():
+        for cycle, _ in cycles:
+            assert network._jump(*network._compose(cycle), lambda ts: "0") is not None, label
+
+
+def jump_through(nx, scale, tests, size, xs, den, left):
+    """``_fuse``'s loop over the composed map ``(nx, scale, tests)``, for a
+    cycle of ``size`` plans that pass their registers through and never
+    return their key: the loop goes round the map and, where a test fails,
+    returns the registers it reached.  Returns the whole cycles it went
+    round and the values reached, as ``Fraction``s."""
+    m = len(xs)
+    rows = tuple((j, j, 1, 0, True, ()) for j in range(m))
+    cycle = [_Plan(None, (rows, (), 1), ()) for _ in range(size)]
+    for plan in cycle:
+        plan.key = 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_compose", lambda _: (nx, scale, tests))
+        loop = network._fuse(cycle)
+    n, k, code, ys, top = loop(list(xs), den, left, 0)
+    missed = code != 0  # on the first tick of the cycle that fails
+    assert (k, code) == ((0, sum(2 << 2 * j for j in range(m))) if missed else (size - 1, 0))
+    assert (n - missed) % size == 0
+    return (n - missed) // size, [Fraction(y, top) for y in ys]
+
+
+def iterate_map(nx, scale, tests, xs, den, cap):
+    """The whole cycles, at most ``cap``, for which the tests hold when the
+    map is iterated from ``xs`` over ``den``, and the values reached."""
+    k = 0
+    while k < cap and all(holds(test, xs, den) for test in tests):
+        xs, den, k = [value(f, xs, den) for f in nx], scale * den, k + 1
+    return k, [Fraction(x, den) for x in xs]
+
+
+@st.composite
+def separable_maps(draw):
+    """A separable composed map, a start state and ``left``: each of 1-3
+    registers maps to ``a*x + b*den`` over ``scale*den``, with ``a/scale``
+    below, at or above 1, and one register more may read one of them.  Each
+    register gets up to two one-register tests, each a lower or an upper
+    bound, strict or not, on ``x / den``: one drawn around the start value,
+    or one exactly at the value the register reaches after some cycles,
+    so that the loop stops on that cycle or the next."""
+    s, m, extra = draw(st.integers(1, 9)), draw(st.integers(1, 3)), draw(st.booleans())
+    den = draw(st.integers(2, 1 << 40))
+    xs = [draw(st.integers(1, den - 1)) for _ in range(m + extra)]
+    nx, tests = [], []
+    for j in range(m + extra):
+        a = draw(st.sampled_from([s, draw(st.integers(1, 3 * s))]))
+        form = [0] * (m + extra + 1)
+        form[draw(st.integers(0, m - 1)) if j == m else j] = a
+        form[-1] = b = draw(st.integers(-3 * s, 3 * s))
+        nx.append(tuple(form))
+        for _ in range(0 if j == m else draw(st.integers(0, 2))):
+            start = y = Fraction(xs[j], den)
+            if draw(st.booleans()):  # where the register is after some cycles
+                for _ in range(draw(st.integers(1, 40))):
+                    y = (a * y + b) / s
+            else:
+                y += Fraction(draw(st.integers(-64, 64)), draw(st.integers(1, 64)))
+            form = [0] * (m + extra + 1)
+            # y > start: x < y*den (or <=); else x > y*den (or >=)
+            form[j], form[-1] = (-y.denominator, y.numerator) if y > start else (
+                y.denominator, -y.numerator)
+            strict = draw(st.booleans())
+            tests.append((tuple(v if strict else -v for v in form), strict))
+    size = draw(st.integers(1, 3))
+    left = size * draw(st.integers(1, 60)) + draw(st.integers(0, size - 1))
+    return tuple(nx), s, tuple(tests), size, xs, den, left
+
+
+@settings(max_examples=400, deadline=None)
+@given(separable_maps())
+def test_jumps_pass_the_cycles_that_iterating_the_map_passes(case):
+    """Over random separable maps, with tests on both sides of each
+    register, strict and not: the loop goes round exactly the whole cycles,
+    at most ``left // size``, for which iterating the map passes every
+    test, and reaches the values that iterating reaches."""
+    nx, scale, tests, size, xs, den, left = case
+    assert network._jump(nx, scale, tests, lambda ts: "0") is not None
+    reference = iterate_map(nx, scale, tests, xs, den, left // size)
+    assert jump_through(nx, scale, tests, size, xs, den, left) == reference
+
+
+def test_jumps_stop_on_the_cycle_a_test_fails_or_at_the_cap():
+    """From just above 1/2, ``x -> 16x - 4`` over 8 doubles its distance
+    from 1/2 a cycle; an upper bound that it meets exactly after 30 cycles
+    stops a strict test there and a non-strict one a cycle later, unless
+    ``left`` stops both first.  ``x -> 3x - 1`` over 2 takes the distance
+    from 1 up by 3/2 a cycle, which no power of two is, 680 times before a
+    bound met exactly.  ``x -> 8x + 1`` over 8 climbs by 1/8 a cycle, past
+    1 on the fourth; ``x -> x + 1`` over 8 falls toward 1/7, past 1/5 on
+    the first cycle and never past 1/7."""
+
+    def bound_after(cycles, a, b, scale, x, den, strict):
+        y = Fraction(x, den)
+        for _ in range(cycles):
+            y = (a * y + b) / scale
+        form = (-y.denominator, y.numerator) if y > Fraction(x, den) else (
+            y.denominator, -y.numerator)
+        return (form if strict else tuple(-v for v in form)), strict
+
+    half = ((1 << 40) + 1, 1 << 41)
+    cases = []
+    for strict in (True, False):
+        test = bound_after(30, 16, -4, 8, *half, strict)
+        for left, ends in ((100, 30 + (not strict)), (30, 30), (29, 29)):
+            cases.append(((16, -4), 8, test, half, left, ends))
+    near = ((1 << 400) - 1, 1 << 400)
+    cases += [((3, -1), 2, bound_after(680, 3, -1, 2, *near, True), near, 999, 680),
+              ((8, 1), 8, ((-1, 1), True), half, 99, 4), ((1, 1), 8, ((5, -1), True), half, 99, 1),
+              ((1, 1), 8, ((7, -1), True), half, 99, 99)]
+    for nx, scale, test, (x, den), left, ends in cases:
+        for size in (1, 7):
+            k, ys = jump_through((nx,), scale, (test,), size, [x], den, left * size)
+            assert (k, ys) == iterate_map((nx,), scale, (test,), [x], den, left) and k == ends
 
 
 def dense_step(net, state, inputs, validation, budget):
@@ -1646,6 +1830,23 @@ def test_run_budget_too_small():
     net = dfa_to_net(parity_dfa())
     with pytest.raises(ConfigError):
         run(net, "ab", 2)
+
+
+def test_run_names_a_symbol_it_cannot_show():
+    """A symbol outside the net's input symbols, or any symbol on a net
+    that declares none, is refused with the ``ConfigError`` of
+    ``line_for_symbol``, on a cold net and on one that has run."""
+    net = dfa_to_net(parity_dfa())
+    bare = Network(1, 1, out_data=0, out_valid=0)
+    for _ in range(2):
+        with pytest.raises(ConfigError) as info:
+            run(net, "abca", 32)
+        assert str(info.value) == "symbol 'c' not among input symbols ('a', 'b')"
+        with pytest.raises(ConfigError) as info:
+            run(bare, "a", 8)
+        assert str(info.value) == "network declares no input symbols"
+        assert run(net, "ab", 32).verdict == Verdict.REJECT
+        assert run(bare, "", 8).verdict == Verdict.TIMEOUT
 
 
 def test_run_timeout():
