@@ -282,10 +282,10 @@ class _CompiledNet:
     item, the input bits and the validation bit, to how often that tick
     was met; at its ``_SIGHTINGS``-th sighting the count becomes a plan
     (see ``_plan``), and each plan links the outcomes of its rows to the
-    nodes they write (see ``_link``); a cycle of blank plans becomes one
-    ``_Loop`` (see ``_close``).  ``interned`` holds the generated
-    replay function of each plan shape ``(rows, scaled, scale)``, which
-    many plans share.  The net is read-only, so a plan or a link never
+    nodes they write (see ``_link``); a cycle of plans for one feed item
+    becomes one ``_Loop`` (see ``_close``).  ``interned`` holds the
+    generated replay function of each plan shape ``(rows, scaled,
+    scale)``, which many plans share.  The net is read-only, so a plan or a link never
     goes stale; nodes, links, loops and functions are emptied together
     when the map reaches ``_TICK_PLAN_CAP`` nodes.
 
@@ -807,12 +807,13 @@ def _fuse(cycle: Sequence["_Plan"]):
     was exact, and else the loop goes round again.
 
     The loop takes whole cycles only, at most ``left`` ticks (at least
-    ``len(cycle)``).  It returns ``(ticks, k, code, xs, top)``, k the
-    position in ``cycle`` of the last plan ticked, on a guard miss, when one
-    more cycle would take more than ``left`` ticks, or, on a cycle that does
-    not jump, once ``top`` reaches ``bound``, so that the caller divides out
-    the gcd.  Every value goes through ``_lit`` before the source is handed
-    to ``exec``.
+    ``len(cycle)``), the ticks left in the run of the cycle's feed item.
+    It returns ``(ticks, k, code, xs, top)``, k the position in ``cycle``
+    of the last plan ticked, on a guard miss, when one more cycle would
+    take more than ``left`` ticks, or, on a cycle that does not jump, once
+    ``top`` reaches ``bound``, so that the caller divides out the gcd.
+    Every value goes through ``_lit`` before the source is handed to
+    ``exec``.
     """
     size, last = len(cycle), _lit(cycle[-1].key)
     nx, scale, tests = _compose(cycle)
@@ -1007,15 +1008,15 @@ class _Plan(_Map):
 
 
 class _Loop(_Plan):
-    """The plan at the head of a hot blank cycle (see ``_close``), in its
-    place in its node: the same ``tick``, ``shape``, ``tops`` and links,
-    plus ``rest``, the cycle's other plans in order, and ``run``, the
-    ``_fuse`` of the whole cycle, whose plan ``k`` is the loop itself for
-    0 and ``rest[k - 1]`` after that.  ``run`` goes round the cycle as its
-    ``_compose``, one affine map under tests on the cycle's start
-    registers, jumps over the cycles that pass when that map is separable
-    (see ``_jump``), and ticks plan by plan only through the cycle it
-    leaves."""
+    """The plan at the head of a hot cycle of plans for one feed item (see
+    ``_close``), in its place in its node: the same ``tick``, ``shape``,
+    ``tops`` and links, plus ``rest``, the cycle's other plans in order,
+    and ``run``, the ``_fuse`` of the whole cycle, whose plan ``k`` is the
+    loop itself for 0 and ``rest[k - 1]`` after that.  ``run`` goes round
+    the cycle as its ``_compose``, one affine map under tests on the
+    cycle's start registers, jumps over the cycles that pass when that map
+    is separable (see ``_jump``), and ticks plan by plan only through the
+    cycle it leaves."""
 
     __slots__ = ("rest", "run")
 
@@ -1043,12 +1044,13 @@ def _node(cn: _CompiledNet, units: tuple[int, ...], fracs: tuple[int, ...]) -> _
     return node
 
 
-def _link(cn: _CompiledNet, plan: _Plan, code: int) -> _Node:
-    """The node that ``plan`` writes when its ``tick`` returns ``code``,
-    linked in ``plan`` on first use: its rows at 1, then ``tops``, are the
-    next ``units``, and its fractional rows, then ``scaled``, the next
-    ``fracs``, the order in which ``tick`` writes their numerators.  A
-    plan's first link may close a cycle of blank plans (see ``_close``)."""
+def _link(cn: _CompiledNet, plan: _Plan, code: int, item: tuple) -> _Node:
+    """The node that ``plan``, the plan for feed item ``item``, writes when
+    its ``tick`` returns ``code``, linked in ``plan`` on first use: its rows
+    at 1, then ``tops``, are the next ``units``, and its fractional rows,
+    then ``scaled``, the next ``fracs``, the order in which ``tick`` writes
+    their numerators.  A plan's first link may close a cycle of plans for
+    ``item`` (see ``_close``)."""
     node = plan.get(code)
     if node is None:
         rows, scaled, _ = plan.shape
@@ -1063,32 +1065,32 @@ def _link(cn: _CompiledNet, plan: _Plan, code: int) -> _Node:
         first = plan.key is None
         plan.put(code, node)
         if first:
-            _close(cn, node)
+            _close(cn, node, item)
     return node
 
 
-def _close(cn: _CompiledNet, start: _Node) -> None:
-    """Fuse the blank cycle through ``start``, if the first link just made
-    to it closed one.
+def _close(cn: _CompiledNet, start: _Node, item: tuple) -> None:
+    """Fuse the cycle of plans for feed item ``item`` through ``start``, if
+    the first link just made to it closed one.
 
-    From ``start``, follow each node's plan for the blank item to the node
-    that plan linked first.  When that path comes back to ``start`` with
-    every plan built and no node that ``stops``, it is a hot cycle: once
-    the word has been shown, the net goes round it for as long as each tick
+    From ``start``, follow each node's plan for ``item`` to the node that
+    plan linked first.  When that path comes back to ``start`` with every
+    plan built and no node that ``stops``, it is a hot cycle: for as long as
+    the feed repeats ``item``, the net goes round it while each tick
     returns its plan's first code, and a ``_Loop`` takes the place of
     ``start``'s plan.  Every cycle closes on a first link, so each is fused
     once; a path into another cycle meets its ``_Loop`` or a node that
     stops, and no path is followed further than there are nodes.
     """
-    blank, node, cycle = cn.blank, start, []
+    node, cycle = start, []
     while len(cycle) < len(cn.tick_plans):
-        plan = node.get(blank)
+        plan = node.get(item)
         if plan.__class__ is not _Plan or node.stops:  # a built plan is linked
             return
         cycle.append(plan)
         node = plan.value
         if node is start:
-            start.put(blank, _Loop(cycle[0], tuple(cycle[1:])))
+            start.put(item, _Loop(cycle[0], tuple(cycle[1:])))
             return
 
 
@@ -1117,16 +1119,19 @@ def _ticks(
     and follow the link of the ``code`` it returns, so a replay builds no
     tuple and hashes no signature.
 
-    Once ``shown`` is over, a ``_Loop`` met in place of a plan (see
-    ``_close``) runs whole cycles in one call of its ``run``, if the blank
-    ticks left hold one, and the kernel goes on from the plan and code it
-    returns; else it ticks as the plan it is.  The call goes round the
-    cycle's composed map (see ``_compose`` and ``_fuse``), which writes the
-    values that ticking its plans one by one writes; on a separable cycle
-    it jumps, writing the values after many cycles in one closed form (see
-    ``_jump``), and the cycle that leaves it ticks plan by plan.  No node
-    inside a cycle stops, so a run takes the ticks it would take tick by
-    tick.
+    A ``_Loop`` met in place of a plan (see ``_close``) runs whole cycles
+    in one call of its ``run`` over the ticks left in the run of its item:
+    to the end of the feed in the blank tail, and in ``shown`` to the end
+    of the run of that same item object, found by a scan made only when a
+    loop is met.  It is entered only when that run holds 3 whole cycles,
+    and the kernel goes on from the plan and code it returns; else it ticks
+    as the plan it is, since a call costs more than the few ticks it
+    would save.  The call goes round the cycle's composed map (see
+    ``_compose`` and ``_fuse``), which writes the values that ticking its
+    plans one by one writes; on a separable cycle it jumps, writing the
+    values after many cycles in one closed form (see ``_jump``), and the
+    cycle that leaves it ticks plan by plan.  No node inside a cycle
+    stops, so a run takes the ticks it would take tick by tick.
 
     The denominator is not reduced on every tick: the gcd is divided out
     only once it reaches ``limit`` bits, that is once it is at least
@@ -1146,7 +1151,8 @@ def _ticks(
     bound = 1 << limit >> 1  # 0 for a limit of 0, which forces a reduction
     node = _node(cn, state.units, state.fracs)
     d, last, Plan = cn.d, _SIGHTINGS - 1, _Plan
-    end = len(shown) + blanks
+    last_shown = len(shown)
+    end = last_shown + blanks
     items = chain(shown, repeat(cn.blank, blanks))
     t = 0
     for item in items:
@@ -1154,7 +1160,7 @@ def _ticks(
         plan = node.value if node.key is item else node.get(item, 0)
         if plan.__class__ is Plan:
             code, xs, top = plan.tick(xs, den)
-            node = plan.value if plan.key == code else _link(cn, plan, code)
+            node = plan.value if plan.key == code else _link(cn, plan, code, item)
         elif plan.__class__ is int:  # the sightings before the plan is built
             fixed = _unit_sums(cn, node.units, *item)
             if plan < last:
@@ -1166,17 +1172,23 @@ def _ticks(
                 plan = _plan(cn, fixed, node.fracs)
                 node.put(item, plan)
                 code, xs, top = plan.tick(xs, den)
-                node = _link(cn, plan, code)
+                node = _link(cn, plan, code, item)
         else:  # a _Loop
-            if t > len(shown) and end - t >= len(plan.rest):
-                n, k, code, xs, top = plan.run(xs, den, end - t + 1, bound)
-                next(islice(items, n - 1, n - 1), None)  # the blank items it took
+            left = end - t + 1  # the ticks left in this item's run
+            if t <= last_shown:  # in shown, up to the next other item
+                stop = t
+                while stop < last_shown and shown[stop] is item:
+                    stop += 1
+                left = stop - t + 1
+            if left >= 3 * (len(plan.rest) + 1):
+                n, k, code, xs, top = plan.run(xs, den, left, bound)
+                next(islice(items, n - 1, n - 1), None)  # the items it took
                 t += n - 1
                 if k:
                     plan = plan.rest[k - 1]
             else:
                 code, xs, top = plan.tick(xs, den)
-            node = plan.value if plan.key == code else _link(cn, plan, code)
+            node = plan.value if plan.key == code else _link(cn, plan, code, item)
         if top >= bound:
             g = gcd(top, *xs)
             if g > 1:

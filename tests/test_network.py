@@ -1064,7 +1064,8 @@ def test_pruned_plans_match_fractions_on_compiled_words():
 
 
 def fused_loops(cn):
-    """The ``_Loop`` of each hot blank cycle fused on ``cn``."""
+    """The ``_Loop`` of each hot cycle fused on ``cn``, under the blank
+    item or an input symbol's."""
     return [
         entry
         for node in cn.tick_plans.values()
@@ -1287,9 +1288,11 @@ def test_fused_loops_jump_on_random_machines(machine, word):
 
 
 def test_warm_anbn_drains_take_one_loop_call_each(loop_exits):
-    """Warm, each of the four drains of a^400 b^400 is one loop call that
-    jumps to the cycle that leaves it (17 calls when every loop stopped at
-    the reduction bound), and the run is as before."""
+    """Warm, each input run of a^400 b^400 is one loop call that jumps to
+    the run's end (its first ``a`` enters the cycle's signature from the
+    zero state, so 399 and 400 ticks), and each of its four drains is one
+    loop call that jumps to the cycle that leaves it (17 calls when every
+    loop stopped at the reduction bound); the run is as before."""
     machine = anbn_machine()
     net = two_stack_to_net(machine)
     word = "a" * 400 + "b" * 400
@@ -1297,7 +1300,100 @@ def test_warm_anbn_drains_take_one_loop_call_each(loop_exits):
     first = run(net, word, budget)
     loop_exits.clear()
     assert run(net, word, budget) == first == network.RunResult(Verdict.ACCEPT, 12_024)
-    assert loop_exits == [(2786, "miss"), (2785, "miss"), (2786, "miss"), (2787, "miss")]
+    assert loop_exits == [(399, "end"), (400, "end"),
+                          (2786, "miss"), (2785, "miss"), (2786, "miss"), (2787, "miss")]
+
+
+def shown_loops(cn):
+    """The ``_Loop`` of each hot cycle fused on ``cn`` under an input
+    symbol's feed item."""
+    items = list(cn.shown.values())
+    return [
+        entry
+        for node in cn.tick_plans.values()
+        for item, entry in entries(node)
+        if isinstance(entry, network._Loop) and item in items
+    ]
+
+
+@pytest.mark.parametrize("machine, runs", [
+    (anbn_machine(), (30, 1, 30)),
+    (copy_machine(), (40, 1, 3, 2, 17, 1, 1, 4)),
+])
+def test_loops_under_input_symbols_stop_at_the_end_of_their_run(loop_exits, machine, runs):
+    """Warm, each input run of one letter, a^30 b a^30 on the a^n b^n net
+    and runs of 1-40 letters on the copy machine, is one call of the loop
+    fused under that letter's feed item when it holds 3 whole cycles of
+    it: the call takes the run to its end, where the other letter stops
+    it, and no further; the first letter enters the cycle's signature from
+    the zero state, so its run takes one tick less.  ``run`` still reaches
+    what ``_fast_step`` reaches tick by tick."""
+    net = two_stack_to_net(machine)
+    word = "".join("ab"[i % 2] * k for i, k in enumerate(runs))
+    budget = two_stack_budget(len(word), machine.execute(word, 10_000)[1])
+    for _ in range(3):  # each letter that runs long enough is met 8 times
+        run_matches_fast_step(net, word, budget)
+    assert shown_loops(_compiled(net))
+    loop_exits.clear()
+    run_matches_fast_step(net, word, budget)
+    inputs = [(k - (i == 0), "end") for i, k in enumerate(runs) if k - (i == 0) >= 3]
+    assert loop_exits[:len(inputs)] == inputs
+
+
+@st.composite
+def letter_runs(draw):
+    """A word of 1 to 4 runs of one letter, each of 1 to 40 letters."""
+    runs = draw(st.lists(st.tuples(st.sampled_from("ab"), st.integers(1, 40)), min_size=1,
+                         max_size=4))
+    return "".join(ch * k for ch, k in runs)
+
+
+@functools.cache
+def warm_copy_net():
+    """The copy machine's net, with the loops under both letters fused."""
+    net = two_stack_to_net(copy_machine())
+    for _ in range(2):
+        run(net, "a" * 12 + "b" * 12, 10_000)
+    assert len(shown_loops(_compiled(net))) == 2
+    return net
+
+
+@settings(max_examples=15, deadline=None)
+@given(letter_runs())
+def test_loops_under_input_symbols_match_fast_step_on_copy_words(word):
+    """On the warm copy machine net, words of runs of 1-40 letters go round
+    the loops under each letter for as long as their runs, and ``run``
+    reaches what ``_fast_step`` reaches tick by tick."""
+    steps = copy_machine().execute(word, 10_000)[1]
+    run_matches_fast_step(warm_copy_net(), word, two_stack_budget(len(word), steps))
+
+
+def test_fast_step_ticks_once_where_a_loop_is_met():
+    """``_fast_step`` feeds one item, so where its state's node holds a
+    fused loop for that item, under an input symbol on the a^n b^n net or
+    under a blank-valued item on a net whose blank cycle is one plan, it
+    still takes exactly one tick, the one the Fraction equation gives."""
+    anbn = two_stack_to_net(anbn_machine())
+    run(anbn, "a" * 20, 21)  # the loop under a is fused
+    turn = Network(
+        2, 1, state_weights={(0, 0): ExactScalar.rational(-2, 3)},
+        input_weights={(0, 0): ExactScalar.rational(1, 2)}, biases={0: ExactScalar.integer(1)},
+        activations=("sat", "sig"), out_data=0, out_valid=1, input_symbols=("a",),
+    )
+    run(turn, "a", 40)  # the loop under the blank item is fused
+    # from the zero state, a's first tick and the blank item's first two
+    # reach the cycle's signature
+    for net, item, lead in ((anbn, ((1, 0), 1), 1), (turn, ((0,), 0), 2)):
+        cn, state, met = _compiled(net), [0] * net.n_neurons, 0
+        for _ in range(lead):
+            state = _fast_step(cn, state, *item)
+        for _ in range(12):
+            node = cn.tick_plans[state.units, state.fracs]
+            met += isinstance(node.get(item), network._Loop)
+            expected = fraction_tick(net, list(state), *item)
+            state = _fast_step(cn, state, *item)
+            assert list(state) == expected
+        assert met == 12
 
 
 @functools.cache
@@ -1305,7 +1401,10 @@ def composed_cycles():
     """Each cycle fused on the a^n b^n net, the copy machine and the
     horizon-64 ``oracle_net``, by net, each with the ``(xs, den)`` that
     each round of its loop calls started from: ticked on from each call's
-    start, round after round, up to the round that leaves the cycle."""
+    start, round after round, up to the round that leaves the cycle or the
+    last whole round within the call's ``left`` ticks, since a cycle under
+    an input symbol may have no tests and never leave.  A cycle no call
+    entered has no starts."""
     anbn, copy = anbn_machine(), copy_machine()
     words = {
         anbn: ["a" * n + "b" * n for n in (20, 12, 21, 16)] + ["a" * 21 + "b" * 20],
@@ -1329,7 +1428,7 @@ def composed_cycles():
         found[label].append((tuple(cycle), starts))
 
         def call(xs, den, left, bound):
-            starts.append((tuple(xs), den))
+            starts.append((tuple(xs), den, left))
             return loop(xs, den, left, bound)
 
         return call
@@ -1342,12 +1441,13 @@ def composed_cycles():
                 run(net, word, budget)
     for cycles in found.values():
         for cycle, starts in cycles:
-            for xs, den in starts[:]:
-                went_round = True
-                while went_round:
-                    went_round, xs, den = tick_through(cycle, xs, den)
+            calls, starts[:] = starts[:], []
+            for xs, den, left in calls:
+                for _ in range(left // len(cycle)):
                     starts.append((tuple(xs), den))
-                starts.pop()
+                    went_round, xs, den = tick_through(cycle, xs, den)
+                    if not went_round:
+                        break
     return found
 
 
@@ -1424,7 +1524,7 @@ def test_composed_cycles_hoist_exactly_the_tests_their_ticks_make(data):
     round the cycle, or drawn anew: the hoisted tests hold exactly when
     the cycle's ticks return their keys, and the map then writes what
     they write."""
-    cycles = [entry for cycles in composed_cycles().values() for entry in cycles]
+    cycles = [entry for cycles in composed_cycles().values() for entry in cycles if entry[1]]
     cycle, starts = data.draw(st.sampled_from(cycles))
     xs, den = data.draw(st.sampled_from(starts))
     factor = data.draw(st.integers(1, 3))
@@ -1467,14 +1567,20 @@ def test_anbn_cycles_are_separable_with_positive_ratios():
     one at a time: each test reads exactly one register, and the map
     writes that register from itself alone, with a positive ratio, and
     den.  So the registers a cycle tests follow ``x -> r*x + c*den``, with
-    ``r > 0``, on their own; and each cycle has 3 or 4 tests and a
-    4-entry map; each test is divided by the gcd of its coefficients,
-    and no two are equal."""
+    ``r > 0``, on their own; each of the 4 blank cycles, one ring cycle
+    of 7 ticks, has 3 or 4 tests and a 4-entry map; each test is divided
+    by the gcd of its coefficients, and no two are equal.  The 2 cycles
+    under the input symbols are one tick each, a push onto the input
+    buffer: 1 register, no tests, ratio 1/16."""
     cycles = composed_cycles()["anbn"]
-    assert len(cycles) == 4
+    assert sorted(len(cycle) for cycle, _ in cycles) == [1, 1, 7, 7, 7, 7]
     for cycle, _ in cycles:
-        nx, _, tests = network._compose(cycle)
+        nx, scale, tests = network._compose(cycle)
         m = len(nx)
+        if len(cycle) == 1:
+            [(ratio, _)] = nx
+            assert (m, tests, Fraction(ratio, scale)) == (1, (), Fraction(1, 16)), nx
+            continue
         assert m == 4 and 3 <= len(tests) <= 4, tests
         assert len(set(tests)) == len(tests) and all(gcd(*form) == 1 for form, _ in tests)
         for form, _ in tests:
