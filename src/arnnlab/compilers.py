@@ -262,37 +262,35 @@ class TwoStackMachine:
                     raise ConstructionError(
                         f"nondeterministic machine: rules {a} and {b} overlap"
                     )
-
-    def _applicable(
-        self, state: str, word: str, pos: int, s1: list[int], s2: list[int]
-    ) -> Optional[Rule]:
+        # the rules of each state and read, in order: not a field, so the
+        # machine's equality, hash and repr stay those of its fields
+        guards: dict[str, dict[Optional[str], list[Rule]]] = {q: {} for q in self.states}
         for rule in self.rules:
-            if rule.state != state:
-                continue
-            if rule.read is None:
-                if pos != len(word):
-                    continue
-            else:
-                if pos >= len(word) or word[pos] != rule.read:
-                    continue
-            if rule.pop1 is not None and (not s1 or s1[-1] != rule.pop1):
-                continue
-            if rule.pop2 is not None and (not s2 or s2[-1] != rule.pop2):
-                continue
-            return rule
-        return None
+            guards[rule.state].setdefault(rule.read, []).append(rule)
+        object.__setattr__(self, "_guards", guards)
 
     def execute(self, word: str, max_steps: int) -> tuple[Optional[bool], int]:
-        """Direct simulation: (verdict, steps); verdict None = still running."""
+        """Direct simulation: (verdict, steps); verdict None = still running.
+        Each step takes the first rule, of those of its state and read,
+        whose pops match the stack tops."""
         self.alphabet.check(word)
+        guards, end = self._guards, len(word)
         state, pos = self.start, 0
         s1: list[int] = []
         s2: list[int] = []
         for step_count in range(max_steps):
-            rule = self._applicable(state, word, pos, s1, s2)
-            if rule is None:
-                accepted = state in self.accepting and pos == len(word)
-                return accepted, step_count
+            try:
+                rules = guards[state][word[pos] if pos < end else None]
+            except KeyError:
+                rules = ()
+            for rule in rules:
+                if rule.pop1 is not None and (not s1 or s1[-1] != rule.pop1):
+                    continue
+                if rule.pop2 is not None and (not s2 or s2[-1] != rule.pop2):
+                    continue
+                break
+            else:
+                return state in self.accepting and pos == end, step_count
             if rule.read is not None:
                 pos += 1
             if rule.pop1 is not None:

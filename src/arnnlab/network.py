@@ -18,7 +18,7 @@ from collections import Counter
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, groupby, repeat
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Optional, Sequence, Union
@@ -282,12 +282,16 @@ class _CompiledNet:
     item, the input bits and the validation bit, to how often that tick
     was met; at its ``_SIGHTINGS``-th sighting the count becomes a plan
     (see ``_plan``), and each plan links the outcomes of its rows to the
-    nodes they write (see ``_link``); a cycle of plans for one feed item
-    becomes one ``_Loop`` (see ``_close``).  ``interned`` holds the
+    nodes they write (see ``_link``).  A cycle of plans for one feed item
+    becomes one ``_Loop`` (see ``_close``), and a straight path of plans
+    for one feed item one ``_Chain`` (see ``_chain``); each is its head
+    plan, re-classed in place, with one generated function for the whole
+    path.  ``chained`` maps each other plan of a chain to its head, and
+    each plan that starts no chain to None.  ``interned`` holds the
     generated replay function of each plan shape ``(rows, scaled,
-    scale)``, which many plans share.  The net is read-only, so a plan or a link never
-    goes stale; nodes, links, loops and functions are emptied together
-    when the map reaches ``_TICK_PLAN_CAP`` nodes.
+    scale)``, which many plans share.  The net is read-only, so a plan or
+    a link never goes stale; nodes, links, chains, loops and functions are
+    emptied together when the map reaches ``_TICK_PLAN_CAP`` nodes.
 
     ``out_valid`` is the net's output validation neuron, the one ``_ticks``
     watches; each node records whether it is positive there.  ``shown``
@@ -350,6 +354,7 @@ class _CompiledNet:
         self.blank = ((0,) * m, 0)
         self.tick_plans: dict[tuple, _Node] = {}
         self.interned: dict[tuple, tuple] = {}
+        self.chained: dict[_Plan, Optional[_Plan]] = {}
 
 #: Nodes at which a net's tick plans are emptied whole; in one cycle of
 #: the benchmark's workloads, no net meets more than 776 distinct signatures.
@@ -700,19 +705,20 @@ def _products(sums: list, top: tuple):
     return sides, total, lines
 
 
-def _compose(cycle: Sequence["_Plan"]) -> tuple[tuple, int, tuple]:
-    """``cycle``, plans that each tick as their first ``key`` says, as one
+def _compose(path: Sequence["_Plan"], m: Optional[int] = None) -> tuple[tuple, int, tuple]:
+    """``path``, plans that each tick as their first ``key`` says, as one
     affine map over the numerators it starts from, with the tests under
     which it does: ``(nx, scale, tests)``.
 
-    The cycle starts from registers ``x_0, ..., x_{m-1}`` over ``den``, the
-    ``m`` numerators its last plan writes, and a form is a tuple of ``m +
-    1`` integer coefficients over ``(x_0, ..., x_{m-1}, den)``.  Each
-    plan's rows are read from its interned ``shape`` under its ``key``,
-    with the numerators of the ticks before it written out as forms: a pop
-    ``x -> B*x - v`` and a push ``x -> (x + v)/B`` are both affine, so
-    every sum is a form.  ``nx`` holds the form of each numerator the last
-    plan writes, and the cycle's ``top`` is ``scale * den``, ``scale`` the
+    The path starts from registers ``x_0, ..., x_{m-1}`` over ``den``: the
+    ``m`` numerators of its first node's ``fracs``, by default those its
+    last plan writes, as on a cycle.  A form is a tuple of ``m + 1``
+    integer coefficients over ``(x_0, ..., x_{m-1}, den)``.  Each plan's
+    rows are read from its interned ``shape`` under its ``key``, with the
+    numerators of the ticks before it written out as forms: a pop ``x ->
+    B*x - v`` and a push ``x -> (x + v)/B`` are both affine, so every sum
+    is a form.  ``nx`` holds the form of each numerator the last plan
+    writes, and the path's ``top`` is ``scale * den``, ``scale`` the
     product of the plans' scales.
 
     ``tests`` holds ``(form, up)`` pairs, each asking ``form > 0`` when
@@ -722,24 +728,29 @@ def _compose(cycle: Sequence["_Plan"]) -> tuple[tuple, int, tuple]:
     its coefficients and kept once.  A test that reads one register bounds
     ``x / den`` by a rational from below or from above; it is kept only
     when ``0 < x < den`` does not imply it, and only the tightest bound on
-    each side of each register stays.  A start state of the cycle's
+    each side of each register stays.  A start state of the path's
     signature has ``0 < x < den``, and so has the state after each tick
     that returns its plan's key, so every test holds exactly when ticking
-    the plans one by one returns each one's ``key``, and then the cycle
+    the plans one by one returns each one's ``key``, and then the path
     writes ``nx`` over ``scale * den``.  Every value read from a shape goes
     through ``_lit`` first.
     """
-    rows, scaled, _ = cycle[-1].shape
-    code = _lit(cycle[-1].key)
-    m = sum(1 for k in range(len(rows)) if code >> 2 * k & 2) + len(scaled)
+    if m is None:
+        rows, scaled, _ = path[-1].shape
+        code = _lit(path[-1].key)
+        m = sum(1 for k in range(len(rows)) if code >> 2 * k & 2) + len(scaled)
     xs = [tuple(int(i == j) for i in range(m + 1)) for j in range(m)]
     den = tuple(int(i == m) for i in range(m + 1))
 
-    def form(terms) -> tuple:  # the sum of c * f over the (c, f) of terms
-        return tuple(map(sum, zip(*[[c * v for v in f] for c, f in terms])))
+    def form(terms) -> tuple:  # the sum of c * f over the (c, f) of terms, in one list
+        out = [0] * (m + 1)
+        for c, f in terms:
+            for i, v in enumerate(f):
+                out[i] += c * v
+        return tuple(out)
 
     tests = []
-    for plan in cycle:
+    for plan in path:
         (rows, scaled, scale), code = plan.shape, _lit(plan.key)
         top, nx = form([(_lit(scale), den)]), []
         for k, row in enumerate(rows):
@@ -783,41 +794,48 @@ def _compose(cycle: Sequence["_Plan"]) -> tuple[tuple, int, tuple]:
     return tuple(xs), _lit(den[m]), tuple(test for test, keep in kept.items() if keep)
 
 
-def _fuse(cycle: Sequence["_Plan"]):
-    """The ticks of ``cycle``, plans that each link their first code to the
-    next one's node and the last to the first's, as one function
-    ``loop(xs, den, left, bound)`` that goes round them in a ``while`` loop.
+def _fuse(path: Sequence["_Plan"], m: Optional[int] = None, closes: bool = True):
+    """The ticks of ``path``, plans that each link their first code to the
+    next one's node, as one function ``run(xs, den, left, bound)`` that
+    evaluates the path's ``_compose`` from ``m`` start registers (see
+    there): it loads the registers the map and the tests read, and when
+    every test holds it writes the map's numerators over ``top = scale *
+    den``, each distinct form once, for all ``len(path)`` ticks at once.
+    A product read more than once is computed once, as in ``_gen``.  It
+    returns ``(ticks, k, code, xs, top)``, k the position in ``path`` of
+    the last plan ticked and ``code`` what that plan returned.
 
-    Each iteration starts with the cycle's ``_compose``: it loads the
-    registers the map and the tests read, and when every test holds it
-    writes the map's numerators over ``top = scale * den``, each distinct
-    form once, for all ``len(cycle)`` ticks at once.  When some test fails,
+    A *chain* (``closes`` False) is a straight path that ends where the
+    last plan's node leads elsewhere: ``run`` makes its ``len(path)``
+    ticks, or, when some test fails, only the first plan's own ``tick``,
+    so ``_ticks`` goes on plan by plan from there.
+
+    A *loop* (``closes`` True, and ``m`` then the count the last plan
+    writes) is a path whose last plan links its first code to the first
+    one's node, and ``run`` goes round it in a ``while`` loop, whole
+    cycles only, at most ``left`` ticks (at least ``len(path)``), the
+    ticks left in the run of the cycle's feed item.  When some test fails,
     that one cycle ticks through the body ``_replay`` writes from each
     plan's interned shape, each followed by a guard that compares its
     ``code`` with the one the plan linked first, and so misses on the tick
-    on which ticking one plan at a time would.  A product read more than
-    once is computed once, as in ``_gen``.
+    on which ticking one plan at a time would.  When the map is separable
+    (see ``_jump``), every iteration after the first whose tests hold
+    first jumps: it estimates from bit lengths how many further cycles
+    pass, never more than do, writes the registers after that many cycles
+    in closed form, and then evaluates the map, so a jump of none is the
+    plain iteration.  The next iteration's tests check the cycle the jump
+    reached: they fail there when the estimate was exact, and else the
+    loop goes round again.  It returns on a guard miss, when one more
+    cycle would take more than ``left`` ticks, or, on a cycle that does
+    not jump, once ``top`` reaches ``bound``, so that the caller divides
+    out the gcd.
 
-    When the map is separable (see ``_jump``), every iteration after the
-    first whose tests hold first jumps: it estimates from bit lengths how
-    many further cycles pass, never more than do, writes the registers
-    after that many cycles in closed form, and then evaluates the map, so
-    a jump of none is the plain iteration.  The next iteration's tests
-    check the cycle the jump reached: they fail there when the estimate
-    was exact, and else the loop goes round again.
-
-    The loop takes whole cycles only, at most ``left`` ticks (at least
-    ``len(cycle)``), the ticks left in the run of the cycle's feed item.
-    It returns ``(ticks, k, code, xs, top)``, k the position in ``cycle``
-    of the last plan ticked, on a guard miss, when one more cycle would
-    take more than ``left`` ticks, or, on a cycle that does not jump, once
-    ``top`` reaches ``bound``, so that the caller divides out the gcd.
     Every value goes through ``_lit`` before the source is handed to
     ``exec``.
     """
-    size, last = len(cycle), _lit(cycle[-1].key)
-    nx, scale, tests = _compose(cycle)
-    m = len(nx)
+    size, last = len(path), _lit(path[-1].key)
+    nx, scale, tests = _compose(path, m)
+    m = len(nx) if m is None else m
 
     def terms(f: tuple) -> list:
         return [_term(_lit(v), f"x{j}" if j < m else "den") for j, v in enumerate(f) if v]
@@ -830,36 +848,46 @@ def _fuse(cycle: Sequence["_Plan"]):
         pos, neg = sides(ts)
         conds.append(f"{' + '.join(pos) or 0} {'>' if up else '<='} {' + '.join(neg) or 0}")
     read = sorted({j for f in (*nx, *(f for f, _ in tests)) for j in range(m) if f[j]})
-    src = ["def loop(xs, den, left, bound):", f" left -= {size}", " n = 0", " while True:",
-           "  top = den" if scale == 1 else f"  top = {scale}*den",
-           *(f"  x{j} = xs[{j}]" for j in read), *(" " + line for line in products)]
+    head = ["def run(xs, den, left, bound):"]
+    if closes:
+        head += [f" left -= {size}", " n = 0", " while True:"]
+    pad = "  " if closes else " "
+    src = head + [pad + ("top = den" if scale == 1 else f"top = {scale}*den"),
+                  *(f"{pad}x{j} = xs[{j}]" for j in read), *(pad[1:] + line for line in products)]
     body, named = [], {}
     for f, ts in zip(nx, sums):  # each form written more than once is named once
         if nx.count(f) > 1 and f not in named:
             named[f] = f"f{len(named)}"
             body.append(f"{named[f]} = {total(ts)}")
     body.append(f"nx = [{', '.join(named.get(f) or total(ts) for f, ts in zip(nx, sums))}]")
-    jump = _jump(nx, scale, tests, total)
+    jump = _jump(nx, scale, tests, total) if closes else None
     if jump is not None:
         estimate, closed = jump
         # top is den itself at scale 1, where den stays as it is
         rescale = [f"top = {scale}*den"] * (scale != 1) + [line[1:] for line in products]
         body[:0] = ["if n:", f" k = (left - n) // {size}", *(" " + line for line in estimate),
                     " if k > 0:", *("  " + line for line in closed + rescale), f"  n += {size}*k"]
-    if conds:
-        src += [f"  if {' and '.join(conds)}:", *("   " + line for line in body), "  else:"]
-        for k, plan in enumerate(cycle):
-            src += ["  " + line for line in _replay(*plan.shape)]
-            src += [f"   if c != {_lit(plan.key)}:", f"    return n + {k + 1}, {k}, c, nx, top"]
-            if k < size - 1:
-                src += ["   xs = nx", "   den = top"]
+    if not closes:
+        body.append(f"return {size}, {size - 1}, {last}, nx, top")
+        miss = [" c, nx, top = tick(xs, den)", " return 1, 0, c, nx, top"]
     else:
-        src += ["  " + line for line in body]
-    src += [f"  n += {size}", "  if n > left:" if jump else "  if top >= bound or n > left:",
-            f"   return n, {size - 1}, {last}, nx, top", "  xs = nx", "  den = top"]
+        miss = []
+        for k, plan in enumerate(path):
+            miss += ["  " + line for line in _replay(*plan.shape)]
+            miss += [f"   if c != {_lit(plan.key)}:", f"    return n + {k + 1}, {k}, c, nx, top"]
+            if k < size - 1:
+                miss += ["   xs = nx", "   den = top"]
+    if conds:
+        src += [f"{pad}if {' and '.join(conds)}:", *(pad + " " + line for line in body)]
+        src += [f"{pad}else:", *miss] if closes else miss
+    else:
+        src += [pad + line for line in body]
+    if closes:
+        src += [f"  n += {size}", "  if n > left:" if jump else "  if top >= bound or n > left:",
+                f"   return n, {size - 1}, {last}, nx, top", "  xs = nx", "  den = top"]
     namespace: dict = {}
-    exec("\n".join(src), {"__builtins__": {}}, namespace)
-    return namespace["loop"]
+    exec("\n".join(src), {"__builtins__": {}, "tick": path[0].tick}, namespace)
+    return namespace["run"]
 
 
 #: The unit, in parts of a bit, of the base-2 logarithms with which a jump
@@ -998,38 +1026,60 @@ class _Node(_Map):
 class _Plan(_Map):
     """A built tick plan (see ``_plan``): its generated ``tick``, the
     ``shape`` it was generated from, ``tops``, and a map from each ``code``
-    that ``tick`` returns to the node it writes."""
+    that ``tick`` returns to the node it writes.  ``rest``, ``run`` and
+    ``need`` are set only on a plan that heads a chain or a loop."""
 
-    __slots__ = ("tick", "shape", "tops")
+    __slots__ = ("tick", "shape", "tops", "rest", "run", "need")
 
     def __init__(self, tick, shape: tuple, tops: tuple[int, ...]) -> None:
         self.key = self.value = self.more = None
         self.tick, self.shape, self.tops = tick, shape, tops
 
 
-class _Loop(_Plan):
-    """The plan at the head of a hot cycle of plans for one feed item (see
-    ``_close``), in its place in its node: the same ``tick``, ``shape``,
-    ``tops`` and links, plus ``rest``, the cycle's other plans in order,
-    and ``run``, the ``_fuse`` of the whole cycle, whose plan ``k`` is the
-    loop itself for 0 and ``rest[k - 1]`` after that.  ``run`` goes round
-    the cycle as its ``_compose``, one affine map under tests on the
-    cycle's start registers, jumps over the cycles that pass when that map
-    is separable (see ``_jump``), and ticks plan by plan only through the
-    cycle it leaves."""
+class _Chain(_Plan):
+    """The plan at the head of a straight path of plans for one feed item
+    (see ``_chain``), re-classed in place, so that its node, its links and
+    every path through it see the chain.  ``rest`` is the path's other
+    plans in order, ``run`` the ``_fuse`` of the whole path, whose plan
+    ``k`` is the head itself for 0 and ``rest[k - 1]`` after that, and
+    ``need`` the fewest ticks left in the run of its item for which
+    ``_ticks`` calls ``run``.  A chain's ``run`` evaluates the path's
+    ``_compose``, one affine map under tests on its start registers, and
+    makes all its ticks or, when a test fails, the head's alone, so
+    ``need`` is the path's length."""
 
-    __slots__ = ("rest", "run")
+    __slots__ = ()
+    closes = False
 
-    def __init__(self, head: _Plan, rest: tuple[_Plan, ...]) -> None:
-        super().__init__(head.tick, head.shape, head.tops)
-        self.key, self.value, self.more = head.key, head.value, head.more
-        self.rest, self.run = rest, _fuse((head, *rest))
+    @classmethod
+    def make(cls, path: Sequence[_Plan], m: Optional[int] = None) -> _Plan:
+        """``path``'s head, made a ``cls`` over the whole path, from ``m``
+        start registers (see ``_fuse``)."""
+        run = _fuse(path, m, cls.closes)
+        head = path[0]
+        head.__class__ = cls
+        head.rest, head.run = tuple(path[1:]), run
+        head.need = len(path) * (3 if cls.closes else 1)
+        return head
+
+
+class _Loop(_Chain):
+    """A chain whose last plan links its first code to the head's node: the
+    head of a hot cycle of plans for one feed item (see ``_close``).  Its
+    ``run`` goes round the cycle as its ``_compose``, jumps over the
+    cycles that pass when that map is separable (see ``_jump``), and ticks
+    plan by plan only through the cycle it leaves.  ``_ticks`` calls it
+    only when 3 whole cycles are left in its item's run, since a call
+    costs more than the few ticks it would save."""
+
+    __slots__ = ()
+    closes = True
 
 
 def _node(cn: _CompiledNet, units: tuple[int, ...], fracs: tuple[int, ...]) -> _Node:
     """The node of signature ``(units, fracs)``, made on its first sighting.
-    At ``_TICK_PLAN_CAP`` nodes, every node, link, loop and generated
-    function goes first."""
+    At ``_TICK_PLAN_CAP`` nodes, every node, link, chain, loop and
+    generated function goes first."""
     plans = cn.tick_plans
     node = plans.get((units, fracs))
     if node is None:
@@ -1039,6 +1089,7 @@ def _node(cn: _CompiledNet, units: tuple[int, ...], fracs: tuple[int, ...]) -> _
                 old.key = old.value = old.more = None
             plans.clear()
             cn.interned.clear()
+            cn.chained.clear()
         valid = cn.out_valid
         node = plans[units, fracs] = _Node(units, fracs, valid in units or valid in fracs)
     return node
@@ -1050,7 +1101,8 @@ def _link(cn: _CompiledNet, plan: _Plan, code: int, item: tuple) -> _Node:
     at 1, then ``tops``, are the next ``units``, and its fractional rows,
     then ``scaled``, the next ``fracs``, the order in which ``tick`` writes
     their numerators.  A plan's first link may close a cycle of plans for
-    ``item`` (see ``_close``)."""
+    ``item`` (see ``_close``); a further one makes it a branch plan, which
+    no chain runs through (see ``_unchain``)."""
     node = plan.get(code)
     if node is None:
         rows, scaled, _ = plan.shape
@@ -1066,6 +1118,8 @@ def _link(cn: _CompiledNet, plan: _Plan, code: int, item: tuple) -> _Node:
         plan.put(code, node)
         if first:
             _close(cn, node, item)
+        else:
+            _unchain(cn, plan)
     return node
 
 
@@ -1073,35 +1127,101 @@ def _close(cn: _CompiledNet, start: _Node, item: tuple) -> None:
     """Fuse the cycle of plans for feed item ``item`` through ``start``, if
     the first link just made to it closed one.
 
-    From ``start``, follow each node's plan for ``item`` to the node that
-    plan linked first.  When that path comes back to ``start`` with every
-    plan built and no node that ``stops``, it is a hot cycle: for as long as
-    the feed repeats ``item``, the net goes round it while each tick
-    returns its plan's first code, and a ``_Loop`` takes the place of
-    ``start``'s plan.  Every cycle closes on a first link, so each is fused
-    once; a path into another cycle meets its ``_Loop`` or a node that
-    stops, and no path is followed further than there are nodes.
+    From ``start``, follow each node's plan for ``item``, a chain's head
+    included, to the node that plan linked first.  When that path comes
+    back to ``start`` with every plan built and no node that ``stops``, it
+    is a hot cycle: for as long as the feed repeats ``item``, the net goes
+    round it while each tick returns its plan's first code.  Its first
+    plan from ``start`` on that lies inside no chain becomes a ``_Loop``
+    (see ``_Chain.make``).  Every cycle closes on a first
+    link, so each is fused once; a path into another cycle meets its
+    ``_Loop`` or a node that stops, and no path is followed further than
+    there are nodes.
     """
     node, cycle = start, []
     while len(cycle) < len(cn.tick_plans):
         plan = node.get(item)
-        if plan.__class__ is not _Plan or node.stops:  # a built plan is linked
+        if plan.__class__ not in (_Plan, _Chain) or node.stops:
             return
         cycle.append(plan)
         node = plan.value
         if node is start:
-            start.put(item, _Loop(cycle[0], tuple(cycle[1:])))
+            heads = [k for k, plan in enumerate(cycle) if cn.chained.get(plan) is None]
+            if heads:
+                _Loop.make(cycle[heads[0]:] + cycle[:heads[0]])
             return
 
 
+def _chain(cn: _CompiledNet, node: _Node, item: tuple, plan: _Plan) -> tuple[_Plan, bool]:
+    """The chain that ``plan``, the plan for feed item ``item`` in
+    ``node``, heads where ``_ticks`` enters a straight path, built on the
+    first entry at which every plan on the path is built; with whether the
+    next node is still such an entry.
+
+    The path follows each plan's one link for as long as the plan has
+    linked only one code, is not in ``cn.chained`` and was not met before
+    on the path, and its node does not stop; so it ends before a branch
+    plan, a ``_Loop``, a chain, a plan that starts none, or a node that
+    stops, and each plan sits in at most one chain.  A path that ends
+    inside another chain splits that chain there (see ``_unchain``): its
+    plans from there on become a chain of their own, and the next entry
+    of its head chains the plans before.  While some plan on the path is
+    not built yet, no chain is built, and the next node is no entry.  A
+    path of one plan, or of none when ``plan`` branches, is no chain:
+    ``plan`` goes into ``cn.chained`` as starting none, and the next node
+    is again an entry.  Else ``plan`` becomes a ``_Chain`` (see
+    ``_Chain.make``).
+    """
+    chained, path, at, head = cn.chained, [], node, plan
+    while (plan.__class__ is _Plan and plan.more is None and plan not in chained
+           and not at.stops and plan not in path):
+        path.append(plan)
+        at = plan.value
+        plan = at.get(item)
+    if plan.__class__ is int:
+        return head, False
+    owner = chained.get(plan)
+    if owner.__class__ is _Chain:
+        tail = owner.rest[owner.rest.index(plan):]
+        _unchain(cn, owner)
+        _settle(cn, tail, len(at.fracs))
+    _settle(cn, path or [head], len(node.fracs))
+    return head, head.__class__ is _Plan
+
+
+def _settle(cn: _CompiledNet, path: Sequence[_Plan], m: int) -> None:
+    """Make ``path``, from ``m`` start registers, a chain whose other plans
+    join ``cn.chained``, or put its one plan there as starting none."""
+    if len(path) > 1:
+        chain = _Chain.make(path, m)
+        cn.chained.update(dict.fromkeys(chain.rest, chain))
+    else:
+        cn.chained[path[0]] = None
+
+
+def _unchain(cn: _CompiledNet, plan: _Plan) -> None:
+    """The chain that ``plan`` heads or lies in, if any, becomes plain
+    plans again, which the next entries chain anew: ``_link`` calls this
+    when ``plan`` links a second code, and ``_chain`` when a path joins a
+    chain inside.  A loop stays as it is, since its ``run`` already ticks
+    through the cycle it leaves."""
+    head = plan if plan.__class__ is _Chain else cn.chained.get(plan)
+    if head.__class__ is _Chain:
+        for rest in head.rest:
+            del cn.chained[rest]
+        head.__class__ = _Plan
+        head.rest = head.run = head.need = None
+
+
 def _ticks(
-    cn: _CompiledNet, state: _IntState, feed: tuple[Sequence[tuple[tuple[int, ...], int]], int]
+    cn: _CompiledNet, state: _IntState, feed: Sequence[tuple[tuple[tuple[int, ...], int], int]]
 ) -> tuple[int, _IntState]:
-    """Tick from ``state`` in integers, with ``feed`` as ``(shown,
-    blanks)``: one exact tick per ``(inputs, validation)`` of ``shown``,
-    then ``blanks`` ticks of the blank item, until the net's ``out_valid``
-    is positive or the feed ends; return the number of ticks taken and the
-    state reached.
+    """Tick from ``state`` in integers, with ``feed`` as runs ``(item,
+    ticks)`` of one feed item, an ``(inputs, validation)`` pair, each fed
+    for its number of ticks, until the net's ``out_valid`` is positive or
+    the feed ends; return the number of ticks taken and the state reached.
+    ``run`` feeds the runs of its word's symbols and then one run of the
+    blank item, so each run's end is known before its first tick.
 
     With the state at ``X_j / den`` and weights ``W / d``, neuron i's sum is
     ``(sum_j W_ij X_j + (C_i + inputs_i) * den) / (d * den)``; the clamp
@@ -1119,26 +1239,26 @@ def _ticks(
     and follow the link of the ``code`` it returns, so a replay builds no
     tuple and hashes no signature.
 
-    A ``_Loop`` met in place of a plan (see ``_close``) runs whole cycles
-    in one call of its ``run`` over the ticks left in the run of its item:
-    to the end of the feed in the blank tail, and in ``shown`` to the end
-    of the run of that same item object, found by a scan made only when a
-    loop is met.  It is entered only when that run holds 3 whole cycles,
-    and the kernel goes on from the plan and code it returns; else it ticks
-    as the plan it is, since a call costs more than the few ticks it
-    would save.  The call goes round the cycle's composed map (see
-    ``_compose`` and ``_fuse``), which writes the values that ticking its
-    plans one by one writes; on a separable cycle it jumps, writing the
-    values after many cycles in one closed form (see ``_jump``), and the
-    cycle that leaves it ticks plan by plan.  No node inside a cycle
-    stops, so a run takes the ticks it would take tick by tick.
+    A ``_Chain`` or ``_Loop`` met in place of a plan is entered when the
+    ticks left in its item's run cover its ``need``: one call of its
+    ``run`` then makes a straight path's ticks at once, or goes round a
+    cycle's whole cycles, and the kernel goes on from the plan and code it
+    returns; else it ticks as the plan it is.  Either evaluates a composed
+    map (see ``_compose`` and ``_fuse``), which writes the values that
+    ticking its plans one by one writes; a separable cycle jumps, writing
+    the values after many cycles in one closed form (see ``_jump``).  No
+    node inside either stops, so a run takes the ticks it would take tick
+    by tick.  Chains are built lazily (see ``_chain``) where the kernel
+    enters a straight path: at the start of the blank tail, after a code
+    other than a plan's first, and after a chain or loop returns; so a cold
+    net builds none.
 
     The denominator is not reduced on every tick: the gcd is divided out
     only once it reaches ``limit`` bits, that is once it is at least
     ``bound``, and ``limit`` is then set to the reduced size plus
-    ``_SLACK_BITS``; inside a loop that test waits for the cycle's end,
-    and a loop that jumps leaves it until the call returns, so a jump of a
-    whole drain is followed by one reduction.  A
+    ``_SLACK_BITS``; inside a chain or loop that test waits for the call's
+    end of path or cycle, and a loop that jumps leaves it until the call
+    returns, so a jump of a whole drain is followed by one reduction.  A
     unit's numerator is the denominator itself, so only ``xs`` join the
     gcd, and with no fractional neuron it becomes 1.
 
@@ -1146,59 +1266,62 @@ def _ticks(
     in local variables from tick to tick and made into an ``_IntState``
     once, at the end; ``state`` itself is only read.
     """
-    shown, blanks = feed
     xs, den, limit = state.xs, state.den, state.limit
     bound = 1 << limit >> 1  # 0 for a limit of 0, which forces a reduction
     node = _node(cn, state.units, state.fracs)
-    d, last, Plan = cn.d, _SIGHTINGS - 1, _Plan
-    last_shown = len(shown)
-    end = last_shown + blanks
-    items = chain(shown, repeat(cn.blank, blanks))
-    t = 0
-    for item in items:
-        t += 1
-        plan = node.value if node.key is item else node.get(item, 0)
-        if plan.__class__ is Plan:
-            code, xs, top = plan.tick(xs, den)
-            node = plan.value if plan.key == code else _link(cn, plan, code, item)
-        elif plan.__class__ is int:  # the sightings before the plan is built
-            fixed = _unit_sums(cn, node.units, *item)
-            if plan < last:
-                node.put(item, plan + 1)
-                top = d * den
-                units, fracs, xs = _plain_tick(cn, fixed, node.fracs, xs, den, top)
-                node = _node(cn, tuple(units), tuple(fracs))
-            else:
-                plan = _plan(cn, fixed, node.fracs)
-                node.put(item, plan)
+    d, last, Plan, blank, chained = cn.d, _SIGHTINGS - 1, _Plan, cn.blank, cn.chained
+    t, entry = 0, False
+    for item, size in feed:
+        end = t + size
+        entry = entry or item is blank
+        while t < end:
+            t += 1
+            plan = node.value if node.key is item else node.get(item, 0)
+            if entry and plan.__class__ is Plan and plan not in chained:
+                plan, entry = _chain(cn, node, item, plan)
+            if plan.__class__ is Plan:
                 code, xs, top = plan.tick(xs, den)
-                node = _link(cn, plan, code, item)
-        else:  # a _Loop
-            left = end - t + 1  # the ticks left in this item's run
-            if t <= last_shown:  # in shown, up to the next other item
-                stop = t
-                while stop < last_shown and shown[stop] is item:
-                    stop += 1
-                left = stop - t + 1
-            if left >= 3 * (len(plan.rest) + 1):
-                n, k, code, xs, top = plan.run(xs, den, left, bound)
-                next(islice(items, n - 1, n - 1), None)  # the items it took
-                t += n - 1
-                if k:
-                    plan = plan.rest[k - 1]
-            else:
-                code, xs, top = plan.tick(xs, den)
-            node = plan.value if plan.key == code else _link(cn, plan, code, item)
-        if top >= bound:
-            g = gcd(top, *xs)
-            if g > 1:
-                xs = [x // g for x in xs]
-                top //= g
-            limit = top.bit_length() + _SLACK_BITS
-            bound = 1 << limit >> 1
-        den = top
-        if node.stops:
-            break
+                if plan.key == code:
+                    node = plan.value
+                else:
+                    node, entry = _link(cn, plan, code, item), True
+            elif plan.__class__ is int:  # the sightings before the plan is built
+                entry = False
+                fixed = _unit_sums(cn, node.units, *item)
+                if plan < last:
+                    node.put(item, plan + 1)
+                    top = d * den
+                    units, fracs, xs = _plain_tick(cn, fixed, node.fracs, xs, den, top)
+                    node = _node(cn, tuple(units), tuple(fracs))
+                else:
+                    plan = _plan(cn, fixed, node.fracs)
+                    node.put(item, plan)
+                    code, xs, top = plan.tick(xs, den)
+                    node = _link(cn, plan, code, item)
+            else:  # a _Chain or a _Loop
+                left = end - t + 1  # the ticks left in this item's run
+                if left >= plan.need:
+                    n, k, code, xs, top = plan.run(xs, den, left, bound)
+                    t += n - 1
+                    entry = True
+                    if k:
+                        plan = plan.rest[k - 1]
+                else:
+                    code, xs, top = plan.tick(xs, den)
+                if plan.key == code:
+                    node = plan.value
+                else:
+                    node, entry = _link(cn, plan, code, item), True
+            if top >= bound:
+                g = gcd(top, *xs)
+                if g > 1:
+                    xs = [x // g for x in xs]
+                    top //= g
+                limit = top.bit_length() + _SLACK_BITS
+                bound = 1 << limit >> 1
+            den = top
+            if node.stops:
+                return t, _IntState(cn.n, node.units, node.fracs, xs, den, limit)
     return t, _IntState(cn.n, node.units, node.fracs, xs, den, limit)
 
 
@@ -1212,7 +1335,7 @@ def _fast_step(
         raise ValueError("network contains a lazily-known scalar")
     if not isinstance(state, _IntState):
         state = _IntState.of(state)
-    return _ticks(cn, state, (((tuple(inputs), validation),), 0))[1]
+    return _ticks(cn, state, (((tuple(inputs), validation), 1),))[1]
 
 
 # ---------------------------------------------------------------------------
@@ -1274,11 +1397,11 @@ def run(
         )
     cn = _compiled(net)
     try:
-        shown = [cn.shown[ch] for ch in word]
+        feed = [(cn.shown[ch], len(list(each))) for ch, each in groupby(word)]
     except KeyError as missing:
         net.line_for_symbol(missing.args[0])  # raises the ConfigError that names it
         raise
-    feed = (shown, budget - len(shown))
+    feed.append((cn.blank, budget - len(word)))
     if cn.exact:
         ticks, state = _ticks(cn, _IntState(net.n_neurons, (), (), [], 1), feed)
         on = lambda i: i in state.units or i in state.fracs
@@ -1293,17 +1416,16 @@ def run(
 
 
 def _lazy_ticks(
-    net: Network, feed: tuple[Sequence[tuple[tuple[int, ...], int]], int]
+    net: Network, feed: Sequence[tuple[tuple[tuple[int, ...], int], int]]
 ) -> tuple[int, NetworkState]:
     """``step`` on interval enclosures from the zero state, one tick per
-    item of ``feed``'s ``(shown, blanks)`` as in ``_ticks``, until
+    item of ``feed``'s runs ``(item, ticks)`` as in ``_ticks``, until
     ``out_valid`` is positive or the feed ends; returns the number of ticks
     taken and the state reached, as ``_ticks`` does.  Only ``out_valid`` is
     read on each tick, so an output data or flag enclosure that straddles 0
     before the verdict tick is no error."""
-    shown, blanks = feed
     state, t = zero_state(net), 0
-    for inputs, validation in chain(shown, repeat(_compiled(net).blank, blanks)):
+    for inputs, validation in chain.from_iterable(repeat(item, size) for item, size in feed):
         t += 1
         state = step(net, state, inputs, validation, budget=_LAZY_BUDGET)
         if signal(state[net.out_valid]):

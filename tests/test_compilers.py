@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import cycle, product, repeat
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from arnnlab import (
     CANTOR4,
@@ -53,6 +55,7 @@ from conftest import (
     anbn_machine,
     copy_machine,
     parity_dfa,
+    two_stack_machines,
     words_up_to,
 )
 
@@ -314,6 +317,49 @@ def test_random_machines_match_their_nets():
             res = run(net, w, two_stack_budget(len(w), steps))
             assert res.verdict != Verdict.TIMEOUT, w
             assert (res.verdict == Verdict.ACCEPT) == want, (machine, w)
+
+
+def first_match_execute(machine, word, max_steps):
+    """``TwoStackMachine.execute`` written as a scan of every rule at each
+    step, taking the first whose state, read and pops all match."""
+    state, pos, s1, s2 = machine.start, 0, [], []
+    for steps in range(max_steps):
+        for rule in machine.rules:
+            if rule.state != state:
+                continue
+            if rule.read is None and pos != len(word):
+                continue
+            if rule.read is not None and (pos >= len(word) or word[pos] != rule.read):
+                continue
+            if rule.pop1 is not None and s1[-1:] != [rule.pop1]:
+                continue
+            if rule.pop2 is not None and s2[-1:] != [rule.pop2]:
+                continue
+            break
+        else:
+            return state in machine.accepting and pos == len(word), steps
+        pos += rule.read is not None
+        for stack, pop, push in ((s1, rule.pop1, rule.push1), (s2, rule.pop2, rule.push2)):
+            if pop is not None:
+                stack.pop()
+            if push is not None:
+                stack.append(push)
+        state = rule.next_state
+    return None, max_steps
+
+
+@settings(max_examples=200, deadline=None)
+@given(two_stack_machines(), st.text("ab", max_size=12), st.integers(0, 80))
+def test_execute_finds_the_rule_a_first_match_scan_finds(machine, word, max_steps):
+    """``execute`` looks its rules up by state and read; it returns what a
+    scan of every rule returns, and the lookup leaves the machine's
+    equality, hash and repr those of its fields."""
+    assert machine.execute(word, max_steps) == first_match_execute(machine, word, max_steps)
+    for known in (anbn_machine(), copy_machine()):
+        assert known.execute(word, 400) == first_match_execute(known, word, 400)
+    twin = TwoStackMachine(machine.states, AB, machine.rules, machine.start, machine.accepting)
+    assert twin == machine and hash(twin) == hash(machine)
+    assert "_guards" not in repr(machine)
 
 
 # -- oracle nets -------------------------------------------------------------------

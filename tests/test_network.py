@@ -1,5 +1,6 @@
 """Synchronous dynamics, the word protocol, and exactness of the simulator."""
 
+import contextlib
 import dis
 import functools
 import gc
@@ -737,9 +738,9 @@ def test_equal_plan_shapes_share_one_function():
 def test_gen_refuses_values_that_are_not_ints(monkeypatch):
     """Only ``%d``-formatted ints reach the source ``_gen`` and ``_fuse``
     hand to ``exec``: a Fraction, a str, a float or a bool in any field of
-    a shape, or in a cycle's code, is refused, and ``_fuse`` refuses it
-    before any source is run, the composed map and tests and the jump's
-    closed form included."""
+    a shape, or in a cycle's or a chain's code, is refused, and ``_fuse``
+    refuses it before any source is run, for a loop or a chain, the
+    composed map and tests and the jump's closed form included."""
     row = (0, 0, 3, -1, True, ((1, 1),))
     # -5 + 3*3 + 1 = 5 over top 10: fractional, then the scaled 1 * 5
     assert network._gen((row,), ((2, 1),), 2)([3, 1], 5) == (2, [5, 5], 10)
@@ -753,6 +754,14 @@ def test_gen_refuses_values_that_are_not_ints(monkeypatch):
     assert network._fuse(cycle((row,), ((2, 1),), 2))([3, 1], 5, 1, 1 << 64) == (
         1, 0, 2, [5, 5], 10
     )
+    # the same plan twice over as a chain from 2 registers: its tests hold
+    # on [3, 1] over 5, through [5, 5] over 10 to 15 + 5 - 10 = 10 over 20;
+    # on [1, 1] the row is at 0 (3 + 1 - 5), so the head ticks alone
+    plan = cycle((row,), ((2, 1),), 2)[0]
+    plan.tick = network._gen((row,), ((2, 1),), 2)
+    chain = network._fuse([plan, plan], 2, False)
+    assert chain([3, 1], 5, 2, 0) == (2, 1, 2, [10, 10], 20)
+    assert chain([1, 1], 5, 2, 0) == (1, 0, 0, [5], 10)
     # x -> 3x - den over 2*den is separable: from just under 1, its loop
     # jumps to the tick on which ticking the plan leaves the cycle
     sep = (0, 0, 3, -1, True, ())
@@ -784,10 +793,14 @@ def test_gen_refuses_values_that_are_not_ints(monkeypatch):
                 network._gen(rows, scaled, scale)
             with pytest.raises(TypeError, match="ints only"):
                 network._fuse(cycle(rows, scaled, scale))
+            with pytest.raises(TypeError, match="ints only"):
+                network._fuse(cycle(rows, scaled, scale) * 2, 2, False)  # a chain
         with pytest.raises(TypeError, match="ints only"):
             network._fuse(cycle((row,), ((2, 1),), 2, key=bad))  # code
         with pytest.raises(TypeError, match="ints only"):
             network._fuse(cycle((sep,), (), 2, key=bad))  # code, of a map that jumps
+        with pytest.raises(TypeError, match="ints only"):
+            network._fuse(cycle((row,), ((2, 1),), 2, key=bad) * 2, 2, False)  # a chain's code
     assert not ran
 
 
@@ -1139,11 +1152,14 @@ def loop_exits(monkeypatch):
     """How each call of a loop fused while the test runs ended, as
     ``(ticks, how)``: "miss" on a guard miss, "end" when no whole cycle was
     left, and "bound" when the denominator reached the reduction bound
-    before that, which only a loop that does not jump stops at."""
+    before that, which only a loop that does not jump stops at.  Chains,
+    which ``_fuse`` also makes, are not counted."""
     exits, fuse = [], network._fuse
 
-    def counted(cycle):
-        loop = fuse(cycle)
+    def counted(cycle, m=None, closes=True):
+        loop = fuse(cycle, m, closes)
+        if not closes:
+            return loop
 
         def call(xs, den, left, bound):
             got = n, k, code, _, top = loop(xs, den, left, bound)
@@ -1396,6 +1412,194 @@ def test_fast_step_ticks_once_where_a_loop_is_met():
         assert met == 12
 
 
+@contextlib.contextmanager
+def chain_calls():
+    """Each call of a chain made inside the block, as ``(length, ticks,
+    left)``: ``ticks`` is the chain's length when its tests held and 1 when
+    its head ticked alone.  A call is made only when ``left``, the ticks
+    left in its item's run, covers the chain."""
+    calls, fuse = [], network._fuse
+
+    def counted(path, m=None, closes=True):
+        chain = fuse(path, m, closes)
+        if closes:
+            return chain
+
+        def call(xs, den, left, bound):
+            got = chain(xs, den, left, bound)
+            assert left >= len(path) and got[0] in (1, len(path))
+            assert got[1:3] == ((len(path) - 1, path[-1].key) if got[0] > 1 else (0, got[2]))
+            calls.append((len(path), got[0], left))
+            return got
+
+        return call
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(network, "_fuse", counted)
+        yield calls
+
+
+def chains(cn):
+    """Each chain on ``cn``, as ``(item, node, path)``: the feed item, the
+    node of its head and its plans in order."""
+    return [
+        (item, node, (entry, *entry.rest))
+        for node in cn.tick_plans.values()
+        for item, entry in entries(node)
+        if entry.__class__ is network._Chain
+    ]
+
+
+def check_chains(cn):
+    """Each plan sits in at most one chain, and each chain is a straight
+    path: from its head's node, each plan is the plan of the node the one
+    before linked and has linked one code, each after the head is a plain
+    plan, no chain's or loop's head, that ``cn.chained`` maps to the head,
+    and no node it ticks from stops; returns the number of chains."""
+    seen = set()
+    for item, node, path in chains(cn):
+        for k, plan in enumerate(path):
+            assert plan not in seen
+            seen.add(plan)
+            assert node.get(item) is plan and not node.stops
+            assert plan.more is None and (k == 0 or plan.__class__ is _Plan)
+            assert k == 0 or cn.chained[plan] is path[0]
+            node = plan.value
+    return len(chains(cn))
+
+
+def word_budget(machine, word, steps=10_000):
+    return two_stack_budget(len(word), machine.execute(word, steps)[1])
+
+
+@settings(max_examples=40, deadline=None)
+@given(two_stack_machines(), st.text("ab", min_size=1, max_size=10), st.text("ab", max_size=10))
+def test_chains_match_fast_step_on_random_machines(machine, word, other):
+    """On random two-stack machines, a word run often enough builds chains
+    that its blank tail enters, and then words that leave those paths
+    (another word, the word with it appended, the word cut short), which
+    fail a chain's tests where the new path takes a code the chain's
+    plans never linked: the head ticks alone there, the plan that takes
+    the new code splits the chain, and ``run`` still reaches what
+    ``_fast_step`` reaches tick by tick, in ticks and values."""
+    net = two_stack_to_net(machine)
+    with chain_calls() as calls:
+        for _ in range(network._SIGHTINGS + 2):
+            run(net, word, word_budget(machine, word, 200))
+        run_matches_fast_step(net, word, word_budget(machine, word, 200))
+        assert calls and check_chains(_compiled(net))
+        for w in (other, word + other, word[:-1], other, word):
+            run_matches_fast_step(net, w, word_budget(machine, w, 200))
+        check_chains(_compiled(net))
+
+
+@pytest.mark.parametrize("machine, warm, probe", [
+    (anbn_machine(), "abab", "abba"),
+    (anbn_machine(), "aaabbb", "aaabb"),
+    (copy_machine(), "aabbab", "aabbaa"),
+    (copy_machine(), "aaaa", "aaab"),
+])
+def test_a_chain_whose_tests_fail_ticks_its_head_alone(machine, warm, probe):
+    """Warm on one word, a chain's tests fail on the first entry of a word
+    that takes a new code inside it: the call makes the head's tick alone,
+    as ticking plan by plan would, and the run goes on from there to what
+    ``_fast_step`` reaches; no chain is left holding the plan that
+    branched, and the next runs pass every chain they call."""
+    net = two_stack_to_net(machine)
+    with chain_calls() as calls:
+        for _ in range(network._SIGHTINGS + 3):
+            run(net, warm, word_budget(machine, warm))
+        calls.clear()
+        run_matches_fast_step(net, probe, word_budget(machine, probe))
+        assert any(ticks == 1 for _, ticks, _ in calls)
+        check_chains(_compiled(net))
+        calls.clear()
+        for word in (warm, probe) * 2:
+            run_matches_fast_step(net, word, word_budget(machine, word))
+    assert calls and all(ticks == length for length, ticks, _ in calls)
+
+
+def test_budgets_that_end_inside_a_chain_time_out_on_them():
+    """A budget that runs out inside a chain's path does not enter the
+    chain, whose ticks it does not cover: the run ticks plan by plan to
+    the budget and times out there, on exactly the tick ``_fast_step``
+    reaches plan by plan."""
+    machine = anbn_machine()
+    net = two_stack_to_net(machine)
+    word, budget = "aabbab", 1000
+    with chain_calls() as calls:
+        for _ in range(network._SIGHTINGS + 3):
+            run(net, word, budget)
+        calls.clear()
+        ticks = run(net, word, budget).ticks
+        # the blank tail runs to the budget, so a call with left ticks left
+        # starts on tick budget - left + 1
+        spans = [(budget - left + 1, length) for length, n, left in calls if n == length]
+        assert spans
+        cut = 0
+        for start, length in spans:
+            for end in range(start, start + length - 1):
+                assert end < ticks
+                calls.clear()
+                result = run_matches_fast_step(net, word, end)
+                assert (result.verdict, result.ticks) == (Verdict.TIMEOUT, end)
+                assert all(left >= length for length, _, left in calls)
+                cut += 1
+    assert cut > 10
+
+
+def test_chains_are_straight_and_disjoint_on_warm_nets():
+    """On the warm a^n b^n net, the copy machine and the horizon-64
+    ``oracle_net``, each plan sits in at most one chain, and no chain runs
+    through a node that stops, a loop's head or another chain's head;
+    every chain holds at least two plans."""
+    anbn, copy = anbn_machine(), copy_machine()
+    nets = [
+        (two_stack_to_net(anbn), [(w, word_budget(anbn, w)) for w in
+                                  ("aabb", "abab", "aaabbb", "a" * 12 + "b" * 11, "ab")]),
+        (two_stack_to_net(copy), [(w, word_budget(copy, w)) for w in
+                                  ("abba", "aaab", "ab" * 6, "b" * 9)]),
+        (oracle_net(OracleNetSpec(ExactScalar.oracle(
+            OracleTable.from_language(abstar_language(), 64), CANTOR4, "0'"), AB)),
+         [(w, oracle_budget(w, AB)) for w in ("ab", "bb", "abb", "b" * 5)]),
+    ]
+    for net, words in nets:
+        for _ in range(network._SIGHTINGS + 3):
+            for word, budget in words:
+                run(net, word, budget)
+        cn = _compiled(net)
+        assert check_chains(cn) >= 2
+        assert all(len(path) >= 2 for _, _, path in chains(cn))
+        assert set(map(id, fused_loops(cn))).isdisjoint(
+            id(plan) for _, _, path in chains(cn) for plan in path)
+
+
+def test_a_cycle_that_closes_through_a_chain_head_becomes_a_loop():
+    """A cycle of three identity plans ``x -> x`` on three nodes, two of
+    them a chain, whose third plan links back to the chain's head last:
+    ``_close`` follows the chain's head as its plan, and the cycle becomes
+    a ``_Loop`` there, headed by the plan that headed the chain; the chain
+    is gone, and the loop goes round the cycle."""
+    cn = _compiled(one_neuron())
+    item = ((), 0)
+    shape = (((0, 0, 1, 0, True, ()),), (), 1)  # x -> x, fractional
+    nodes = [network._Node((), (0,), False) for _ in range(3)]
+    plans = [_Plan(network._gen(*shape), shape, ()) for _ in range(3)]
+    for k, (node, plan) in enumerate(zip(nodes, plans)):
+        cn.tick_plans[(k,), (0,)] = node
+        node.put(item, plan)
+    plans[1].put(2, nodes[2])
+    plans[2].put(2, nodes[0])
+    network._settle(cn, plans[1:], 1)
+    assert plans[1].__class__ is network._Chain and cn.chained[plans[2]] is plans[1]
+    plans[0].put(2, nodes[1])  # the last first link, which closes the cycle
+    network._close(cn, nodes[1], item)
+    loop = nodes[1].get(item)
+    assert loop is plans[1] and loop.__class__ is network._Loop
+    assert loop.rest == (plans[2], plans[0]) and not chains(cn)
+    assert loop.run([3], 5, 30, 1 << 64) == (30, 2, 2, [3], 5)
+
+
 @functools.cache
 def composed_cycles():
     """Each cycle fused on the a^n b^n net, the copy machine and the
@@ -1423,8 +1627,10 @@ def composed_cycles():
     runs["oracle"] = (net, [("b" * 5, oracle_budget("b" * 5, AB))] * 2)
     found, fuse = {}, network._fuse
 
-    def recorded(cycle):
-        loop, starts = fuse(cycle), []
+    def recorded(cycle, m=None, closes=True):
+        loop, starts = fuse(cycle, m, closes), []
+        if not closes:
+            return loop
         found[label].append((tuple(cycle), starts))
 
         def call(xs, den, left, bound):
@@ -1608,7 +1814,7 @@ def jump_through(nx, scale, tests, size, xs, den, left):
     for plan in cycle:
         plan.key = 0
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(network, "_compose", lambda _: (nx, scale, tests))
+        patch.setattr(network, "_compose", lambda *_: (nx, scale, tests))
         loop = network._fuse(cycle)
     n, k, code, ys, top = loop(list(xs), den, left, 0)
     missed = code != 0  # on the first tick of the cycle that fails
