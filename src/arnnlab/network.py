@@ -583,8 +583,7 @@ def _lit(v: int) -> int:
 
 def _gen(rows: tuple, scaled: tuple, scale: int):
     """The replay of a plan's ``rows``, ``scaled`` and ``scale`` (see
-    ``_plan``) as a straight-line function ``tick(xs, den)``, made from the
-    lines of ``_replay``.
+    ``_plan``) as a straight-line function ``tick(xs, den)``.
 
     It returns ``(code, xs, top)``: ``top = scale * den`` is the new
     denominator, ``xs`` the new numerators over it (the fractional rows in
@@ -609,15 +608,6 @@ def _gen(rows: tuple, scaled: tuple, scale: int):
     Every value goes through ``_lit`` before any arithmetic on it, so the
     source handed to ``exec`` is fixed text and decimal integers only.
     """
-    src = ["def tick(xs, den):", *_replay(rows, scaled, scale), " return c, nx, top"]
-    namespace: dict = {}
-    exec("\n".join(src), {"__builtins__": {}}, namespace)
-    return namespace["tick"]
-
-
-def _replay(rows: tuple, scaled: tuple, scale: int) -> list[str]:
-    """The body of ``_gen``'s ``tick``, one indented line each, which
-    leaves ``c``, ``nx`` and ``top`` set from ``xs`` and ``den``."""
     top = (_lit(scale), "den")
     c, written, read = 0, [], set()
     for k, row in enumerate(rows):
@@ -657,7 +647,10 @@ def _replay(rows: tuple, scaled: tuple, scale: int) -> list[str]:
     src += products
     src += body
     src += [f" nx.append({total(ts)})" for ts in tail]
-    return src
+    src.append(" return c, nx, top")
+    namespace: dict = {}
+    exec("\n".join(["def tick(xs, den):", *src]), {"__builtins__": {}}, namespace)
+    return namespace["tick"]
 
 
 def _bounds(row: tuple) -> tuple[list, int, int]:
@@ -722,8 +715,8 @@ def _compose(path: Sequence["_Plan"], m: Optional[int] = None) -> tuple[tuple, i
     product of the plans' scales.
 
     ``tests`` holds ``(form, up)`` pairs, each asking ``form > 0`` when
-    ``up`` and ``form <= 0`` when not: each comparison that ``_replay``
-    writes (see ``_gen``), of a sum with 0 or with ``top``, in the
+    ``up`` and ``form <= 0`` when not: each comparison that ``_gen``
+    writes, of a sum with 0 or with ``top``, in the
     direction the plan's ``key`` takes it.  Each is divided by the gcd of
     its coefficients and kept once.  A test that reads one register bounds
     ``x / den`` by a rational from below or from above; it is kept only
@@ -803,29 +796,27 @@ def _fuse(path: Sequence["_Plan"], m: Optional[int] = None, closes: bool = True)
     den``, each distinct form once, for all ``len(path)`` ticks at once.
     A product read more than once is computed once, as in ``_gen``.  It
     returns ``(ticks, k, code, xs, top)``, k the position in ``path`` of
-    the last plan ticked and ``code`` what that plan returned.
+    the last plan ticked and ``code`` what that plan returned.  When some
+    test fails, ``run`` makes only the first plan's own ``tick`` from
+    there, so ``_ticks`` goes on plan by plan.
 
     A *chain* (``closes`` False) is a straight path that ends where the
     last plan's node leads elsewhere: ``run`` makes its ``len(path)``
-    ticks, or, when some test fails, only the first plan's own ``tick``,
-    so ``_ticks`` goes on plan by plan from there.
+    ticks or the first plan's alone.
 
     A *loop* (``closes`` True, and ``m`` then the count the last plan
     writes) is a path whose last plan links its first code to the first
     one's node, and ``run`` goes round it in a ``while`` loop, whole
     cycles only, at most ``left`` ticks (at least ``len(path)``), the
-    ticks left in the run of the cycle's feed item.  When some test fails,
-    that one cycle ticks through the body ``_replay`` writes from each
-    plan's interned shape, each followed by a guard that compares its
-    ``code`` with the one the plan linked first, and so misses on the tick
-    on which ticking one plan at a time would.  When the map is separable
+    ticks left in the run of the cycle's feed item, and then the first
+    plan's tick of the cycle whose tests fail.  When the map is separable
     (see ``_jump``), every iteration after the first whose tests hold
     first jumps: it estimates from bit lengths how many further cycles
     pass, never more than do, writes the registers after that many cycles
     in closed form, and then evaluates the map, so a jump of none is the
     plain iteration.  The next iteration's tests check the cycle the jump
     reached: they fail there when the estimate was exact, and else the
-    loop goes round again.  It returns on a guard miss, when one more
+    loop goes round again.  It returns on a failed test, when one more
     cycle would take more than ``left`` ticks, or, on a cycle that does
     not jump, once ``top`` reaches ``bound``, so that the caller divides
     out the gcd.
@@ -867,24 +858,15 @@ def _fuse(path: Sequence["_Plan"], m: Optional[int] = None, closes: bool = True)
         rescale = [f"top = {scale}*den"] * (scale != 1) + [line[1:] for line in products]
         body[:0] = ["if n:", f" k = (left - n) // {size}", *(" " + line for line in estimate),
                     " if k > 0:", *("  " + line for line in closed + rescale), f"  n += {size}*k"]
-    if not closes:
-        body.append(f"return {size}, {size - 1}, {last}, nx, top")
-        miss = [" c, nx, top = tick(xs, den)", " return 1, 0, c, nx, top"]
-    else:
-        miss = []
-        for k, plan in enumerate(path):
-            miss += ["  " + line for line in _replay(*plan.shape)]
-            miss += [f"   if c != {_lit(plan.key)}:", f"    return n + {k + 1}, {k}, c, nx, top"]
-            if k < size - 1:
-                miss += ["   xs = nx", "   den = top"]
     if conds:
-        src += [f"{pad}if {' and '.join(conds)}:", *(pad + " " + line for line in body)]
-        src += [f"{pad}else:", *miss] if closes else miss
-    else:
-        src += [pad + line for line in body]
+        src += [f"{pad}if not ({' and '.join(conds)}):", f"{pad} c, nx, top = tick(xs, den)",
+                f"{pad} return {'n + 1' if closes else 1}, 0, c, nx, top"]
+    src += [pad + line for line in body]
     if closes:
         src += [f"  n += {size}", "  if n > left:" if jump else "  if top >= bound or n > left:",
                 f"   return n, {size - 1}, {last}, nx, top", "  xs = nx", "  den = top"]
+    else:
+        src.append(f" return {size}, {size - 1}, {last}, nx, top")
     namespace: dict = {}
     exec("\n".join(src), {"__builtins__": {}, "tick": path[0].tick}, namespace)
     return namespace["run"]
@@ -1068,7 +1050,7 @@ class _Loop(_Chain):
     head of a hot cycle of plans for one feed item (see ``_close``).  Its
     ``run`` goes round the cycle as its ``_compose``, jumps over the
     cycles that pass when that map is separable (see ``_jump``), and ticks
-    plan by plan only through the cycle it leaves.  ``_ticks`` calls it
+    only its head on the cycle it leaves.  ``_ticks`` calls it
     only when 3 whole cycles are left in its item's run, since a call
     costs more than the few ticks it would save."""
 
@@ -1113,13 +1095,13 @@ def _link(cn: _CompiledNet, plan: _Plan, code: int, item: tuple) -> _Node:
             elif bits & 2:
                 fracs.append(row[0])
             bits >>= 2
-        node = _node(cn, (*units, *plan.tops), (*fracs, *[i for i, _ in scaled]))
         first = plan.key is None
+        if not first:  # before _node, which may empty cn.chained
+            _unchain(cn, plan)
+        node = _node(cn, (*units, *plan.tops), (*fracs, *[i for i, _ in scaled]))
         plan.put(code, node)
         if first:
             _close(cn, node, item)
-        else:
-            _unchain(cn, plan)
     return node
 
 
@@ -1133,7 +1115,8 @@ def _close(cn: _CompiledNet, start: _Node, item: tuple) -> None:
     is a hot cycle: for as long as the feed repeats ``item``, the net goes
     round it while each tick returns its plan's first code.  Its first
     plan from ``start`` on that lies inside no chain becomes a ``_Loop``
-    (see ``_Chain.make``).  Every cycle closes on a first
+    (see ``_Chain.make``), and a chain it headed is gone (see
+    ``_unchain``).  Every cycle closes on a first
     link, so each is fused once; a path into another cycle meets its
     ``_Loop`` or a node that stops, and no path is followed further than
     there are nodes.
@@ -1148,6 +1131,7 @@ def _close(cn: _CompiledNet, start: _Node, item: tuple) -> None:
         if node is start:
             heads = [k for k, plan in enumerate(cycle) if cn.chained.get(plan) is None]
             if heads:
+                _unchain(cn, cycle[heads[0]])
                 _Loop.make(cycle[heads[0]:] + cycle[:heads[0]])
             return
 
@@ -1167,10 +1151,10 @@ def _chain(cn: _CompiledNet, node: _Node, item: tuple, plan: _Plan) -> tuple[_Pl
     plans from there on become a chain of their own, and the next entry
     of its head chains the plans before.  While some plan on the path is
     not built yet, no chain is built, and the next node is no entry.  A
-    path of one plan, or of none when ``plan`` branches, is no chain:
-    ``plan`` goes into ``cn.chained`` as starting none, and the next node
-    is again an entry.  Else ``plan`` becomes a ``_Chain`` (see
-    ``_Chain.make``).
+    path of one plan, or of none when ``plan`` branches, is no chain, and
+    the next node is again an entry; ``plan`` may go into ``cn.chained``
+    as starting none (see ``_settle``).  Else ``plan`` becomes a
+    ``_Chain`` (see ``_Chain.make``).
     """
     chained, path, at, head = cn.chained, [], node, plan
     while (plan.__class__ is _Plan and plan.more is None and plan not in chained
@@ -1184,27 +1168,38 @@ def _chain(cn: _CompiledNet, node: _Node, item: tuple, plan: _Plan) -> tuple[_Pl
     if owner.__class__ is _Chain:
         tail = owner.rest[owner.rest.index(plan):]
         _unchain(cn, owner)
-        _settle(cn, tail, len(at.fracs))
-    _settle(cn, path or [head], len(node.fracs))
+        _settle(cn, tail, len(at.fracs), item)
+    _settle(cn, path or [head], len(node.fracs), item)
     return head, head.__class__ is _Plan
 
 
-def _settle(cn: _CompiledNet, path: Sequence[_Plan], m: int) -> None:
-    """Make ``path``, from ``m`` start registers, a chain whose other plans
-    join ``cn.chained``, or put its one plan there as starting none."""
+def _settle(cn: _CompiledNet, path: Sequence[_Plan], m: int, item: tuple) -> None:
+    """Make ``path``, plans for feed item ``item``, from ``m`` start
+    registers, a chain whose other plans join ``cn.chained``.  A path of
+    one plan is no chain; the plan goes there as starting none when that
+    lasts: when it branches, or leads to a node that stops, to a loop, to a
+    branch plan or to a plan that starts none.  One that leads to a
+    chain's head, which may break up or become a loop, to a plan not built
+    yet, or to no plan stays out, so the next entry walks it again."""
+    plan = path[0]
     if len(path) > 1:
         chain = _Chain.make(path, m)
         cn.chained.update(dict.fromkeys(chain.rest, chain))
-    else:
-        cn.chained[path[0]] = None
+        return
+    after = plan.value.get(item)
+    if (plan.more is not None or plan.value.stops or after.__class__ is _Loop
+            or after.__class__ is _Plan and (after.more is not None
+                                             or cn.chained.get(after, 0) is None)):
+        cn.chained[plan] = None
 
 
 def _unchain(cn: _CompiledNet, plan: _Plan) -> None:
     """The chain that ``plan`` heads or lies in, if any, becomes plain
     plans again, which the next entries chain anew: ``_link`` calls this
-    when ``plan`` links a second code, and ``_chain`` when a path joins a
-    chain inside.  A loop stays as it is, since its ``run`` already ticks
-    through the cycle it leaves."""
+    when ``plan`` links a second code, ``_chain`` when a path joins a
+    chain inside, and ``_close`` when a chain's head becomes a loop's.  A
+    loop stays as it is, since its ``run`` already ticks its head alone on
+    the cycle it leaves."""
     head = plan if plan.__class__ is _Chain else cn.chained.get(plan)
     if head.__class__ is _Chain:
         for rest in head.rest:

@@ -771,9 +771,9 @@ def test_gen_refuses_values_that_are_not_ints(monkeypatch):
         code, xs, den = tick(xs, den)
         ticks += 1
     assert ticks > 30
-    assert network._fuse(cycle((sep,), (), 2))([(1 << 20) - 1], 1 << 20, 99, 0) == (
-        ticks, 0, code, xs, den
-    )
+    [jumps] = cycle((sep,), (), 2)
+    jumps.tick = tick  # which the loop calls on the cycle it leaves
+    assert network._fuse([jumps])([(1 << 20) - 1], 1 << 20, 99, 0) == (ticks, 0, code, xs, den)
     ran = []
     monkeypatch.setattr(network, "exec", lambda *args: ran.append(args), raising=False)
     for bad in (Fraction(1, 2), "1", "den); import os; (", 1.5, True):
@@ -1147,10 +1147,46 @@ def test_tick_plans_are_emptied_at_their_cap(monkeypatch):
     assert dropped and capped == reference
 
 
+def test_a_chain_head_that_branches_on_a_new_node_at_the_cap_empties_the_map(monkeypatch):
+    """Warm on ``ab`` and then ``a``, the a^n b^n net builds a chain on
+    ``b`` whose head links a second code to a node not met before.  With
+    the cap at the nodes held just before that node, that link empties the
+    map, chains and their records with it, and ``run`` still reaches what
+    ``_fast_step`` reaches tick by tick."""
+    machine = anbn_machine()
+    link, events = network._link, []
+
+    def counted(cn, plan, code, item):  # (nodes before, nodes after) of a head's new code
+        head, before = plan.__class__ is network._Chain and plan.get(code) is None, \
+            len(cn.tick_plans)
+        node = link(cn, plan, code, item)
+        if head:
+            events.append((before, len(cn.tick_plans)))
+        return node
+
+    def warmed():
+        net = two_stack_to_net(machine)
+        for word in ["ab"] * (network._SIGHTINGS + 3) + ["a"]:
+            run(net, word, word_budget(machine, word))
+        events.clear()
+        return net
+
+    monkeypatch.setattr(network, "_link", counted)
+    probe = "b"
+    run(warmed(), probe, word_budget(machine, probe))
+    [cap, _] = next(event for event in events if event[1] > event[0])
+    net = warmed()
+    monkeypatch.setattr(network, "_TICK_PLAN_CAP", cap)
+    run_matches_fast_step(net, probe, word_budget(machine, probe))
+    assert (cap, 1) in events
+    check_chains(_compiled(net))
+
+
 @pytest.fixture
 def loop_exits(monkeypatch):
     """How each call of a loop fused while the test runs ended, as
-    ``(ticks, how)``: "miss" on a guard miss, "end" when no whole cycle was
+    ``(ticks, how)``: "miss" where the cycle's tests failed, so that its
+    head ticked alone after the whole cycles, "end" when no whole cycle was
     left, and "bound" when the denominator reached the reduction bound
     before that, which only a loop that does not jump stops at.  Chains,
     which ``_fuse`` also makes, are not counted."""
@@ -1164,7 +1200,8 @@ def loop_exits(monkeypatch):
         def call(xs, den, left, bound):
             got = n, k, code, _, top = loop(xs, den, left, bound)
             assert n <= left
-            how = "miss" if code != cycle[k].key else "end" if n + len(cycle) > left else "bound"
+            how = ("miss" if code != cycle[k].key or n % len(cycle)
+                   else "end" if n + len(cycle) > left else "bound")
             assert how != "bound" or top >= bound
             exits.append((n, how))
             return got
@@ -1308,7 +1345,8 @@ def test_warm_anbn_drains_take_one_loop_call_each(loop_exits):
     the run's end (its first ``a`` enters the cycle's signature from the
     zero state, so 399 and 400 ticks), and each of its four drains is one
     loop call that jumps to the cycle that leaves it (17 calls when every
-    loop stopped at the reduction bound); the run is as before."""
+    loop stopped at the reduction bound) and ticks that cycle's head: 397
+    or 398 whole cycles of 7 and one tick; the run is as before."""
     machine = anbn_machine()
     net = two_stack_to_net(machine)
     word = "a" * 400 + "b" * 400
@@ -1317,7 +1355,7 @@ def test_warm_anbn_drains_take_one_loop_call_each(loop_exits):
     loop_exits.clear()
     assert run(net, word, budget) == first == network.RunResult(Verdict.ACCEPT, 12_024)
     assert loop_exits == [(399, "end"), (400, "end"),
-                          (2786, "miss"), (2785, "miss"), (2786, "miss"), (2787, "miss")]
+                          (2780, "miss"), (2780, "miss"), (2780, "miss"), (2787, "miss")]
 
 
 def shown_loops(cn):
@@ -1455,9 +1493,14 @@ def check_chains(cn):
     path: from its head's node, each plan is the plan of the node the one
     before linked and has linked one code, each after the head is a plain
     plan, no chain's or loop's head, that ``cn.chained`` maps to the head,
-    and no node it ticks from stops; returns the number of chains."""
-    seen = set()
+    and no node it ticks from stops.  ``cn.chained`` maps no other plan
+    to a chain, and none to anything but a chain or None; a plan it maps
+    to None, as starting no chain, does so for good: it branches, or
+    leads to a node that stops, to a loop, to a branch plan or to another
+    such plan.  Returns the number of chains."""
+    seen, members = set(), set()
     for item, node, path in chains(cn):
+        members.update(path[1:])
         for k, plan in enumerate(path):
             assert plan not in seen
             seen.add(plan)
@@ -1465,6 +1508,16 @@ def check_chains(cn):
             assert plan.more is None and (k == 0 or plan.__class__ is _Plan)
             assert k == 0 or cn.chained[plan] is path[0]
             node = plan.value
+    assert {plan for plan, head in cn.chained.items() if head is not None} == members
+    assert all(head is None or head.__class__ is network._Chain for head in cn.chained.values())
+    for node in cn.tick_plans.values():
+        for item, plan in entries(node):
+            if plan.__class__ is _Plan and cn.chained.get(plan, 0) is None:
+                after = plan.value.get(item)
+                assert (plan.more is not None or plan.value.stops
+                        or after.__class__ is network._Loop
+                        or after.__class__ is _Plan and (after.more is not None
+                                                         or cn.chained.get(after, 0) is None))
     return len(chains(cn))
 
 
@@ -1579,7 +1632,8 @@ def test_a_cycle_that_closes_through_a_chain_head_becomes_a_loop():
     them a chain, whose third plan links back to the chain's head last:
     ``_close`` follows the chain's head as its plan, and the cycle becomes
     a ``_Loop`` there, headed by the plan that headed the chain; the chain
-    is gone, and the loop goes round the cycle."""
+    is gone, its plans with it from ``cn.chained``, and the loop goes round
+    the cycle."""
     cn = _compiled(one_neuron())
     item = ((), 0)
     shape = (((0, 0, 1, 0, True, ()),), (), 1)  # x -> x, fractional
@@ -1590,13 +1644,13 @@ def test_a_cycle_that_closes_through_a_chain_head_becomes_a_loop():
         node.put(item, plan)
     plans[1].put(2, nodes[2])
     plans[2].put(2, nodes[0])
-    network._settle(cn, plans[1:], 1)
+    network._settle(cn, plans[1:], 1, item)
     assert plans[1].__class__ is network._Chain and cn.chained[plans[2]] is plans[1]
     plans[0].put(2, nodes[1])  # the last first link, which closes the cycle
     network._close(cn, nodes[1], item)
     loop = nodes[1].get(item)
     assert loop is plans[1] and loop.__class__ is network._Loop
-    assert loop.rest == (plans[2], plans[0]) and not chains(cn)
+    assert loop.rest == (plans[2], plans[0]) and not chains(cn) and not cn.chained
     assert loop.run([3], 5, 30, 1 << 64) == (30, 2, 2, [3], 5)
 
 
@@ -1806,11 +1860,11 @@ def jump_through(nx, scale, tests, size, xs, den, left):
     """``_fuse``'s loop over the composed map ``(nx, scale, tests)``, for a
     cycle of ``size`` plans that pass their registers through and never
     return their key: the loop goes round the map and, where a test fails,
-    returns the registers it reached.  Returns the whole cycles it went
+    its head's tick passes on the registers it reached.  Returns the whole cycles it went
     round and the values reached, as ``Fraction``s."""
     m = len(xs)
     rows = tuple((j, j, 1, 0, True, ()) for j in range(m))
-    cycle = [_Plan(None, (rows, (), 1), ()) for _ in range(size)]
+    cycle = [_Plan(network._gen(rows, (), 1), (rows, (), 1), ()) for _ in range(size)]
     for plan in cycle:
         plan.key = 0
     with pytest.MonkeyPatch.context() as patch:
