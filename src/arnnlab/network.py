@@ -283,11 +283,12 @@ class _CompiledNet:
     was met; at its ``_SIGHTINGS``-th sighting the count becomes a plan
     (see ``_plan``), and each plan links the outcomes of its rows to the
     nodes they write (see ``_link``).  A cycle of plans for one feed item
-    becomes one ``_Loop`` (see ``_close``), and a straight path of plans
-    for one feed item one ``_Chain`` (see ``_chain``); each is its head
-    plan, re-classed in place, with one generated function for the whole
-    path.  ``chained`` maps each other plan of a chain to its head, and
-    each plan that starts no chain to None.  ``interned`` holds the
+    whose composed map jumps becomes one ``_Loop`` (see ``_close``), and a
+    straight path of plans for one feed item one ``_Chain`` (see
+    ``_chain``); each is its head plan, re-classed in place, with one
+    generated function for the whole path.  ``chained`` maps each other
+    plan of a chain to its head, and each plan whose path was one plan
+    long to None, until a chain breaks up.  ``interned`` holds the
     generated replay function of each plan shape ``(rows, scaled,
     scale)``, which many plans share.  The net is read-only, so a plan or
     a link never goes stale; nodes, links, chains, loops and functions are
@@ -789,7 +790,7 @@ def _compose(path: Sequence["_Plan"], m: Optional[int] = None) -> tuple[tuple, i
 
 def _fuse(path: Sequence["_Plan"], m: Optional[int] = None, closes: bool = True):
     """The ticks of ``path``, plans that each link their first code to the
-    next one's node, as one function ``run(xs, den, left, bound)`` that
+    next one's node, as one function ``run(xs, den, left)`` that
     evaluates the path's ``_compose`` from ``m`` start registers (see
     there): it loads the registers the map and the tests read, and when
     every test holds it writes the map's numerators over ``top = scale *
@@ -802,24 +803,24 @@ def _fuse(path: Sequence["_Plan"], m: Optional[int] = None, closes: bool = True)
 
     A *chain* (``closes`` False) is a straight path that ends where the
     last plan's node leads elsewhere: ``run`` makes its ``len(path)``
-    ticks or the first plan's alone.
+    ticks or the first plan's alone, and ignores ``left``.
 
     A *loop* (``closes`` True, and ``m`` then the count the last plan
     writes) is a path whose last plan links its first code to the first
     one's node, and ``run`` goes round it in a ``while`` loop, whole
     cycles only, at most ``left`` ticks (at least ``len(path)``), the
     ticks left in the run of the cycle's feed item, and then the first
-    plan's tick of the cycle whose tests fail.  When the map is separable
-    (see ``_jump``), every iteration after the first whose tests hold
-    first jumps: it estimates from bit lengths how many further cycles
-    pass, never more than do, writes the registers after that many cycles
-    in closed form, and then evaluates the map, so a jump of none is the
-    plain iteration.  The next iteration's tests check the cycle the jump
-    reached: they fail there when the estimate was exact, and else the
-    loop goes round again.  It returns on a failed test, when one more
-    cycle would take more than ``left`` ticks, or, on a cycle that does
-    not jump, once ``top`` reaches ``bound``, so that the caller divides
-    out the gcd.
+    plan's tick of the cycle whose tests fail.  Every iteration after
+    the first whose tests hold first jumps (see ``_jump``): it estimates
+    from bit lengths how many further cycles pass, never more than do,
+    writes the registers after that many cycles in closed form, and then
+    evaluates the map, so a jump of none is the plain iteration.  The
+    next iteration's tests check the cycle the jump reached: they fail
+    there when the estimate was exact, and else the loop goes round
+    again.  It returns on a failed test or when one more cycle would
+    take more than ``left`` ticks.  A cycle whose map is not separable
+    gets no loop: ``_fuse`` returns None for it, and chains and single
+    replays go round it.
 
     Every value goes through ``_lit`` before the source is handed to
     ``exec``.
@@ -834,12 +835,15 @@ def _fuse(path: Sequence["_Plan"], m: Optional[int] = None, closes: bool = True)
     sums = [terms(f) for f in nx]
     checks = [(terms(f), up) for f, up in tests]
     sides, total, products = _products(sums + [ts for ts, _ in checks], (_lit(scale), "den"))
+    jump = _jump(nx, scale, tests, total) if closes else None
+    if closes and jump is None:  # a cycle that cannot jump gets no loop
+        return None
     conds = []
     for ts, up in checks:
         pos, neg = sides(ts)
         conds.append(f"{' + '.join(pos) or 0} {'>' if up else '<='} {' + '.join(neg) or 0}")
     read = sorted({j for f in (*nx, *(f for f, _ in tests)) for j in range(m) if f[j]})
-    head = ["def run(xs, den, left, bound):"]
+    head = ["def run(xs, den, left):"]
     if closes:
         head += [f" left -= {size}", " n = 0", " while True:"]
     pad = "  " if closes else " "
@@ -851,8 +855,7 @@ def _fuse(path: Sequence["_Plan"], m: Optional[int] = None, closes: bool = True)
             named[f] = f"f{len(named)}"
             body.append(f"{named[f]} = {total(ts)}")
     body.append(f"nx = [{', '.join(named.get(f) or total(ts) for f, ts in zip(nx, sums))}]")
-    jump = _jump(nx, scale, tests, total) if closes else None
-    if jump is not None:
+    if closes:
         estimate, closed = jump
         # top is den itself at scale 1, where den stays as it is
         rescale = [f"top = {scale}*den"] * (scale != 1) + [line[1:] for line in products]
@@ -863,8 +866,8 @@ def _fuse(path: Sequence["_Plan"], m: Optional[int] = None, closes: bool = True)
                 f"{pad} return {'n + 1' if closes else 1}, 0, c, nx, top"]
     src += [pad + line for line in body]
     if closes:
-        src += [f"  n += {size}", "  if n > left:" if jump else "  if top >= bound or n > left:",
-                f"   return n, {size - 1}, {last}, nx, top", "  xs = nx", "  den = top"]
+        src += [f"  n += {size}", "  if n > left:", f"   return n, {size - 1}, {last}, nx, top",
+                "  xs = nx", "  den = top"]
     else:
         src.append(f" return {size}, {size - 1}, {last}, nx, top")
     namespace: dict = {}
@@ -1031,31 +1034,28 @@ class _Chain(_Plan):
     ``need`` is the path's length."""
 
     __slots__ = ()
-    closes = False
 
     @classmethod
-    def make(cls, path: Sequence[_Plan], m: Optional[int] = None) -> _Plan:
-        """``path``'s head, made a ``cls`` over the whole path, from ``m``
-        start registers (see ``_fuse``)."""
-        run = _fuse(path, m, cls.closes)
+    def make(cls, path: Sequence[_Plan], run) -> _Plan:
+        """``path``'s head, made a ``cls`` whose ``run`` is ``run``, the
+        ``_fuse`` of the whole path."""
         head = path[0]
         head.__class__ = cls
         head.rest, head.run = tuple(path[1:]), run
-        head.need = len(path) * (3 if cls.closes else 1)
+        head.need = len(path) * (3 if cls is _Loop else 1)
         return head
 
 
 class _Loop(_Chain):
     """A chain whose last plan links its first code to the head's node: the
-    head of a hot cycle of plans for one feed item (see ``_close``).  Its
-    ``run`` goes round the cycle as its ``_compose``, jumps over the
-    cycles that pass when that map is separable (see ``_jump``), and ticks
-    only its head on the cycle it leaves.  ``_ticks`` calls it
+    head of a hot cycle of plans for one feed item (see ``_close``) whose
+    ``_compose`` is separable.  Its ``run`` goes round the cycle as that
+    map, jumps over the cycles that pass (see ``_jump``), and ticks only
+    its head on the cycle it leaves.  ``_ticks`` calls it
     only when 3 whole cycles are left in its item's run, since a call
     costs more than the few ticks it would save."""
 
     __slots__ = ()
-    closes = True
 
 
 def _node(cn: _CompiledNet, units: tuple[int, ...], fracs: tuple[int, ...]) -> _Node:
@@ -1113,13 +1113,15 @@ def _close(cn: _CompiledNet, start: _Node, item: tuple) -> None:
     included, to the node that plan linked first.  When that path comes
     back to ``start`` with every plan built and no node that ``stops``, it
     is a hot cycle: for as long as the feed repeats ``item``, the net goes
-    round it while each tick returns its plan's first code.  Its first
-    plan from ``start`` on that lies inside no chain becomes a ``_Loop``
-    (see ``_Chain.make``), and a chain it headed is gone (see
-    ``_unchain``).  Every cycle closes on a first
-    link, so each is fused once; a path into another cycle meets its
-    ``_Loop`` or a node that stops, and no path is followed further than
-    there are nodes.
+    round it while each tick returns its plan's first code.  When its
+    ``_fuse`` from the first plan from ``start`` on that lies inside no
+    chain has a ``run``, that is when its map jumps, that plan becomes a
+    ``_Loop`` (see ``_Chain.make``), and a chain it headed is gone (see
+    ``_unchain``); a cycle that cannot jump is left to chains and single
+    replays.  Every cycle closes on a first link, so each is fused at
+    most once; a path into another cycle meets its ``_Loop`` or a node
+    that stops, or goes round a cycle that cannot jump, and no path is
+    followed further than there are nodes.
     """
     node, cycle = start, []
     while len(cycle) < len(cn.tick_plans):
@@ -1131,8 +1133,11 @@ def _close(cn: _CompiledNet, start: _Node, item: tuple) -> None:
         if node is start:
             heads = [k for k, plan in enumerate(cycle) if cn.chained.get(plan) is None]
             if heads:
-                _unchain(cn, cycle[heads[0]])
-                _Loop.make(cycle[heads[0]:] + cycle[:heads[0]])
+                path = cycle[heads[0]:] + cycle[:heads[0]]
+                run = _fuse(path)
+                if run is not None:
+                    _unchain(cn, path[0])
+                    _Loop.make(path, run)
             return
 
 
@@ -1143,67 +1148,62 @@ def _chain(cn: _CompiledNet, node: _Node, item: tuple, plan: _Plan) -> tuple[_Pl
     next node is still such an entry.
 
     The path follows each plan's one link for as long as the plan has
-    linked only one code, is not in ``cn.chained`` and was not met before
-    on the path, and its node does not stop; so it ends before a branch
-    plan, a ``_Loop``, a chain, a plan that starts none, or a node that
-    stops, and each plan sits in at most one chain.  A path that ends
-    inside another chain splits that chain there (see ``_unchain``): its
-    plans from there on become a chain of their own, and the next entry
-    of its head chains the plans before.  While some plan on the path is
-    not built yet, no chain is built, and the next node is no entry.  A
-    path of one plan, or of none when ``plan`` branches, is no chain, and
-    the next node is again an entry; ``plan`` may go into ``cn.chained``
-    as starting none (see ``_settle``).  Else ``plan`` becomes a
-    ``_Chain`` (see ``_Chain.make``).
+    linked only one code, lies in no chain and was not met before on the
+    path, and its node does not stop; so it ends before a branch plan, a
+    ``_Loop``, a chain, or a node that stops, and each plan sits in at
+    most one chain, while a plan recorded as starting none may lie inside
+    a longer path.  A path that ends inside another chain, before its last
+    plan, splits that chain there (see ``_unchain``), and its plans from
+    there on become a chain of their own.  While the path leads to a node
+    that does not stop and has not built its plan for ``item`` (or not
+    met ``item``), no chain is built, and the next node is no entry.  A
+    path of one plan, or of none when ``plan`` branches, is no chain:
+    ``plan`` goes into ``cn.chained`` as starting none (see ``_settle``),
+    and the next node is again an entry; a walk from it stops after it
+    until a chain breaks up.  Else ``plan`` becomes a ``_Chain``.
     """
     chained, path, at, head = cn.chained, [], node, plan
-    while (plan.__class__ is _Plan and plan.more is None and plan not in chained
+    while (plan.__class__ is _Plan and plan.more is None and chained.get(plan) is None
            and not at.stops and plan not in path):
         path.append(plan)
         at = plan.value
-        plan = at.get(item)
-    if plan.__class__ is int:
+        plan = at.get(item, 0)
+    if plan.__class__ is int and not at.stops:
         return head, False
     owner = chained.get(plan)
-    if owner.__class__ is _Chain:
+    if owner.__class__ is _Chain and plan is not owner.rest[-1]:
         tail = owner.rest[owner.rest.index(plan):]
         _unchain(cn, owner)
-        _settle(cn, tail, len(at.fracs), item)
-    _settle(cn, path or [head], len(node.fracs), item)
+        _settle(cn, tail, len(at.fracs))
+    _settle(cn, path or [head], len(node.fracs))
     return head, head.__class__ is _Plan
 
 
-def _settle(cn: _CompiledNet, path: Sequence[_Plan], m: int, item: tuple) -> None:
-    """Make ``path``, plans for feed item ``item``, from ``m`` start
-    registers, a chain whose other plans join ``cn.chained``.  A path of
-    one plan is no chain; the plan goes there as starting none when that
-    lasts: when it branches, or leads to a node that stops, to a loop, to a
-    branch plan or to a plan that starts none.  One that leads to a
-    chain's head, which may break up or become a loop, to a plan not built
-    yet, or to no plan stays out, so the next entry walks it again."""
-    plan = path[0]
+def _settle(cn: _CompiledNet, path: Sequence[_Plan], m: int) -> None:
+    """Make ``path`` from ``m`` start registers a chain whose other plans
+    join ``cn.chained``.  A path of one plan is no chain, and its plan goes
+    there as starting none, until some chain breaks up (see
+    ``_unchain``)."""
     if len(path) > 1:
-        chain = _Chain.make(path, m)
+        chain = _Chain.make(path, _fuse(path, m, False))
         cn.chained.update(dict.fromkeys(chain.rest, chain))
-        return
-    after = plan.value.get(item)
-    if (plan.more is not None or plan.value.stops or after.__class__ is _Loop
-            or after.__class__ is _Plan and (after.more is not None
-                                             or cn.chained.get(after, 0) is None)):
-        cn.chained[plan] = None
+    else:
+        cn.chained[path[0]] = None
 
 
 def _unchain(cn: _CompiledNet, plan: _Plan) -> None:
     """The chain that ``plan`` heads or lies in, if any, becomes plain
     plans again, which the next entries chain anew: ``_link`` calls this
     when ``plan`` links a second code, ``_chain`` when a path joins a
-    chain inside, and ``_close`` when a chain's head becomes a loop's.  A
-    loop stays as it is, since its ``run`` already ticks its head alone on
-    the cycle it leaves."""
+    chain inside, and ``_close`` when a chain's head becomes a loop's.
+    Every plan recorded as starting none is walked again too, since one
+    in front of the chain may now start a longer path.  A loop stays as
+    it is, since its ``run`` already ticks its head alone on the cycle it
+    leaves."""
     head = plan if plan.__class__ is _Chain else cn.chained.get(plan)
     if head.__class__ is _Chain:
-        for rest in head.rest:
-            del cn.chained[rest]
+        for dropped in [p for p, h in cn.chained.items() if h is None or h is head]:
+            del cn.chained[dropped]
         head.__class__ = _Plan
         head.rest = head.run = head.need = None
 
@@ -1240,8 +1240,8 @@ def _ticks(
     cycle's whole cycles, and the kernel goes on from the plan and code it
     returns; else it ticks as the plan it is.  Either evaluates a composed
     map (see ``_compose`` and ``_fuse``), which writes the values that
-    ticking its plans one by one writes; a separable cycle jumps, writing
-    the values after many cycles in one closed form (see ``_jump``).  No
+    ticking its plans one by one writes; a loop jumps, writing the values
+    after many cycles in one closed form (see ``_jump``).  No
     node inside either stops, so a run takes the ticks it would take tick
     by tick.  Chains are built lazily (see ``_chain``) where the kernel
     enters a straight path: at the start of the blank tail, after a code
@@ -1251,8 +1251,7 @@ def _ticks(
     The denominator is not reduced on every tick: the gcd is divided out
     only once it reaches ``limit`` bits, that is once it is at least
     ``bound``, and ``limit`` is then set to the reduced size plus
-    ``_SLACK_BITS``; inside a chain or loop that test waits for the call's
-    end of path or cycle, and a loop that jumps leaves it until the call
+    ``_SLACK_BITS``; a chain or loop leaves that test until its call
     returns, so a jump of a whole drain is followed by one reduction.  A
     unit's numerator is the denominator itself, so only ``xs`` join the
     gcd, and with no fractional neuron it becomes 1.
@@ -1296,7 +1295,7 @@ def _ticks(
             else:  # a _Chain or a _Loop
                 left = end - t + 1  # the ticks left in this item's run
                 if left >= plan.need:
-                    n, k, code, xs, top = plan.run(xs, den, left, bound)
+                    n, k, code, xs, top = plan.run(xs, den, left)
                     t += n - 1
                     entry = True
                     if k:

@@ -751,20 +751,22 @@ def test_gen_refuses_values_that_are_not_ints(monkeypatch):
         plan.key = key
         return [plan]
 
-    assert network._fuse(cycle((row,), ((2, 1),), 2))([3, 1], 5, 1, 1 << 64) == (
-        1, 0, 2, [5, 5], 10
-    )
+    # x -> 3x - den over 2*den is separable, so its cycle is a loop: from 3
+    # over 5 it writes 4, then the scaled 1 * 5, over 10; row's map reads
+    # two registers and does not jump, so it makes no loop
+    sep = (0, 0, 3, -1, True, ())
+    assert network._fuse(cycle((sep,), ((2, 1),), 2))([3, 1], 5, 1) == (1, 0, 2, [4, 5], 10)
+    assert network._fuse(cycle((row,), ((2, 1),), 2)) is None
     # the same plan twice over as a chain from 2 registers: its tests hold
     # on [3, 1] over 5, through [5, 5] over 10 to 15 + 5 - 10 = 10 over 20;
     # on [1, 1] the row is at 0 (3 + 1 - 5), so the head ticks alone
     plan = cycle((row,), ((2, 1),), 2)[0]
     plan.tick = network._gen((row,), ((2, 1),), 2)
     chain = network._fuse([plan, plan], 2, False)
-    assert chain([3, 1], 5, 2, 0) == (2, 1, 2, [10, 10], 20)
-    assert chain([1, 1], 5, 2, 0) == (1, 0, 0, [5], 10)
-    # x -> 3x - den over 2*den is separable: from just under 1, its loop
-    # jumps to the tick on which ticking the plan leaves the cycle
-    sep = (0, 0, 3, -1, True, ())
+    assert chain([3, 1], 5, 2) == (2, 1, 2, [10, 10], 20)
+    assert chain([1, 1], 5, 2) == (1, 0, 0, [5], 10)
+    # from just under 1, sep's loop jumps to the tick on which ticking the
+    # plan leaves the cycle
     xs, den, ticks, tick = [(1 << 20) - 1], 1 << 20, 0, network._gen((sep,), (), 2)
     code = 2
     while code == 2:
@@ -773,7 +775,7 @@ def test_gen_refuses_values_that_are_not_ints(monkeypatch):
     assert ticks > 30
     [jumps] = cycle((sep,), (), 2)
     jumps.tick = tick  # which the loop calls on the cycle it leaves
-    assert network._fuse([jumps])([(1 << 20) - 1], 1 << 20, 99, 0) == (ticks, 0, code, xs, den)
+    assert network._fuse([jumps])([(1 << 20) - 1], 1 << 20, 99) == (ticks, 0, code, xs, den)
     ran = []
     monkeypatch.setattr(network, "exec", lambda *args: ran.append(args), raising=False)
     for bad in (Fraction(1, 2), "1", "den); import os; (", 1.5, True):
@@ -1186,23 +1188,19 @@ def test_a_chain_head_that_branches_on_a_new_node_at_the_cap_empties_the_map(mon
 def loop_exits(monkeypatch):
     """How each call of a loop fused while the test runs ended, as
     ``(ticks, how)``: "miss" where the cycle's tests failed, so that its
-    head ticked alone after the whole cycles, "end" when no whole cycle was
-    left, and "bound" when the denominator reached the reduction bound
-    before that, which only a loop that does not jump stops at.  Chains,
-    which ``_fuse`` also makes, are not counted."""
+    head ticked alone after the whole cycles, and "end" when no whole
+    cycle was left.  Chains, which ``_fuse`` also makes, are not counted."""
     exits, fuse = [], network._fuse
 
     def counted(cycle, m=None, closes=True):
         loop = fuse(cycle, m, closes)
-        if not closes:
+        if not closes or loop is None:
             return loop
 
-        def call(xs, den, left, bound):
-            got = n, k, code, _, top = loop(xs, den, left, bound)
-            assert n <= left
-            how = ("miss" if code != cycle[k].key or n % len(cycle)
-                   else "end" if n + len(cycle) > left else "bound")
-            assert how != "bound" or top >= bound
+        def call(xs, den, left):
+            got = n, k, code, _, _ = loop(xs, den, left)
+            how = "miss" if code != cycle[k].key or n % len(cycle) else "end"
+            assert n <= left and (how == "miss" or n + len(cycle) > left)
             exits.append((n, how))
             return got
 
@@ -1294,8 +1292,8 @@ def test_fused_loops_match_fast_step_on_an_oracle_net(loop_exits):
 def test_a_cycle_that_cannot_jump_goes_round_as_before(loop_exits):
     """``x -> 1 - 2x/3`` closes a blank cycle of one plan whose map reads
     its register with a negative ratio, so the value swings round 3/5 and
-    ``_jump`` refuses the map: its loop goes round cycle by cycle, stops at
-    the reduction bound, and ``run`` still reaches what ``_fast_step``
+    ``_jump`` refuses the map: no ``_Loop`` is fused, the plan lies in no
+    chain and ticks alone, and ``run`` still reaches what ``_fast_step``
     reaches tick by tick."""
     net = Network(
         2, 1, state_weights={(0, 0): ExactScalar.rational(-2, 3)},
@@ -1304,9 +1302,12 @@ def test_a_cycle_that_cannot_jump_goes_round_as_before(loop_exits):
     )
     for _ in range(2):
         assert run_matches_fast_step(net, "a", 800).verdict == Verdict.TIMEOUT
-    [loop] = fused_loops(_compiled(net))
-    assert network._jump(*network._compose((loop, *loop.rest)), lambda ts: "0") is None
-    assert {how for _, how in loop_exits} == {"bound", "end"}
+    cn = _compiled(net)
+    [turn] = [plan for node in cn.tick_plans.values() for item, plan in entries(node)
+              if item == cn.blank and isinstance(plan, _Plan) and plan.value is node]
+    assert turn.__class__ is _Plan and cn.chained.get(turn) is None
+    assert network._jump(*network._compose([turn]), lambda ts: "0") is None
+    assert not fused_loops(cn) and not loop_exits
 
 
 @st.composite
@@ -1344,9 +1345,9 @@ def test_warm_anbn_drains_take_one_loop_call_each(loop_exits):
     """Warm, each input run of a^400 b^400 is one loop call that jumps to
     the run's end (its first ``a`` enters the cycle's signature from the
     zero state, so 399 and 400 ticks), and each of its four drains is one
-    loop call that jumps to the cycle that leaves it (17 calls when every
-    loop stopped at the reduction bound) and ticks that cycle's head: 397
-    or 398 whole cycles of 7 and one tick; the run is as before."""
+    loop call that jumps to the cycle that leaves it and ticks that
+    cycle's head: 397 or 398 whole cycles of 7 and one tick; the run is
+    as before."""
     machine = anbn_machine()
     net = two_stack_to_net(machine)
     word = "a" * 400 + "b" * 400
@@ -1429,18 +1430,18 @@ def test_fast_step_ticks_once_where_a_loop_is_met():
     still takes exactly one tick, the one the Fraction equation gives."""
     anbn = two_stack_to_net(anbn_machine())
     run(anbn, "a" * 20, 21)  # the loop under a is fused
-    turn = Network(
-        2, 1, state_weights={(0, 0): ExactScalar.rational(-2, 3)},
-        input_weights={(0, 0): ExactScalar.rational(1, 2)}, biases={0: ExactScalar.integer(1)},
+    # x -> x/2 + 1/4, separable, stays strictly between 0 and 1
+    halve = Network(
+        2, 1, state_weights={(0, 0): ExactScalar.rational(1, 2)},
+        input_weights={(0, 0): ExactScalar.rational(1, 2)}, biases={0: ExactScalar.rational(1, 4)},
         activations=("sat", "sig"), out_data=0, out_valid=1, input_symbols=("a",),
     )
-    run(turn, "a", 40)  # the loop under the blank item is fused
-    # from the zero state, a's first tick and the blank item's first two
-    # reach the cycle's signature
-    for net, item, lead in ((anbn, ((1, 0), 1), 1), (turn, ((0,), 0), 2)):
-        cn, state, met = _compiled(net), [0] * net.n_neurons, 0
-        for _ in range(lead):
-            state = _fast_step(cn, state, *item)
+    run(halve, "a", 40)  # the loop under the blank item is fused
+    # from the zero state, the first tick of a or of the blank item
+    # reaches the cycle's signature
+    for net, item in ((anbn, ((1, 0), 1)), (halve, ((0,), 0))):
+        cn, met = _compiled(net), 0
+        state = _fast_step(cn, [0] * net.n_neurons, *item)
         for _ in range(12):
             node = cn.tick_plans[state.units, state.fracs]
             met += isinstance(node.get(item), network._Loop)
@@ -1463,8 +1464,8 @@ def chain_calls():
         if closes:
             return chain
 
-        def call(xs, den, left, bound):
-            got = chain(xs, den, left, bound)
+        def call(xs, den, left):
+            got = chain(xs, den, left)
             assert left >= len(path) and got[0] in (1, len(path))
             assert got[1:3] == ((len(path) - 1, path[-1].key) if got[0] > 1 else (0, got[2]))
             calls.append((len(path), got[0], left))
@@ -1488,16 +1489,27 @@ def chains(cn):
     ]
 
 
+def walk(cn, node, item, plan):
+    """The path that ``_chain``'s walk takes from ``plan``, the plan for
+    ``item`` in ``node``."""
+    path = []
+    while (plan.__class__ is _Plan and plan.more is None and cn.chained.get(plan) is None
+           and not node.stops and plan not in path):
+        path.append(plan)
+        node = plan.value
+        plan = node.get(item)
+    return path
+
+
 def check_chains(cn):
     """Each plan sits in at most one chain, and each chain is a straight
     path: from its head's node, each plan is the plan of the node the one
     before linked and has linked one code, each after the head is a plain
     plan, no chain's or loop's head, that ``cn.chained`` maps to the head,
     and no node it ticks from stops.  ``cn.chained`` maps no other plan
-    to a chain, and none to anything but a chain or None; a plan it maps
-    to None, as starting no chain, does so for good: it branches, or
-    leads to a node that stops, to a loop, to a branch plan or to another
-    such plan.  Returns the number of chains."""
+    to a chain, and none to anything but a chain or None; a walk from a
+    plan it maps to None, as starting no chain, still stops after it.
+    Returns the number of chains."""
     seen, members = set(), set()
     for item, node, path in chains(cn):
         members.update(path[1:])
@@ -1512,12 +1524,8 @@ def check_chains(cn):
     assert all(head is None or head.__class__ is network._Chain for head in cn.chained.values())
     for node in cn.tick_plans.values():
         for item, plan in entries(node):
-            if plan.__class__ is _Plan and cn.chained.get(plan, 0) is None:
-                after = plan.value.get(item)
-                assert (plan.more is not None or plan.value.stops
-                        or after.__class__ is network._Loop
-                        or after.__class__ is _Plan and (after.more is not None
-                                                         or cn.chained.get(after, 0) is None))
+            if cn.chained.get(plan, 0) is None:
+                assert len(walk(cn, node, item, plan)) <= 1
     return len(chains(cn))
 
 
@@ -1644,25 +1652,130 @@ def test_a_cycle_that_closes_through_a_chain_head_becomes_a_loop():
         node.put(item, plan)
     plans[1].put(2, nodes[2])
     plans[2].put(2, nodes[0])
-    network._settle(cn, plans[1:], 1, item)
+    network._settle(cn, plans[1:], 1)
     assert plans[1].__class__ is network._Chain and cn.chained[plans[2]] is plans[1]
     plans[0].put(2, nodes[1])  # the last first link, which closes the cycle
     network._close(cn, nodes[1], item)
     loop = nodes[1].get(item)
     assert loop is plans[1] and loop.__class__ is network._Loop
     assert loop.rest == (plans[2], plans[0]) and not chains(cn) and not cn.chained
-    assert loop.run([3], 5, 30, 1 << 64) == (30, 2, 2, [3], 5)
+    assert loop.run([3], 5, 30) == (30, 2, 2, [3], 5)
+
+
+def identity_plans(cn, item, links):
+    """Nodes on ``cn``, one more than ``links``, the last one a node that
+    stops, and one identity plan ``x -> x`` for ``item`` in each of the
+    others, plan k linking its code to node ``links[k]``."""
+    shape = (((0, 0, 1, 0, True, ()),), (), 1)  # x -> x, fractional
+    nodes = [network._Node((), (0,), k == len(links)) for k in range(len(links) + 1)]
+    plans = [_Plan(network._gen(*shape), shape, ()) for _ in links]
+    for k, node in enumerate(nodes):
+        cn.tick_plans[(k,), (0,)] = node
+    for node, plan, link in zip(nodes, plans, links):
+        node.put(item, plan)
+        plan.put(2, nodes[link])
+    return nodes, plans
+
+
+def test_a_plan_recorded_in_front_of_a_chain_joins_it_once_it_breaks_up():
+    """Three identity plans in a line to a node that stops, the last two
+    a chain: a walk from the first stops at the chain's head and records
+    the first plan as starting no chain.  When the chain's last plan links
+    a second code, the chain breaks up, the record goes with it, and the
+    next walk from the first plan chains it with the plan after it, up to
+    the plan that now branches."""
+    cn = _compiled(one_neuron())
+    item = ((), 0)
+    nodes, plans = identity_plans(cn, item, [1, 2, 3])
+    network._settle(cn, plans[1:], 1)
+    assert network._chain(cn, nodes[0], item, plans[0]) == (plans[0], True)
+    assert cn.chained == {plans[0]: None, plans[2]: plans[1]}
+    assert check_chains(cn) == 1
+    network._link(cn, plans[2], 0, item)  # a second code, to a new node
+    assert plans[1].__class__ is _Plan and not cn.chained
+    assert network._chain(cn, nodes[0], item, plans[0]) == (plans[0], False)
+    assert plans[0].__class__ is network._Chain and plans[0].rest == (plans[1],)
+    assert cn.chained == {plans[1]: plans[0]} and check_chains(cn) == 1
+    assert plans[0].run([3], 5, 2) == (2, 1, 2, [3], 5)
+
+
+def test_a_path_that_ends_at_a_chains_last_plan_leaves_that_chain_whole():
+    """Two identity plans lead into the node of a third, whose plan leads
+    to a node that stops; the second and third are a chain.  A walk from
+    the first ends at the chain's last plan, which alone would start no
+    chain: the chain stays whole, the first plan is recorded as starting
+    none, and a walk from it still stops after it."""
+    cn = _compiled(one_neuron())
+    item = ((), 0)
+    nodes, plans = identity_plans(cn, item, [2, 2, 3])
+    network._settle(cn, plans[1:], 1)
+    assert network._chain(cn, nodes[0], item, plans[0]) == (plans[0], True)
+    assert plans[1].__class__ is network._Chain and plans[1].rest == (plans[2],)
+    assert cn.chained == {plans[0]: None, plans[2]: plans[1]} and check_chains(cn) == 1
+
+
+def test_a_walk_into_a_node_not_yet_met_records_nothing():
+    """Warm on ``ab`` with budgets that end the blank tail one, then two
+    ticks after its first plan, a walk from that plan leads to a node that
+    has not met the blank item, or not built its plan: nothing is built or
+    recorded, so once full budgets build the plans after it, the chain
+    that the blank tail enters starts at that first plan."""
+    machine = anbn_machine()
+    net = two_stack_to_net(machine)
+    cn = _compiled(net)
+    for budget in (3, 4, word_budget(machine, "ab")):
+        for _ in range(network._SIGHTINGS + 2):
+            run(net, "ab", budget)
+            check_chains(cn)
+    state = [0] * net.n_neurons
+    for bits in ((1, 0), (0, 1)):
+        state = _fast_step(cn, state, bits, 1)
+    assert cn.tick_plans[state.units, state.fracs].get(cn.blank).__class__ is network._Chain
+
+
+def test_replaying_a_warm_word_set_makes_no_chain_walk(monkeypatch):
+    """On the a^n b^n net, the copy machine and the horizon-64
+    ``oracle_net``, once a set of words has been run often enough, every
+    entry of a straight path meets a chain, a loop or a plan recorded as
+    starting none: one more pass over the set makes no ``_chain`` call."""
+    walks, chain = [], network._chain
+
+    def counted(*args):
+        walks.append(args)
+        return chain(*args)
+
+    monkeypatch.setattr(network, "_chain", counted)
+    anbn, copy = anbn_machine(), copy_machine()
+    nets = [
+        (two_stack_to_net(anbn), [(w, word_budget(anbn, w)) for w in
+                                  ("aabb", "abab", "aaabbb", "a" * 12 + "b" * 11, "ab")]),
+        (two_stack_to_net(copy), [(w, word_budget(copy, w)) for w in
+                                  ("abba", "aaab", "ab" * 6, "b" * 9)]),
+        (oracle_net(OracleNetSpec(ExactScalar.oracle(
+            OracleTable.from_language(abstar_language(), 64), CANTOR4, "0'"), AB)),
+         [(w, oracle_budget(w, AB)) for w in ("ab", "bb", "abb", "b" * 5)]),
+    ]
+    for net, words in nets:
+        for _ in range(network._SIGHTINGS + 3):
+            for word, budget in words:
+                run(net, word, budget)
+        assert walks
+        walks.clear()
+        for word, budget in words:
+            run(net, word, budget)
+        assert not walks
+        check_chains(_compiled(net))
 
 
 @functools.cache
 def composed_cycles():
-    """Each cycle fused on the a^n b^n net, the copy machine and the
-    horizon-64 ``oracle_net``, by net, each with the ``(xs, den)`` that
-    each round of its loop calls started from: ticked on from each call's
-    start, round after round, up to the round that leaves the cycle or the
-    last whole round within the call's ``left`` ticks, since a cycle under
-    an input symbol may have no tests and never leave.  A cycle no call
-    entered has no starts."""
+    """Each cycle closed on the a^n b^n net, the copy machine and the
+    horizon-64 ``oracle_net``, fused or not, by net, each with the ``(xs,
+    den)`` that each round of its loop calls started from: ticked on from
+    each call's start, round after round, up to the round that leaves the
+    cycle or the last whole round within the call's ``left`` ticks, since
+    a cycle under an input symbol may have no tests and never leave.  A
+    cycle no call entered has no starts."""
     anbn, copy = anbn_machine(), copy_machine()
     words = {
         anbn: ["a" * n + "b" * n for n in (20, 12, 21, 16)] + ["a" * 21 + "b" * 20],
@@ -1686,10 +1799,12 @@ def composed_cycles():
         if not closes:
             return loop
         found[label].append((tuple(cycle), starts))
+        if loop is None:
+            return None
 
-        def call(xs, den, left, bound):
+        def call(xs, den, left):
             starts.append((tuple(xs), den, left))
-            return loop(xs, den, left, bound)
+            return loop(xs, den, left)
 
         return call
 
@@ -1849,8 +1964,9 @@ def test_anbn_cycles_are_separable_with_positive_ratios():
 
 
 def test_every_composed_cycle_met_jumps():
-    """Every cycle fused on the a^n b^n net, the copy machine and the
-    horizon-64 ``oracle_net`` is separable, so its loop jumps."""
+    """Every cycle closed on the a^n b^n net, the copy machine and the
+    horizon-64 ``oracle_net`` is separable, so each is fused into a loop
+    that jumps."""
     for label, cycles in composed_cycles().items():
         for cycle, _ in cycles:
             assert network._jump(*network._compose(cycle), lambda ts: "0") is not None, label
@@ -1870,7 +1986,7 @@ def jump_through(nx, scale, tests, size, xs, den, left):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(network, "_compose", lambda *_: (nx, scale, tests))
         loop = network._fuse(cycle)
-    n, k, code, ys, top = loop(list(xs), den, left, 0)
+    n, k, code, ys, top = loop(list(xs), den, left)
     missed = code != 0  # on the first tick of the cycle that fails
     assert (k, code) == ((0, sum(2 << 2 * j for j in range(m))) if missed else (size - 1, 0))
     assert (n - missed) % size == 0
